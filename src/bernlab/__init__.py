@@ -53,6 +53,7 @@ from .remez import (
     ProblemKind,
     build_akhiezer_problem,
     build_power_problem,
+    build_problem,
     build_sgn_problem,
     clenshaw,
     eval_solution,
@@ -86,7 +87,6 @@ from .asymptotics import (
     compare,
     predict_akhiezer_error,
     predict_power_error,
-    predict_power_error_alt,
     predict_slit_height,
     slit_height_from_error,
 )
@@ -137,6 +137,7 @@ __all__ = [
     "ProblemKind",
     "build_akhiezer_problem",
     "build_power_problem",
+    "build_problem",
     "build_sgn_problem",
     "clenshaw",
     "eval_solution",
@@ -166,7 +167,6 @@ __all__ = [
     "compare",
     "predict_akhiezer_error",
     "predict_power_error",
-    "predict_power_error_alt",
     "predict_slit_height",
     "slit_height_from_error",
     "PhaseTrace",

@@ -16,27 +16,9 @@ from dataclasses import dataclass, field
 from mpmath import mp
 
 from .errors import InvalidProblemError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf
-from .remez import (
-    ProblemKind,
-    build_akhiezer_problem,
-    build_power_problem,
-    build_sgn_problem,
-    solve,
-)
+from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf, check_exponent, check_gap
+from .remez import ProblemKind, build_problem, solve
 from .specialfn import log_gamma
-
-
-def _validate_power_p(p):
-    p_f = float(as_mpf(p))
-    if p_f <= 0 or (p_f == int(p_f) and int(p_f) % 2 == 0):
-        raise InvalidProblemError("p must be positive and not an even integer")
-
-
-def _validate_a(a):
-    a_f = float(as_mpf(a))
-    if not 0 < a_f < 1:
-        raise InvalidProblemError("a must lie in (0, 1)")
 
 
 def abs_gamma(x, cfg: PrecisionConfig | None = None):
@@ -52,8 +34,8 @@ def predict_power_error(p, a, m: int, cfg: PrecisionConfig | None = None):
         ((1-a)/(1+a))^(m+1) * m^(-p/2-1) * a^(p/2-1) (1+a)^2 / (2 |Gamma(-p/2)|).
     """
     cfg = cfg or DEFAULT_CONFIG
-    _validate_power_p(p)
-    _validate_a(a)
+    check_exponent(p)
+    check_gap(a)
     if m < 1:
         raise InvalidProblemError("m must be a positive integer")
     with cfg.workprec():
@@ -62,32 +44,6 @@ def predict_power_error(p, a, m: int, cfg: PrecisionConfig | None = None):
         ratio = (1 - a) / (1 + a)
         const = a ** (p / 2 - 1) * (1 + a) ** 2 / (2 * abs_gamma(-p / 2, cfg))
         return ratio ** (m + 1) * mp.mpf(m) ** (-p / 2 - 1) * const
-
-
-def predict_power_error_alt(p, a, m: int, cfg: PrecisionConfig | None = None):
-    """Equivalent form of predict_power_error written with the limit-map
-    constants:
-
-        (a/m)^(p/2) ((1-a)/(1+a))^m (1-a^2) / (2 a m |Gamma(-p/2)|).
-
-    Algebraically identical to predict_power_error at every m; both are
-    kept so finite-size comparisons stay transparent.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    _validate_power_p(p)
-    _validate_a(a)
-    if m < 1:
-        raise InvalidProblemError("m must be a positive integer")
-    with cfg.workprec():
-        p = as_mpf(p)
-        a = as_mpf(a)
-        m_ = mp.mpf(m)
-        return (
-            (a / m_) ** (p / 2)
-            * ((1 - a) / (1 + a)) ** m_
-            * (1 - a * a)
-            / (2 * a * m_ * abs_gamma(-p / 2, cfg))
-        )
 
 
 def predict_slit_height(k: int, a, m: int, cfg: PrecisionConfig | None = None):
@@ -109,7 +65,7 @@ def predict_slit_height(k: int, a, m: int, cfg: PrecisionConfig | None = None):
         raise InvalidProblemError("k must be a positive integer")
     if m < 1:
         raise InvalidProblemError("m must be a positive integer")
-    _validate_a(a)
+    check_gap(a)
     with cfg.workprec():
         a = as_mpf(a)
         half = mp.mpf(1) / 2
@@ -133,7 +89,7 @@ def slit_height_from_error(error, cfg: PrecisionConfig | None = None):
 
 def akhiezer_b_from_a(a):
     """b = (1+a^2)/(1-a^2), the pole offset matching interval gap a."""
-    _validate_a(a)
+    check_gap(a)
     a = as_mpf(a)
     return (1 + a * a) / (1 - a * a)
 
@@ -156,7 +112,7 @@ def akhiezer_convert(s, a, l: int, shifted_error):
     """
     if float(as_mpf(s)) == 0:
         raise InvalidProblemError("s must be nonzero")
-    _validate_a(a)
+    check_gap(a)
     s = as_mpf(s)
     b = akhiezer_b_from_a(a)
     return (1 + b) ** s * as_mpf(shifted_error)
@@ -231,14 +187,7 @@ class AsymptoticsReport:
 
 def _solve_one(args):
     family, params, m, bits = args
-    cfg = PrecisionConfig(mantissa_bits=bits)
-    if family is ProblemKind.POWER:
-        problem = build_power_problem(params["p"], params["a"], m)
-    elif family is ProblemKind.SGN_LAURENT:
-        problem = build_sgn_problem(params["k"], params["a"], m)
-    else:
-        problem = build_akhiezer_problem(params["s"], params["b"], m)
-    return m, solve(problem, cfg).error
+    return m, solve(build_problem(family, params, m), PrecisionConfig(mantissa_bits=bits)).error
 
 
 def compare(

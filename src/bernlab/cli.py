@@ -143,7 +143,7 @@ def _parse_degrees(spec: str) -> list:
     return [int(spec)]
 
 
-def _family_parameters(ns: argparse.Namespace) -> tuple:
+def _family_parameters(ns: argparse.Namespace, cfg: PrecisionConfig) -> tuple:
     kind = _FAMILIES[ns.family]
     if kind is ProblemKind.POWER:
         if ns.p is None or ns.a is None:
@@ -158,19 +158,11 @@ def _family_parameters(ns: argparse.Namespace) -> tuple:
     if ns.b is None:
         if ns.a is None:
             raise InvalidProblemError("family akhiezer needs --b or --a")
-        b = asymptotics.akhiezer_b_from_a(as_mpf(ns.a))
+        with cfg.workprec():
+            b = asymptotics.akhiezer_b_from_a(ns.a)
     else:
         b = ns.b
     return kind, {"s": ns.s, "b": b}
-
-
-def _build_problem(ns: argparse.Namespace, degree: int):
-    kind, params = _family_parameters(ns)
-    if kind is ProblemKind.POWER:
-        return remez.build_power_problem(params["p"], params["a"], degree)
-    if kind is ProblemKind.SGN_LAURENT:
-        return remez.build_sgn_problem(params["k"], params["a"], degree)
-    return remez.build_akhiezer_problem(params["s"], params["b"], degree)
 
 
 def _log_spaced(lo, hi, count: int):
@@ -196,7 +188,7 @@ def _lin_spaced(lo, hi, count: int):
 def _cmd_solve(ns: argparse.Namespace, cfg: PrecisionConfig):
     if ns.m is None:
         raise InvalidProblemError("solve needs --m (polynomial degree)")
-    problem = _build_problem(ns, ns.m)
+    problem = remez.build_problem(*_family_parameters(ns, cfg), ns.m)
     sol = remez.solve(problem, cfg)
     payload = {
         "family": ns.family,
@@ -221,7 +213,7 @@ def _cmd_sweep(ns: argparse.Namespace, cfg: PrecisionConfig):
     if ns.m is None:
         raise InvalidProblemError("sweep needs --m (degree list, e.g. 5..20)")
     degrees = _parse_degrees(ns.m)
-    kind, params = _family_parameters(ns)
+    kind, params = _family_parameters(ns, cfg)
     report = asymptotics.compare(kind, params, degrees, cfg, jobs=ns.jobs)
     with cfg.workprec():
         table = []
@@ -258,7 +250,7 @@ def _cmd_sweep(ns: argparse.Namespace, cfg: PrecisionConfig):
 def _cmd_verify_curve(ns: argparse.Namespace, cfg: PrecisionConfig):
     if ns.p is None or ns.a is None or ns.m is None:
         raise InvalidProblemError("verify-curve needs --p, --a and --m")
-    problem = remez.build_power_problem(ns.p, ns.a, ns.m)
+    problem = remez.build_problem(ProblemKind.POWER, {"p": ns.p, "a": ns.a}, ns.m)
     sol = remez.solve(problem, cfg)
     ys = _log_spaced(ns.y_min, ns.y_max, ns.y_count)
     trace = curveverify.reconstruct_phase(sol, problem, ys, cfg)
@@ -304,7 +296,7 @@ def _cmd_verify_curve(ns: argparse.Namespace, cfg: PrecisionConfig):
 def _cmd_profiles(ns: argparse.Namespace, cfg: PrecisionConfig):
     if ns.m is None:
         raise InvalidProblemError("profiles needs --m (degree list)")
-    kind, params = _family_parameters(ns)
+    kind, params = _family_parameters(ns, cfg)
     if kind is ProblemKind.AKHIEZER:
         raise InvalidProblemError("profiles exist for absxp and sgn-laurent only")
     degrees = _parse_degrees(ns.m)

@@ -20,11 +20,14 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .errors import InvalidProblemError, QuadratureError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf
+from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf, check_exponent
 from .specialfn import (
+    DensitySpec,
     cauchy_boundary,
     cauchy_integral,
     gamma_density,
+    gamma_value,
+    integrate_finite,
     integrate_halfline,
     log_gamma,
 )
@@ -195,8 +198,6 @@ def far_offset_integral(k: int, cfg: PrecisionConfig | None = None, *, inner_bit
             t = u * u
             return (phase_density(k, t, inner) - top) / (t + d) * 2 * u
 
-        from .specialfn.quadrature import integrate_finite
-
         # The integrand decays like t^(k+3/2) e^-t; 50 + 10k suppresses the
         # tail far below the route's accuracy while staying clear of the
         # boundary evaluator's own truncation point.
@@ -209,19 +210,16 @@ def far_offset_integral(k: int, cfg: PrecisionConfig | None = None, *, inner_bit
 
 
 def limit_density(p, cfg: PrecisionConfig | None = None):
-    """Density (|sin(pi p/2)| / Lambda) t^(p/2) e^-t of the limit map."""
+    """Density (|sin(pi p/2)| / Lambda) t^(p/2) e^-t of the limit map.
+
+    With Lambda = |sin(pi p/2)| Gamma(p/2) / pi the sine factors cancel,
+    so the scale is pi / Gamma(p/2).
+    """
     cfg = cfg or DEFAULT_CONFIG
+    check_exponent(p)
     with cfg.workprec():
-        consts = limit_constants(p, cfg, check=False)
-        scale = abs(mp.sinpi(as_mpf(p) / 2)) / consts.boundary_scale
-        return gamma_density(as_mpf(p) / 2, scale=scale)
-
-
-def _validate_p(p):
-    p_f = float(as_mpf(p))
-    if p_f <= 0 or (p_f == int(p_f) and int(p_f) % 2 == 0):
-        raise InvalidProblemError("p must be positive and not an even integer")
-    return p_f
+        half = as_mpf(p) / 2
+        return gamma_density(half, scale=mp.pi / gamma_value(half, cfg))
 
 
 def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> MapConstants:
@@ -233,7 +231,7 @@ def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> Map
     the unit-mass condition is re-verified by quadrature.
     """
     cfg = cfg or DEFAULT_CONFIG
-    _validate_p(p)
+    check_exponent(p)
     with cfg.workprec():
         p = as_mpf(p)
         sin_abs = abs(mp.sinpi(p / 2))
@@ -245,8 +243,6 @@ def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> Map
             - mp.log(lam)
         )
         if check:
-            from .specialfn.quadrature import DensitySpec
-
             dens = gamma_density(p / 2, scale=sin_abs / lam)
             mass = integrate_halfline(
                 DensitySpec(float(p / 2) - 1, lambda t: dens(t) / t), cfg
@@ -261,7 +257,6 @@ def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> Map
 def limit_map(p, zeta, cfg: PrecisionConfig | None = None) -> ConformalSample:
     """The limit map zeta + log of the Cauchy transform of the limit density."""
     cfg = cfg or DEFAULT_CONFIG
-    _validate_p(p)
     with cfg.workprec():
         zeta = mp.mpmathify(zeta)
         _require_off_cut(zeta)
@@ -276,7 +271,6 @@ def limit_map(p, zeta, cfg: PrecisionConfig | None = None) -> ConformalSample:
 def limit_map_boundary(p, xi, cfg: PrecisionConfig | None = None) -> ConformalSample:
     """Boundary value of the limit map at xi + i0, xi > 0."""
     cfg = cfg or DEFAULT_CONFIG
-    _validate_p(p)
     with cfg.workprec():
         xi = as_mpf(xi)
         cau = cauchy_boundary(limit_density(p, cfg), xi, cfg)
@@ -298,8 +292,6 @@ def sgn_limit_profile(k: int, lam, cfg: PrecisionConfig | None = None):
         lam = as_mpf(lam)
         if lam <= 0:
             raise InvalidProblemError("lambda must be positive")
-        from .specialfn.quadrature import integrate_finite
-
         lam2 = lam * lam
         expo = 2 * k - 1
 
@@ -322,14 +314,12 @@ def power_limit_profile(p, lam, cfg: PrecisionConfig | None = None):
     At lambda = 0 the value collapses to sin(pi p/2) Gamma(p/2) / pi.
     """
     cfg = cfg or DEFAULT_CONFIG
-    _validate_p(p)
+    check_exponent(p)
     with cfg.workprec():
         p = as_mpf(p)
         lam = as_mpf(lam)
         if lam < 0:
             raise InvalidProblemError("lambda must be nonnegative")
-        from .specialfn.quadrature import integrate_finite
-
         lam2 = lam * lam
         cut = mp.sqrt(cfg.tail_cut_for(p)) + 2
         if lam == 0:

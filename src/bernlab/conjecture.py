@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve as _dense_solve
 
 from .errors import InvalidProblemError
-from .precision import DEFAULT_CONFIG, PrecisionConfig
+from .precision import DEFAULT_CONFIG, PrecisionConfig, check_exponent
 from .specialfn import hilbert_grid
 
 _PHASE_FIXED_POINT = "fixed-point"
@@ -96,13 +95,6 @@ class ConjectureState:
         """Residuals of the iterations taken on the returned grid."""
         n = self.grid.size
         return tuple(row[2] for row in self.history if row[0] == n)
-
-
-def _validate_exponent(p) -> float:
-    p_f = float(p)
-    if p_f <= 0 or (p_f == int(p_f) and int(p_f) % 2 == 0):
-        raise InvalidProblemError("p must be positive and not an even integer")
-    return p_f
 
 
 def _half_grid(x_max: float, nodes: int) -> np.ndarray:
@@ -220,7 +212,7 @@ def _newton_phase(xpos, rho, L, mat, iters, history, nodes):
         rhs[:m] = -f * scale
         rhs[m] = -defect
         try:
-            delta = _dense_solve(jac, rhs)
+            delta = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError:
             break
         # Trust region: cap the profile step and the relative L step.
@@ -278,7 +270,7 @@ def solve_phase_equation(
     with the failed flag set, so the caller can inspect the trace.
     """
     cfg = cfg or DEFAULT_CONFIG
-    p_f = _validate_exponent(p)
+    p_f = check_exponent(p)
     if not L_init > 0:
         raise InvalidProblemError("L_init must be positive")
     if not x_max > 0:

@@ -16,7 +16,7 @@ its conformal-map structure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp
 
@@ -27,8 +27,7 @@ from .remez import (
     MinimaxProblem,
     MinimaxSolution,
     ProblemKind,
-    build_power_problem,
-    build_sgn_problem,
+    build_problem,
     clenshaw,
     eval_solution,
     solve,
@@ -329,13 +328,12 @@ def profile_convergence(
     with cfg.workprec():
         lams = [as_mpf(x) for x in lambda_grid]
         a = as_mpf(params["a"])
+        if family is ProblemKind.POWER:
+            p = as_mpf(params["p"])
+        else:
+            k = params["k"]
         for m in sorted(int(m) for m in m_list):
-            if family is ProblemKind.POWER:
-                p = as_mpf(params["p"])
-                problem = build_power_problem(p, a, m)
-            else:
-                k = params["k"]
-                problem = build_sgn_problem(k, a, m)
+            problem = build_problem(family, params, m)
             if solutions is not None and m in solutions:
                 sol = solutions[m]
             else:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
+from .errors import InvalidProblemError
+
 GUARD_BITS = 32
 
 _LN2 = math.log(2.0)
@@ -80,6 +82,20 @@ def as_mpf(value):
     Strings go through mpmath's decimal parser, so CLI inputs round-trip
     without a float detour.
     """
-    if isinstance(value, str):
-        return mp.mpf(value)
     return mp.mpf(value)
+
+
+def check_exponent(p) -> float:
+    """Reject p unless p > 0 and p is not an even integer; return float(p)."""
+    p_f = float(as_mpf(p))
+    if p_f <= 0 or (p_f == int(p_f) and int(p_f) % 2 == 0):
+        raise InvalidProblemError("p must be positive and not an even integer")
+    return p_f
+
+
+def check_gap(a) -> float:
+    """Reject a unless 0 < a < 1; return float(a)."""
+    a_f = float(as_mpf(a))
+    if not 0 < a_f < 1:
+        raise InvalidProblemError("a must lie in (0, 1)")
+    return a_f

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp
 
 from .errors import InvalidProblemError, NonConvergenceError, PrecisionBudgetError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf
-
-_GOLDEN = None  # set lazily at working precision
+from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf, check_gap
 
 
 class ProblemKind(enum.Enum):
@@ -93,9 +91,7 @@ def build_power_problem(p, a, m: int) -> MinimaxProblem:
     even integer >= 0, where the target is already a polynomial.
     """
     p_f = float(as_mpf(p))
-    a_f = float(as_mpf(a))
-    if not 0 < a_f < 1:
-        raise InvalidProblemError("a must lie in (0, 1)")
+    a_f = check_gap(a)
     if p_f == 0 or (p_f > 0 and p_f == int(p_f) and int(p_f) % 2 == 0):
         raise InvalidProblemError("p must not be an even integer (degenerate target)")
     if not isinstance(m, int) or m < 1:
@@ -112,9 +108,7 @@ def build_sgn_problem(k: int, a, m: int) -> MinimaxProblem:
 
     Powers run from -(2k-1) to 2m-1; the reduced problem has degree m+k-1.
     """
-    a_f = float(as_mpf(a))
-    if not 0 < a_f < 1:
-        raise InvalidProblemError("a must lie in (0, 1)")
+    a_f = check_gap(a)
     if not isinstance(k, int) or k < 1:
         raise InvalidProblemError("k must be a positive integer")
     if not isinstance(m, int) or m < 1:
@@ -142,6 +136,19 @@ def build_akhiezer_problem(s, b, degree: int) -> MinimaxProblem:
     return MinimaxProblem(
         kind=ProblemKind.AKHIEZER, s=s, b=b, m=degree, degree=degree, interval=(-1.0, 1.0)
     )
+
+
+def build_problem(kind, params: dict, m: int) -> MinimaxProblem:
+    """The problem of a family at degree parameter m.
+
+    params: {p, a} for POWER, {k, a} for SGN_LAURENT, {s, b} for AKHIEZER.
+    """
+    kind = ProblemKind(kind)
+    if kind is ProblemKind.POWER:
+        return build_power_problem(params["p"], params["a"], m)
+    if kind is ProblemKind.SGN_LAURENT:
+        return build_sgn_problem(params["k"], params["a"], m)
+    return build_akhiezer_problem(params["s"], params["b"], m)
 
 
 @dataclass(frozen=True)

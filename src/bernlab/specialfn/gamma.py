@@ -1,9 +1,7 @@
 """Log-gamma for real arguments at arbitrary precision.
 
-Stirling's series after shifting the argument into a region where the series
-bottoms out below the working precision, plus the reflection formula for
-arguments left of 1/2.  Negative non-integer arguments return log|Gamma(x)|
-together with a sign flag.
+A wrapper over mpmath's loggamma that returns log|Gamma(x)| together with
+the sign of Gamma(x), so negative non-integer arguments work too.
 """
 
 from __future__ import annotations
@@ -26,31 +24,6 @@ class SignedLog(NamedTuple):
         return self.sign * mp.exp(self.log_abs)
 
 
-def _stirling_threshold(prec: int) -> int:
-    # The asymptotic series at argument x bottoms out near exp(-2*pi*x);
-    # x >= prec*ln2/(2*pi) lets it reach 2^-prec, with a little margin.
-    return int(0.12 * prec) + 8
-
-
-def _stirling_log_gamma(x):
-    """Stirling series at x, valid once x is past the threshold."""
-    prec = mp.prec
-    out = (x - mp.mpf(1) / 2) * mp.log(x) - x + mp.log(2 * mp.pi) / 2
-    eps = mp.mpf(2) ** (-(prec + 8))
-    inv_x2 = 1 / (x * x)
-    pow_term = 1 / x
-    j = 1
-    while True:
-        term = mp.bernoulli(2 * j) / ((2 * j) * (2 * j - 1)) * pow_term
-        out += term
-        if abs(term) < eps * (1 + abs(out)):
-            return out
-        pow_term *= inv_x2
-        j += 1
-        if j > 8 * prec:
-            raise ArithmeticError("Stirling series failed to terminate")
-
-
 def log_gamma(x, cfg: PrecisionConfig | None = None) -> SignedLog:
     """Return (log|Gamma(x)|, sign) for real x.
 
@@ -59,23 +32,12 @@ def log_gamma(x, cfg: PrecisionConfig | None = None) -> SignedLog:
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec(extra=16):
         x = as_mpf(x)
+        # mp.loggamma would raise a plain ValueError at the poles.
         if x <= 0 and mp.isint(x):
             raise GammaPoleError(f"gamma pole at {x}")
-        if x < mp.mpf(1) / 2:
-            # Reflection: Gamma(x) * Gamma(1-x) = pi / sin(pi*x).
-            s = mp.sinpi(x)
-            rest = log_gamma(1 - x, cfg)
-            val = mp.log(mp.pi) - mp.log(abs(s)) - rest.log_abs
-            sign = 1 if s > 0 else -1
-            return SignedLog(val, sign * rest.sign)
-        threshold = _stirling_threshold(mp.prec)
-        shift = mp.mpf(1)
-        y = x
-        while y < threshold:
-            shift *= y
-            y += 1
-        val = _stirling_log_gamma(y) - mp.log(shift)
-        return SignedLog(val, 1)
+        # Gamma is negative exactly on the intervals (-2j-1, -2j).
+        sign = -1 if x < 0 and int(mp.floor(x)) % 2 else 1
+        return SignedLog(mp.re(mp.loggamma(x)), sign)
 
 
 def gamma_value(x, cfg: PrecisionConfig | None = None):

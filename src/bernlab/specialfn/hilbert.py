@@ -9,7 +9,7 @@ enters and the principal value cancels symmetrically:
 
     htilde_j = (2/pi) * sum over odd k of rho_{j-k} / k.
 
-That sum is a convolution, evaluated by FFT.  Samples beyond the grid edge
+That sum is a convolution, evaluated by a zero-padded real FFT.  Samples beyond the grid edge
 are treated as zero; the caller controls the truncation error through the
 grid half-width.  Double precision is used throughout: the transform feeds
 the exploratory curve solver, whose targets sit far above 1e-12.
@@ -18,7 +18,6 @@ the exploratory curve solver, whose targets sit far above 1e-12.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 
 def hilbert_grid(values, grid=None):
@@ -46,5 +45,8 @@ def hilbert_grid(values, grid=None):
     kernel = np.zeros(2 * n - 1)
     odd = offsets % 2 != 0
     kernel[odd] = (2.0 / np.pi) / offsets[odd]
-    out = fftconvolve(rho, kernel, mode="same")
-    return out
+    # The full linear convolution has 3n-2 terms; the n centered on the
+    # kernel's middle tap are the transform at the grid nodes.
+    size = 3 * n - 2
+    full = np.fft.irfft(np.fft.rfft(rho, size) * np.fft.rfft(kernel, size), size)
+    return full[n - 1 : 2 * n - 1]

@@ -2,8 +2,7 @@
 
 The session-scoped solver fixtures exist because several structural checks
 (asymptotic sweeps, profile convergence, the acceptance gate) want the same
-degree-10 and degree-20 solutions; solving once keeps the suite under a
-minute.
+degree-10 and degree-20 solutions, and each is solved only once.
 """
 
 import pytest

@@ -10,7 +10,6 @@ from bernlab.asymptotics import (
     compare,
     predict_akhiezer_error,
     predict_power_error,
-    predict_power_error_alt,
     predict_slit_height,
     slit_height_from_error,
 )
@@ -36,16 +35,6 @@ def test_power_prediction_ratio_approaches_interval_ratio(cfg256):
         a = mp.mpf("0.5")
         step = predict_power_error(1, a, 201, cfg256) / predict_power_error(1, a, 200, cfg256)
         assert abs(step / ((1 - a) / (1 + a)) - 1) < mp.mpf("0.01")
-
-
-def test_power_predictor_forms_are_identical(cfg256):
-    # The two published arrangements differ only by regrouping the ratio
-    # factor, so they must agree to rounding at every degree.
-    with cfg256.workprec():
-        for m in (3, 17):
-            main = predict_power_error("1.5", "0.37", m, cfg256)
-            alt = predict_power_error_alt("1.5", "0.37", m, cfg256)
-            assert abs(main / alt - 1) < mp.mpf("1e-70")
 
 
 def test_power_prediction_decreases_with_gap(cfg256):

@@ -65,6 +65,21 @@ def test_boundary_principal_value_matches_oracle(cfg256):
         assert abs(mp.re(got) * mp.pi - ref) < mp.mpf("1e-45")
 
 
+@pytest.mark.parametrize("xi", ["0.1", "2", "10"])
+@pytest.mark.parametrize("alpha", ["0.5", "1.5"])
+def test_boundary_matches_incomplete_gamma_form(alpha, xi):
+    # The conformal layer's densities t^alpha e^-t have the DLMF 8.6 upper-edge
+    # transform conj(Gamma(alpha+1) w^alpha e^w Gamma(-alpha, w) / pi) at
+    # w = -xi; the real part is the principal value.
+    cfg = PrecisionConfig(mantissa_bits=128)
+    with cfg.workprec():
+        a, w = mp.mpf(alpha), -mp.mpf(xi)
+        got = cauchy_boundary(gamma_density(a), -w, cfg)
+        ref = mp.conj(mp.gamma(a + 1) * w**a * mp.exp(w) * mp.gammainc(-a, w) / mp.pi)
+        assert abs(mp.re(got) - mp.re(ref)) < mp.mpf("1e-25") * abs(mp.re(ref))
+        assert abs(got - ref) < mp.mpf("1e-25") * abs(ref)
+
+
 def test_boundary_handles_odd_panel_orders():
     # 128-bit budgets use an odd Gauss order whose middle node would sit on
     # the singularity if the principal-value window were not split there.

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from mpmath import mp
 
+import bernlab.cli
 from bernlab.cli import main
 
 
@@ -72,6 +77,32 @@ def test_sweep_without_predictions(tmp_path):
     assert code == 0
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["m", "E"]
+
+
+def test_akhiezer_gap_input_solves_at_full_precision(tmp_path):
+    # --a 0.5 means b = 5/3; at degree l = 4 Chebyshev's closed form gives
+    # E = (b - sqrt(b^2-1))^l / (b^2-1) = 1/144 exactly.
+    code, doc = _run_json(
+        tmp_path,
+        "akhiezer.json",
+        ["solve", "--family", "akhiezer", "--s", "1", "--a", "0.5", "--m", "4"],
+    )
+    assert code == 0
+    with mp.workprec(256):
+        error = mp.mpf(doc["results"]["error_E"])
+        assert abs(error * 144 - 1) < mp.mpf("1e-20")
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(bernlab.cli.__file__).parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import bernlab.cli; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_convert_report(tmp_path):

@@ -6,8 +6,8 @@ from mpmath import mp
 from bernlab.errors import GammaPoleError
 from bernlab.specialfn import gamma_value, log_gamma
 
-# References computed once at 400 bits with an independent implementation
-# (mpmath's loggamma), frozen as strings so import-time precision is moot.
+# References are the closed forms log sqrt(pi), sqrt(pi)/2 and sqrt(pi),
+# frozen at 400 bits as strings so import-time precision is moot.
 LOG_SQRT_PI = "0.572364942924700087071713675676529355823647406457655785756812"
 GAMMA_3_2 = "0.886226925452758013649083741670572591398774728061193564106904"
 GAMMA_1_2 = "1.77245385090551602729816748334114518279754945612238712821381"

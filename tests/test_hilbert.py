@@ -43,6 +43,18 @@ def test_gaussian_pair_reaches_rounding():
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [64, 65])
+def test_matches_direct_odd_offset_sum(n):
+    # The FFT evaluates (2/pi) * sum over odd k of rho_{j-k} / k; compare it
+    # with that sum taken term by term, on both grid parities.
+    rho = np.random.default_rng(n).standard_normal(n)
+    direct = [
+        (2.0 / np.pi) * sum(rho[j - k] / k for k in range(j - n + 1, j + 1) if k % 2)
+        for j in range(n)
+    ]
+    assert np.max(np.abs(hilbert_grid(rho) - direct)) < 1e-13 * np.max(np.abs(rho))
+
+
 def test_zero_maps_to_zero():
     x = _grid(10.0, 257)
     out = hilbert_grid(np.zeros_like(x), x)

@@ -454,15 +454,15 @@ def _cmd_convert(ns: argparse.Namespace, cfg: PrecisionConfig):
         a = as_mpf(ns.a)
         b = asymptotics.akhiezer_b_from_a(a)
         endpoint_ratio = (1 - a) / (1 + a)
-    payload = {"s": ns.s, "a": ns.a, "b": b, "endpoint_ratio": endpoint_ratio}
-    if ns.error is not None:
-        if ns.l is None:
-            raise InvalidProblemError("converting an error needs --l (degree)")
-        payload["shifted_error"] = ns.error
-        payload["symmetric_error"] = asymptotics.akhiezer_convert(
-            ns.s, ns.a, ns.l, ns.error
-        )
-        payload["symmetric_degree"] = 2 * ns.l
+        payload = {"s": ns.s, "a": ns.a, "b": b, "endpoint_ratio": endpoint_ratio}
+        if ns.error is not None:
+            if ns.l is None:
+                raise InvalidProblemError("converting an error needs --l (degree)")
+            payload["shifted_error"] = ns.error
+            payload["symmetric_error"] = asymptotics.akhiezer_convert(
+                ns.s, ns.a, ns.l, ns.error
+            )
+            payload["symmetric_degree"] = 2 * ns.l
     row = [payload.get(k, "") for k in ("b", "endpoint_ratio", "symmetric_error")]
     payload["_csv"] = (["b", "endpoint_ratio", "symmetric_error"], [row])
     return payload, 0

@@ -120,34 +120,36 @@ def phase_density(k: int, t, cfg: PrecisionConfig | None = None):
         return mp.im(slit_map_boundary(k, t, cfg).value) / mp.pi
 
 
-def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 1e6), rel_tol=1e-12):
+# Precision of the zero search when cfg is finer: the map's quadrature at
+# 104 bits already resolves the zero to about 1e-25.
+_ZERO_SEARCH_BITS = 104
+
+
+def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 1e6)):
     """The point -D on the negative axis where the slit map vanishes.
 
-    The map is strictly increasing along the negative axis, so plain
-    bisection on [-hi, -lo] is safe.
+    The map is strictly increasing along the negative axis, so the bracket
+    [-hi, -lo] holds one sign change and mpmath's bracketed findroot is
+    safe.
     """
     cfg = cfg or DEFAULT_CONFIG
+    inner = cfg
+    if cfg.mantissa_bits > _ZERO_SEARCH_BITS:
+        inner = PrecisionConfig(mantissa_bits=_ZERO_SEARCH_BITS)
     with cfg.workprec():
-        rel_tol = as_mpf(rel_tol)
-        # Bisection only consumes the sign of an O(1) function, so the map
-        # evaluations run at a precision sized from rel_tol, not from cfg.
-        need = max(96, int(mp.ceil(-mp.log(rel_tol, 2))) + 64)
-        inner = cfg if cfg.mantissa_bits <= need else PrecisionConfig(mantissa_bits=need)
         lo, hi = (as_mpf(bracket[0]), as_mpf(bracket[1]))
-        f_lo = slit_map(k, -lo, inner).value
-        f_hi = slit_map(k, -hi, inner).value
+
+        def value(d):
+            return slit_map(k, -d, inner).value
+
+        f_lo, f_hi = value(lo), value(hi)
         if not (f_lo > 0 > f_hi):
             raise InvalidProblemError(
                 f"no sign change on the bracket: f(-{lo})={mp.nstr(f_lo, 6)}, "
                 f"f(-{hi})={mp.nstr(f_hi, 6)}"
             )
-        while (hi - lo) > rel_tol * lo:
-            mid = mp.sqrt(lo * hi) if hi / lo > 4 else (lo + hi) / 2
-            if slit_map(k, -mid, inner).value > 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+        with inner.workprec():
+            return mp.findroot(value, (lo, hi), solver="anderson", verify=False)
 
 
 def far_offset_closed(k: int, cfg: PrecisionConfig | None = None):

@@ -21,35 +21,19 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Precision and quadrature knobs.
-
-    mantissa_bits: binary mantissa length, at least 64.
-    quad_order: Gauss-Legendre order per panel; derived from mantissa_bits
-        when omitted.
-    pv_epsilon: half-width of the window around a principal-value
-        singularity that is integrated in regularized form.
-    tail_cut: truncation point for integrals over (0, inf) of densities
-        with exp(-t) decay; derived from mantissa_bits when omitted.
-    """
+    """Binary mantissa length, at least 64; every other precision and
+    quadrature setting is derived from it."""
 
     mantissa_bits: int = 256
-    quad_order: int | None = None
-    pv_epsilon: float = 0.25
-    tail_cut: float | None = None
 
     def __post_init__(self):
         if self.mantissa_bits < 64:
             raise ValueError("mantissa_bits must be at least 64")
-        if self.quad_order is None:
-            object.__setattr__(self, "quad_order", max(20, self.mantissa_bits // 6))
-        if self.quad_order < 4:
-            raise ValueError("quad_order must be at least 4")
-        if not self.pv_epsilon > 0:
-            raise ValueError("pv_epsilon must be positive")
-        if self.tail_cut is None:
-            object.__setattr__(self, "tail_cut", self.tail_cut_for(0.0))
-        if self.tail_cut <= 0:
-            raise ValueError("tail_cut must be positive")
+
+    @property
+    def quad_order(self) -> int:
+        """Gauss-Legendre order per panel."""
+        return max(20, self.mantissa_bits // 6)
 
     @property
     def rel_tol(self):

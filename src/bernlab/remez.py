@@ -11,8 +11,10 @@ positive smooth weight on [lo, hi]":
 * akhiezer: 1/(b+x)^s on [-1, 1], degree l, unit weight.
 
 The equioscillation reference starts at Chebyshev points and is exchanged
-globally: all local extrema of the weighted deviation are located by sign
-bracketing plus golden-section refinement and replace the whole reference.
+globally: the roots of the weighted deviation between reference points cut
+the interval into segments, each segment's extremum is a root of the
+deviation's derivative or a segment end, and these extrema replace the whole
+reference.  Both kinds of root come from mpmath's bracketed findroot.
 """
 
 from __future__ import annotations
@@ -207,81 +209,47 @@ def _solve_levelling(problem, ref):
     return coeffs, sol[size - 1]
 
 
-def _golden_max(fun, a, b, iters):
-    """Golden-section maximization of fun on [a, b]."""
-    inv_phi = (mp.sqrt(5) - 1) / 2
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = fun(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def _max_on_segment(residual, a, b, sign, iters):
-    """Location and value of max(sign * residual) on [a, b].
-
-    A coarse scan seeds a golden-section refinement; segment ends are kept
-    as candidates so boundary extrema survive.
-    """
-
-    def fun(y):
-        return sign * residual(y)
-
-    samples = 12
-    xs = [a + (b - a) * i / samples for i in range(samples + 1)]
-    vals = [fun(x) for x in xs]
-    best = max(range(samples + 1), key=lambda i: vals[i])
-    left = xs[max(0, best - 1)]
-    right = xs[min(samples, best + 1)]
-    x_g, f_g = _golden_max(fun, left, right, iters)
-    cands = [(xs[best], vals[best]), (x_g, f_g)]
-    x_best, f_best = max(cands, key=lambda c: c[1])
-    return x_best, sign * f_best
-
-
-def _locate_extrema(problem, residual, ref, iters):
+def _locate_extrema(problem, residual, ref):
     """Roots of the residual between reference points, then one extremum
-    per root-bounded segment."""
+    per root-bounded segment.
+
+    Both searches are mpmath's bracketed Anderson-Bjoerck solver: on the
+    residual for the roots, and on its derivative for an extremum inside a
+    segment whose slope changes sign.  A segment whose slope keeps one sign
+    peaks at an end.
+    """
     lo, hi = problem.interval_mp()
     r_ref = [residual(y) for y in ref]
     roots = []
     for i in range(len(ref) - 1):
-        a, b, fa, fb = ref[i], ref[i + 1], r_ref[i], r_ref[i + 1]
-        if fa == 0:
-            roots.append(a)
+        if r_ref[i] == 0:
+            roots.append(ref[i])
             continue
-        if mp.sign(fa) == mp.sign(fb):
+        if mp.sign(r_ref[i]) == mp.sign(r_ref[i + 1]):
             # Levelling degenerated; let the caller diagnose it.
             raise NonConvergenceError(
                 "residual does not alternate on the reference",
                 diagnostics={"reference": ref, "values": r_ref},
             )
-        for _ in range(80):
-            mid = (a + b) / 2
-            fm = residual(mid)
-            if fm == 0:
-                break
-            if mp.sign(fm) == mp.sign(fa):
-                a, fa = mid, fm
-            else:
-                b, fb = mid, fm
-        roots.append((a + b) / 2)
+        roots.append(
+            mp.findroot(residual, (ref[i], ref[i + 1]), solver="anderson", verify=False)
+        )
+
+    def slope(y):
+        return mp.diff(residual, y)
+
     bounds = [lo] + roots + [hi]
+    slopes = [slope(y) for y in bounds]
     points = []
     values = []
     for i in range(len(bounds) - 1):
-        sign = mp.sign(r_ref[i])
-        x, v = _max_on_segment(residual, bounds[i], bounds[i + 1], sign, iters)
+        a, b = bounds[i], bounds[i + 1]
+        if slopes[i] * slopes[i + 1] < 0:
+            x = mp.findroot(slope, (a, b), solver="anderson", verify=False)
+        else:
+            x = max((a, b), key=lambda y: abs(residual(y)))
         points.append(x)
-        values.append(v)
+        values.append(residual(x))
     return points, values
 
 
@@ -321,15 +289,16 @@ def solve(
                     f"initial reference must be {count} points inside the interval"
                 )
         stop_ratio = 1 - mp.mpf(10) ** (-(cfg.decimal_digits / 4))
-        golden_iters = int(0.75 * mp.prec) + 24
         tiny = mp.mpf(2) ** (-(mp.prec - 16))
         best_ratio = -1
         stale = 0
         for iteration in range(1, max_iterations + 1):
             coeffs, e_signed = _solve_levelling(problem, ref)
 
-            def residual(y, _c=coeffs):
-                return problem.weight(y) * (problem.target(y) - clenshaw(_c, (lo, hi), y))
+            # A single parameter: findroot first tries residual(*bracket), so
+            # a defaulted second parameter would swallow the bracket's end.
+            def residual(y):
+                return problem.weight(y) * (problem.target(y) - clenshaw(coeffs, (lo, hi), y))
 
             scale = max(abs(problem.target(y)) for y in ref)
             if abs(e_signed) <= tiny * scale:
@@ -343,7 +312,7 @@ def solve(
                     levelling_ratio=mp.mpf(1),
                     interval=(lo, hi),
                 )
-            points, values = _locate_extrema(problem, residual, ref, golden_iters)
+            points, values = _locate_extrema(problem, residual, ref)
             abs_vals = [abs(v) for v in values]
             ratio = min(abs_vals) / max(abs_vals)
             signs = [mp.sign(v) for v in values]

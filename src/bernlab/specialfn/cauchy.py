@@ -18,6 +18,9 @@ from .quadrature import DensitySpec, integrate_finite, integrate_halfline
 # difference quotient (tau(t) - tau(xi))/(t - xi) cancels leading digits.
 _PV_EXTRA_BITS = 64
 
+# Half-width of that window, shrunk to xi/2 near the origin.
+_PV_EPSILON = 0.25
+
 
 def cauchy_integral(density: DensitySpec, zeta, cfg: PrecisionConfig | None = None):
     """(1/pi) * integral over (0, inf) of density(t) / (t - zeta) dt.
@@ -56,7 +59,7 @@ def cauchy_boundary(density: DensitySpec, xi, cfg: PrecisionConfig | None = None
         xi = as_mpf(xi)
         if xi <= 0:
             raise CutViolationError("boundary values are defined for xi > 0")
-        eps = min(as_mpf(cfg.pv_epsilon), xi / 2)
+        eps = min(as_mpf(_PV_EPSILON), xi / 2)
         left, right = xi - eps, xi + eps
         tau_xi = density(xi)
         # Keep the truncation point clear of the singularity window; for xi

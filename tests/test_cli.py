@@ -93,6 +93,19 @@ def test_akhiezer_gap_input_solves_at_full_precision(tmp_path):
         assert abs(error * 144 - 1) < mp.mpf("1e-20")
 
 
+def test_convert_error_runs_at_full_precision(tmp_path):
+    # a = 0.6 gives b = 1.36/0.64 = 2.125, so (1+b)^s * 0.01 = 0.03125 at s = 1.
+    code, doc = _run_json(
+        tmp_path,
+        "convert.json",
+        ["convert", "--s", "1", "--a", "0.6", "--l", "3", "--error", "0.01"],
+    )
+    assert code == 0
+    with mp.workprec(256):
+        error = mp.mpf(doc["results"]["symmetric_error"])
+        assert abs(error / mp.mpf("0.03125") - 1) < mp.mpf("1e-30")
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(bernlab.cli.__file__).parents[1])
     probe = (

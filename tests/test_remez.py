@@ -9,6 +9,7 @@ from bernlab.remez import (
     ProblemKind,
     build_akhiezer_problem,
     build_power_problem,
+    build_problem,
     build_sgn_problem,
     clenshaw,
     eval_solution,
@@ -85,6 +86,45 @@ def test_de_la_vallee_poussin_bracket(solved_sgn, cfg256):
         highs = max(abs(v) for v in wobble)
         assert lows <= sol.error <= highs
         assert highs > lows  # genuinely perturbed
+
+
+# Reference E at 256 bits, computed with a golden-section extremum search
+# seeded by a 12-point scan of each segment.
+FROZEN_ERRORS = [
+    pytest.param(
+        "power", {"p": "1.5", "a": "0.5"}, 8,
+        "3.1725192695977446764322373921359541056612498265461683573533e-7",
+        id="power",
+    ),
+    pytest.param(
+        "sgn_laurent", {"k": 3, "a": "0.3"}, 6,
+        "1.2544153645166908947128229687470901540751998691911452809940e-5",
+        id="sgn",
+    ),
+    pytest.param(
+        "akhiezer", {"s": "2.5", "b": "1.2"}, 10,
+        "0.33474317070397294746688244989157513020953996316546995680915",
+        id="akhiezer",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, params, m, frozen", FROZEN_ERRORS)
+def test_no_extremum_is_missed(kind, params, m, frozen, cfg256):
+    # A missed extremum leaves the deviation above E somewhere, so a dense
+    # Chebyshev grid must stay within E, and E must not move.
+    problem = build_problem(kind, params, m)
+    sol = solve(problem, cfg256)
+    with cfg256.workprec():
+        lo, hi = problem.interval_mp()
+        count = 20 * (problem.degree + 2)
+        grid = [
+            (lo + hi) / 2 - (hi - lo) / 2 * mp.cos(mp.pi * j / (count - 1))
+            for j in range(count)
+        ]
+        dense = max(abs(reduced_deviation(sol, problem, y)) for y in grid)
+        assert dense <= sol.error * (1 + mp.mpf("1e-15"))
+        assert abs(sol.error / mp.mpf(frozen) - 1) < mp.mpf("1e-40")
 
 
 def test_error_decreases_with_degree(cfg256):

@@ -25,7 +25,7 @@ from . import asymptotics, conformal, conjecture, curveverify, remez
 from .errors import InvalidProblemError
 from .precision import PrecisionConfig, as_mpf
 from .remez import ProblemKind
-from .specialfn import cauchy_boundary, log_gamma
+from .specialfn import cauchy_boundary, gamma_cauchy_boundary, log_gamma
 
 SCHEMA = "bernlab-report/1"
 
@@ -322,30 +322,37 @@ def _cmd_profiles(ns: argparse.Namespace, cfg: PrecisionConfig):
 
 
 def _boundary_residuals(ns: argparse.Namespace, cfg: PrecisionConfig):
-    """Residuals of the boundary line identity on a log-spaced grid.
+    """Residuals of the boundary identities on a log-spaced grid, as rows
+    (xi, residual, pv_residual).
 
-    The imaginary part of the Cauchy transform on the upper edge of the
-    cut must reproduce the density itself; the residual normalizes that
-    to zero."""
+    The imaginary part of the quadrature Cauchy transform on the upper edge
+    of the cut must reproduce the density itself; the residual normalizes
+    that to zero.  Its real part, the principal value, must match the
+    closed form; pv_residual is their difference over |closed form|."""
     xis = _log_spaced(ns.xi_min, ns.xi_max, ns.xi_count)
     rows = []
     with cfg.workprec():
         if ns.k is not None:
             half = mp.mpf(2 * ns.k - 1) / 2
             dens = conformal.tooth_density(ns.k)
-            for xi in xis:
-                cau = cauchy_boundary(dens, xi, cfg)
-                rows.append((xi, mp.exp(xi) * xi ** (-half) * mp.im(cau) - 1))
+            scale = 1
         else:
             p = as_mpf(ns.p)
             consts = conformal.limit_constants(p, cfg, check=False)
             dens = conformal.limit_density(p, cfg)
-            scale = consts.boundary_scale / abs(mp.sinpi(p / 2))
-            for xi in xis:
-                cau = cauchy_boundary(dens, xi, cfg)
-                rows.append(
-                    (xi, scale * mp.exp(xi) * xi ** (-p / 2) * mp.im(cau) - 1)
+            half = p / 2
+            # Gamma(p/2) / pi, the inverse of the density's scale.
+            scale = consts.boundary_scale / abs(mp.sinpi(half))
+        for xi in xis:
+            cau = cauchy_boundary(dens, xi, cfg)
+            closed = gamma_cauchy_boundary(half, xi, cfg) / scale
+            rows.append(
+                (
+                    xi,
+                    scale * mp.exp(xi) * xi ** (-half) * mp.im(cau) - 1,
+                    (mp.re(cau) - mp.re(closed)) / abs(closed),
                 )
+            )
     return rows
 
 
@@ -356,9 +363,12 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
     if ns.task == "boundary":
         rows = _boundary_residuals(ns, cfg)
         with cfg.workprec():
-            payload["max_residual"] = max(abs(r) for _, r in rows)
-        payload["rows"] = [{"xi": xi, "residual": r} for xi, r in rows]
-        payload["_csv"] = (["xi", "residual"], [[xi, r] for xi, r in rows])
+            payload["max_residual"] = max(abs(r) for _, r, _ in rows)
+            payload["max_pv_residual"] = max(abs(r) for _, _, r in rows)
+        payload["rows"] = [
+            {"xi": xi, "residual": r, "pv_residual": pv} for xi, r, pv in rows
+        ]
+        payload["_csv"] = (["xi", "residual", "pv_residual"], [list(row) for row in rows])
     elif ns.task == "offsets":
         if ns.k is None:
             raise InvalidProblemError("task offsets needs --k")

@@ -11,6 +11,14 @@ horizontal slit; log(-zeta) is the principal branch, so the cut sits on
 [0, inf).  The limit map for the |x|^p problem replaces the density by
 (|sin(pi p/2)| / scale) * t^(p/2) e^-t with the scale fixed so the mass of
 tau(t)/t is pi.
+
+Every map here evaluates its Cauchy transform in closed form, through
+specialfn's gamma_cauchy_integral (off the cut) and gamma_cauchy_boundary
+(on the upper edge), so no map runs a quadrature.  tooth_density and
+limit_density give the same densities as DensitySpecs for the quadrature
+route, cauchy_integral and cauchy_boundary, which checks the closed form.
+The far-offset integral, the unit-mass check of limit_constants and the
+limit profiles are quadratures of their own.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from .errors import InvalidProblemError, QuadratureError
 from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf, check_exponent
 from .specialfn import (
     DensitySpec,
-    cauchy_boundary,
-    cauchy_integral,
+    gamma_cauchy_boundary,
+    gamma_cauchy_integral,
     gamma_density,
     gamma_value,
     integrate_finite,
@@ -67,11 +75,15 @@ def _require_off_cut(zeta):
         raise InvalidProblemError("zeta lies on the cut [0, inf)")
 
 
-def tooth_density(k: int):
-    """The density t^(k-1/2) e^-t behind the slit map of index k."""
+def _tooth_exponent(k: int):
     if not isinstance(k, int) or k < 0:
         raise InvalidProblemError("k must be a nonnegative integer")
-    return gamma_density(mp.mpf(2 * k - 1) / 2)
+    return mp.mpf(2 * k - 1) / 2
+
+
+def tooth_density(k: int):
+    """The density t^(k-1/2) e^-t behind the slit map of index k."""
+    return gamma_density(_tooth_exponent(k))
 
 
 def slit_map(k: int, zeta, cfg: PrecisionConfig | None = None) -> ConformalSample:
@@ -86,7 +98,7 @@ def slit_map(k: int, zeta, cfg: PrecisionConfig | None = None) -> ConformalSampl
         _require_off_cut(zeta)
         if mp.im(zeta) == 0:
             zeta = mp.re(zeta)
-        cau = cauchy_integral(tooth_density(k), zeta, cfg)
+        cau = gamma_cauchy_integral(_tooth_exponent(k), zeta, cfg)
         half = mp.mpf(1) / 2
         log_part = -(k - half) * mp.log(-zeta)
         cauchy_part = mp.log(cau)
@@ -102,7 +114,7 @@ def slit_map_boundary(k: int, xi, cfg: PrecisionConfig | None = None) -> Conform
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         xi = as_mpf(xi)
-        cau = cauchy_boundary(tooth_density(k), xi, cfg)
+        cau = gamma_cauchy_boundary(_tooth_exponent(k), xi, cfg)
         half = mp.mpf(1) / 2
         log_part = -(k - half) * (mp.log(xi) - mp.mpc(0, mp.pi))
         cauchy_part = mp.log(cau)
@@ -120,11 +132,6 @@ def phase_density(k: int, t, cfg: PrecisionConfig | None = None):
         return mp.im(slit_map_boundary(k, t, cfg).value) / mp.pi
 
 
-# Precision of the zero search when cfg is finer: the map's quadrature at
-# 104 bits already resolves the zero to about 1e-25.
-_ZERO_SEARCH_BITS = 104
-
-
 def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 1e6)):
     """The point -D on the negative axis where the slit map vanishes.
 
@@ -133,14 +140,11 @@ def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 
     safe.
     """
     cfg = cfg or DEFAULT_CONFIG
-    inner = cfg
-    if cfg.mantissa_bits > _ZERO_SEARCH_BITS:
-        inner = PrecisionConfig(mantissa_bits=_ZERO_SEARCH_BITS)
     with cfg.workprec():
         lo, hi = (as_mpf(bracket[0]), as_mpf(bracket[1]))
 
         def value(d):
-            return slit_map(k, -d, inner).value
+            return slit_map(k, -d, cfg).value
 
         f_lo, f_hi = value(lo), value(hi)
         if not (f_lo > 0 > f_hi):
@@ -148,8 +152,7 @@ def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 
                 f"no sign change on the bracket: f(-{lo})={mp.nstr(f_lo, 6)}, "
                 f"f(-{hi})={mp.nstr(f_hi, 6)}"
             )
-        with inner.workprec():
-            return mp.findroot(value, (lo, hi), solver="anderson", verify=False)
+        return mp.findroot(value, (lo, hi), solver="anderson", verify=False)
 
 
 def far_offset_closed(k: int, cfg: PrecisionConfig | None = None):
@@ -179,16 +182,21 @@ def far_offset_far_field(k: int, cfg: PrecisionConfig | None = None, *, radii=(1
         return sol[0]
 
 
-def far_offset_integral(k: int, cfg: PrecisionConfig | None = None, *, inner_bits: int = 96):
+# Precision of the integral route's inner work: its accuracy is set by the
+# quadrature's rel_tol of 1e-10, far above 96-bit rounding.
+_INTEGRAL_ROUTE_BITS = 96
+
+
+def far_offset_integral(k: int, cfg: PrecisionConfig | None = None):
     """Integral route through the zero of the map:
 
         D + (k+1/2) log D - Int_0^inf (rho_k(t) - (k+1/2)) / (t + D) dt,
 
-    with rho_k the phase density.  Each integrand sample costs a
-    principal-value evaluation, so the inner work runs at inner_bits.
+    with rho_k the phase density.  D and the integral are computed at
+    _INTEGRAL_ROUTE_BITS, to the quadrature's relative tolerance of 1e-10.
     """
     cfg = cfg or DEFAULT_CONFIG
-    inner = PrecisionConfig(mantissa_bits=max(80, inner_bits))
+    inner = PrecisionConfig(mantissa_bits=_INTEGRAL_ROUTE_BITS)
     with cfg.workprec():
         half = mp.mpf(1) / 2
         d = slit_map_zero(k, inner)
@@ -201,14 +209,20 @@ def far_offset_integral(k: int, cfg: PrecisionConfig | None = None, *, inner_bit
             return (phase_density(k, t, inner) - top) / (t + d) * 2 * u
 
         # The integrand decays like t^(k+3/2) e^-t; 50 + 10k suppresses the
-        # tail far below the route's accuracy while staying clear of the
-        # boundary evaluator's own truncation point.
+        # tail far below the route's accuracy.
         cut = 50.0 + 10.0 * k
         with inner.workprec():
             corr = integrate_finite(
                 integrand, 0, mp.sqrt(cut), inner, rel_tol=mp.mpf(1e-10)
             )
         return d + top * mp.log(d) - corr
+
+
+def _limit_exponent_and_scale(p, cfg: PrecisionConfig):
+    """p/2 and pi / Gamma(p/2), after rejecting a bad p; call inside workprec."""
+    check_exponent(p)
+    half = as_mpf(p) / 2
+    return half, mp.pi / gamma_value(half, cfg)
 
 
 def limit_density(p, cfg: PrecisionConfig | None = None):
@@ -218,10 +232,8 @@ def limit_density(p, cfg: PrecisionConfig | None = None):
     so the scale is pi / Gamma(p/2).
     """
     cfg = cfg or DEFAULT_CONFIG
-    check_exponent(p)
     with cfg.workprec():
-        half = as_mpf(p) / 2
-        return gamma_density(half, scale=mp.pi / gamma_value(half, cfg))
+        return gamma_density(*_limit_exponent_and_scale(p, cfg))
 
 
 def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> MapConstants:
@@ -264,7 +276,8 @@ def limit_map(p, zeta, cfg: PrecisionConfig | None = None) -> ConformalSample:
         _require_off_cut(zeta)
         if mp.im(zeta) == 0:
             zeta = mp.re(zeta)
-        cau = cauchy_integral(limit_density(p, cfg), zeta, cfg)
+        half, scale = _limit_exponent_and_scale(p, cfg)
+        cau = scale * gamma_cauchy_integral(half, zeta, cfg)
         cauchy_part = mp.log(cau)
         value = zeta + cauchy_part
         return ConformalSample(zeta, value, zeta, mp.mpf(0), cauchy_part)
@@ -275,7 +288,8 @@ def limit_map_boundary(p, xi, cfg: PrecisionConfig | None = None) -> ConformalSa
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         xi = as_mpf(xi)
-        cau = cauchy_boundary(limit_density(p, cfg), xi, cfg)
+        half, scale = _limit_exponent_and_scale(p, cfg)
+        cau = scale * gamma_cauchy_boundary(half, xi, cfg)
         cauchy_part = mp.log(cau)
         value = xi + cauchy_part
         return ConformalSample(mp.mpc(xi, 0), value, mp.mpc(xi, 0), mp.mpf(0), cauchy_part)

@@ -9,7 +9,12 @@ from .quadrature import (
     integrate_finite_err,
     integrate_halfline,
 )
-from .cauchy import cauchy_boundary, cauchy_integral
+from .cauchy import (
+    cauchy_boundary,
+    cauchy_integral,
+    gamma_cauchy_boundary,
+    gamma_cauchy_integral,
+)
 from .hilbert import hilbert_grid
 
 __all__ = [
@@ -24,5 +29,7 @@ __all__ = [
     "integrate_halfline",
     "cauchy_integral",
     "cauchy_boundary",
+    "gamma_cauchy_integral",
+    "gamma_cauchy_boundary",
     "hilbert_grid",
 ]

@@ -1,9 +1,20 @@
 """Cauchy transforms of densities supported on (0, inf).
 
-cauchy_integral evaluates (1/pi) * integral of tau(t)/(t - zeta) dt off the
-cut; cauchy_boundary evaluates the boundary value from above on the cut as
-an explicit principal value plus i*tau(xi), rather than by approaching the
-cut with a small imaginary offset.
+Two routes compute the same transforms.  The quadrature route takes any
+DensitySpec: cauchy_integral evaluates (1/pi) * integral of tau(t)/(t - zeta)
+dt off the cut, and cauchy_boundary evaluates the boundary value from above
+on the cut as an explicit principal value plus i*tau(xi), rather than by
+approaching the cut with a small imaginary offset.
+
+The closed-form route covers the gamma densities t^alpha e^-t behind every
+conformal map in this package, through the incomplete-gamma form of DLMF 8.6,
+
+    (1/pi) Int_0^inf t^alpha e^-t / (t - zeta) dt
+        = Gamma(alpha+1) w^alpha e^w Gamma(-alpha, w) / pi,   w = -zeta,
+
+on mpmath's principal branches, whose cuts lie on w <= 0, the support.
+gamma_cauchy_integral and gamma_cauchy_boundary mirror the quadrature pair;
+the conformal maps use them, and the quadrature pair is their oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +33,25 @@ _PV_EXTRA_BITS = 64
 _PV_EPSILON = 0.25
 
 
+def _off_support(zeta):
+    """zeta as an mpf when real, else mpc; raises on the support [0, inf)."""
+    zeta = mp.mpmathify(zeta)
+    if mp.im(zeta) == 0:
+        zeta = mp.re(zeta)
+        if zeta >= 0:
+            raise CutViolationError(
+                "zeta lies on the support [0, inf); use the boundary value"
+            )
+    return zeta
+
+
+def _on_support(xi):
+    xi = as_mpf(xi)
+    if xi <= 0:
+        raise CutViolationError("boundary values are defined for xi > 0")
+    return xi
+
+
 def cauchy_integral(density: DensitySpec, zeta, cfg: PrecisionConfig | None = None):
     """(1/pi) * integral over (0, inf) of density(t) / (t - zeta) dt.
 
@@ -30,13 +60,7 @@ def cauchy_integral(density: DensitySpec, zeta, cfg: PrecisionConfig | None = No
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        zeta = mp.mpmathify(zeta)
-        if mp.im(zeta) == 0:
-            zeta = mp.re(zeta)
-            if zeta >= 0:
-                raise CutViolationError(
-                    "zeta lies on the support [0, inf); use cauchy_boundary"
-                )
+        zeta = _off_support(zeta)
 
         def f(t, _d=density, _z=zeta):
             return _d(t) / (t - _z)
@@ -56,9 +80,7 @@ def cauchy_boundary(density: DensitySpec, xi, cfg: PrecisionConfig | None = None
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec(extra=_PV_EXTRA_BITS):
-        xi = as_mpf(xi)
-        if xi <= 0:
-            raise CutViolationError("boundary values are defined for xi > 0")
+        xi = _on_support(xi)
         eps = min(as_mpf(_PV_EPSILON), xi / 2)
         left, right = xi - eps, xi + eps
         tau_xi = density(xi)
@@ -82,3 +104,33 @@ def cauchy_boundary(density: DensitySpec, xi, cfg: PrecisionConfig | None = None
         pv += tau_xi * mp.log((right - xi) / (xi - left))
         pv += integrate_finite(outer, right, cut, cfg)
         return mp.mpc(pv / mp.pi, tau_xi)
+
+
+def _gamma_closed_form(alpha, w):
+    return mp.gamma(alpha + 1) * w**alpha * mp.exp(w) * mp.gammainc(-alpha, w) / mp.pi
+
+
+def gamma_cauchy_integral(alpha, zeta, cfg: PrecisionConfig | None = None):
+    """(1/pi) * integral over (0, inf) of t^alpha e^-t / (t - zeta) dt, alpha > -1.
+
+    The closed-form counterpart of cauchy_integral for gamma_density(alpha);
+    zeta must lie off the support [0, inf).  Real zeta < 0 gives a real value.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    with cfg.workprec():
+        return _gamma_closed_form(as_mpf(alpha), -_off_support(zeta))
+
+
+def gamma_cauchy_boundary(alpha, xi, cfg: PrecisionConfig | None = None):
+    """Boundary value at xi + i0, xi > 0, of gamma_cauchy_integral.
+
+    The closed form at w = -xi is the limit from below the cut, so its real
+    part is the principal value PV/pi; the imaginary part is the density
+    xi^alpha e^-xi itself, as in cauchy_boundary.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    with cfg.workprec():
+        xi = _on_support(xi)
+        alpha = as_mpf(alpha)
+        pv = mp.re(_gamma_closed_form(alpha, -xi))
+        return mp.mpc(pv, xi**alpha * mp.exp(-xi))

@@ -5,7 +5,14 @@ from mpmath import mp
 
 from bernlab.errors import CutViolationError
 from bernlab.precision import PrecisionConfig
-from bernlab.specialfn import DensitySpec, cauchy_boundary, cauchy_integral, gamma_density
+from bernlab.specialfn import (
+    DensitySpec,
+    cauchy_boundary,
+    cauchy_integral,
+    gamma_cauchy_boundary,
+    gamma_cauchy_integral,
+    gamma_density,
+)
 
 # (1/pi) int_0^inf e^-t/(t+1) dt = e*E1(1)/pi, frozen from a 400-bit
 # exponential-integral evaluation.
@@ -99,3 +106,12 @@ def test_support_points_rejected(cfg256):
         cauchy_integral(dens, 0, cfg256)
     with pytest.raises(CutViolationError):
         cauchy_boundary(dens, -1, cfg256)
+
+
+def test_closed_form_rejects_support_points(cfg256):
+    with pytest.raises(CutViolationError):
+        gamma_cauchy_integral("0.5", 1, cfg256)
+    with pytest.raises(CutViolationError):
+        gamma_cauchy_integral("0.5", 0, cfg256)
+    with pytest.raises(CutViolationError):
+        gamma_cauchy_boundary("0.5", -1, cfg256)

@@ -106,6 +106,22 @@ def test_convert_error_runs_at_full_precision(tmp_path):
         assert abs(error / mp.mpf("0.03125") - 1) < mp.mpf("1e-30")
 
 
+@pytest.mark.parametrize("family", [["--k", "1"], ["--p", "1.5"]])
+def test_boundary_report_checks_principal_value(tmp_path, family):
+    # Quadrature principal values against the closed form; at 256 bits the
+    # quadrature's own tolerance is 2^-128, so 1e-35 leaves slack and still
+    # catches a 1e-30 shift.
+    code, doc = _run_json(
+        tmp_path, "boundary.json", ["conformal", *family, "--task", "boundary", "--xi-count", "3"]
+    )
+    assert code == 0
+    results = doc["results"]
+    assert [sorted(row) for row in results["rows"]] == [["pv_residual", "residual", "xi"]] * 3
+    with mp.workprec(256):
+        assert abs(mp.mpf(results["max_residual"])) < mp.mpf("1e-8")
+        assert abs(mp.mpf(results["max_pv_residual"])) < mp.mpf("1e-35")
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(bernlab.cli.__file__).parents[1])
     probe = (

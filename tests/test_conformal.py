@@ -5,9 +5,34 @@ from mpmath import mp
 
 from bernlab import conformal as cf
 from bernlab.errors import InvalidProblemError
-from bernlab.specialfn import cauchy_boundary
+from bernlab.precision import PrecisionConfig
+from bernlab.specialfn import cauchy_boundary, cauchy_integral
 
 INV_SQRT_PI = "0.564189583547756286948079451560772585844050629329"
+
+# Points off the cut and on its upper edge where the closed-form maps are
+# checked against the quadrature transforms.
+OFF_CUT = ("-1e-6", "-1", "-1e4", ("-0.25", "2"), ("1.5", "-0.75"))
+ON_CUT = ("0.01", "1", "10", "60")
+
+# The maps run at 128 bits.  The quadrature oracle runs at 192, where its
+# certified tolerance 2^-96 sits below the 1e-25 bound; at 128 bits it is
+# only 2^-64, and xi = 60 for k = 3 measured 9e-24 there.
+CFG_MAP = PrecisionConfig(mantissa_bits=128)
+CFG_ORACLE = PrecisionConfig(mantissa_bits=192)
+
+
+def _assert_closed_form_matches_quadrature(density, map_at, boundary_at):
+    with CFG_ORACLE.workprec():
+        for z in OFF_CUT:
+            zeta = mp.mpc(*z) if isinstance(z, tuple) else mp.mpf(z)
+            got = mp.exp(map_at(zeta).cauchy_part)
+            ref = cauchy_integral(density, zeta, CFG_ORACLE)
+            assert abs(got - ref) < mp.mpf("1e-25") * abs(ref), z
+        for xi in ON_CUT:
+            got = mp.exp(boundary_at(xi).cauchy_part)
+            ref = cauchy_boundary(density, xi, CFG_ORACLE)
+            assert abs(got - ref) < mp.mpf("1e-25") * abs(ref), xi
 
 
 def test_real_and_increasing_on_negative_axis(cfg256):
@@ -178,6 +203,43 @@ def test_sgn_profile_matches_substitution_oracle(cfg256):
             [0, mp.inf],
         )
         assert abs(got - oracle) < mp.mpf("1e-40")
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_slit_maps_match_quadrature(k):
+    _assert_closed_form_matches_quadrature(
+        cf.tooth_density(k),
+        lambda zeta: cf.slit_map(k, zeta, CFG_MAP),
+        lambda xi: cf.slit_map_boundary(k, xi, CFG_MAP),
+    )
+
+
+@pytest.mark.parametrize("p", ["0.5", "1", "1.5", "3"])
+def test_limit_maps_match_quadrature(p):
+    with CFG_ORACLE.workprec():
+        density = cf.limit_density(p, CFG_ORACLE)
+    _assert_closed_form_matches_quadrature(
+        density,
+        lambda zeta: cf.limit_map(p, zeta, CFG_MAP),
+        lambda xi: cf.limit_map_boundary(p, xi, CFG_MAP),
+    )
+
+
+def test_maps_reject_bad_k_and_p():
+    k_message = "k must be a nonnegative integer"
+    p_message = "p must be positive and not an even integer"
+    for bad_k in (-1, 1.5):
+        with pytest.raises(InvalidProblemError, match=k_message):
+            cf.slit_map(bad_k, -1)
+        with pytest.raises(InvalidProblemError, match=k_message):
+            cf.slit_map_boundary(bad_k, 1)
+        with pytest.raises(InvalidProblemError, match=k_message):
+            cf.phase_density(bad_k, 1)
+    for bad_p in ("2", "-1", "0"):
+        with pytest.raises(InvalidProblemError, match=p_message):
+            cf.limit_map(bad_p, -1)
+        with pytest.raises(InvalidProblemError, match=p_message):
+            cf.limit_map_boundary(bad_p, 1)
 
 
 def test_parameter_validation():

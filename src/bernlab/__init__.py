@@ -51,10 +51,7 @@ from .remez import (
     MinimaxProblem,
     MinimaxSolution,
     ProblemKind,
-    build_akhiezer_problem,
-    build_power_problem,
     build_problem,
-    build_sgn_problem,
     clenshaw,
     eval_solution,
     reduced_deviation,
@@ -135,10 +132,7 @@ __all__ = [
     "MinimaxProblem",
     "MinimaxSolution",
     "ProblemKind",
-    "build_akhiezer_problem",
-    "build_power_problem",
     "build_problem",
-    "build_sgn_problem",
     "clenshaw",
     "eval_solution",
     "reduced_deviation",

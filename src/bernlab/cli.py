@@ -165,20 +165,22 @@ def _family_parameters(ns: argparse.Namespace, cfg: PrecisionConfig) -> tuple:
     return kind, {"s": ns.s, "b": b}
 
 
-def _log_spaced(lo, hi, count: int):
-    lo, hi = mp.mpf(lo), mp.mpf(hi)
-    if not (0 < lo < hi) or count < 2:
-        raise InvalidProblemError("need 0 < min < max and at least 2 points")
-    ratio = mp.log(hi / lo) / (count - 1)
-    return [lo * mp.exp(ratio * i) for i in range(count)]
+def _log_spaced(lo, hi, count: int, cfg: PrecisionConfig):
+    with cfg.workprec():
+        lo, hi = as_mpf(lo), as_mpf(hi)
+        if not (0 < lo < hi) or count < 2:
+            raise InvalidProblemError("need 0 < min < max and at least 2 points")
+        ratio = mp.log(hi / lo) / (count - 1)
+        return [lo * mp.exp(ratio * i) for i in range(count)]
 
 
-def _lin_spaced(lo, hi, count: int):
-    lo, hi = mp.mpf(lo), mp.mpf(hi)
-    if not lo < hi or count < 2:
-        raise InvalidProblemError("need min < max and at least 2 points")
-    step = (hi - lo) / (count - 1)
-    return [lo + step * i for i in range(count)]
+def _lin_spaced(lo, hi, count: int, cfg: PrecisionConfig):
+    with cfg.workprec():
+        lo, hi = as_mpf(lo), as_mpf(hi)
+        if not lo < hi or count < 2:
+            raise InvalidProblemError("need min < max and at least 2 points")
+        step = (hi - lo) / (count - 1)
+        return [lo + step * i for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ def _cmd_verify_curve(ns: argparse.Namespace, cfg: PrecisionConfig):
         raise InvalidProblemError("verify-curve needs --p, --a and --m")
     problem = remez.build_problem(ProblemKind.POWER, {"p": ns.p, "a": ns.a}, ns.m)
     sol = remez.solve(problem, cfg)
-    ys = _log_spaced(ns.y_min, ns.y_max, ns.y_count)
+    ys = _log_spaced(ns.y_min, ns.y_max, ns.y_count, cfg)
     trace = curveverify.reconstruct_phase(sol, problem, ys, cfg)
     residuals = curveverify.curve_residuals(trace, sol.error, problem.p, cfg)
     with cfg.workprec():
@@ -300,7 +302,7 @@ def _cmd_profiles(ns: argparse.Namespace, cfg: PrecisionConfig):
     if kind is ProblemKind.AKHIEZER:
         raise InvalidProblemError("profiles exist for absxp and sgn-laurent only")
     degrees = _parse_degrees(ns.m)
-    lams = _lin_spaced(ns.lambda_min, ns.lambda_max, ns.lambda_count)
+    lams = _lin_spaced(ns.lambda_min, ns.lambda_max, ns.lambda_count, cfg)
     rows = curveverify.profile_convergence(kind, params, degrees, lams, cfg)
     payload = {
         "family": ns.family,
@@ -329,7 +331,7 @@ def _boundary_residuals(ns: argparse.Namespace, cfg: PrecisionConfig):
     of the cut must reproduce the density itself; the residual normalizes
     that to zero.  Its real part, the principal value, must match the
     closed form; pv_residual is their difference over |closed form|."""
-    xis = _log_spaced(ns.xi_min, ns.xi_max, ns.xi_count)
+    xis = _log_spaced(ns.xi_min, ns.xi_max, ns.xi_count, cfg)
     rows = []
     with cfg.workprec():
         if ns.k is not None:

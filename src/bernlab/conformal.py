@@ -17,8 +17,12 @@ specialfn's gamma_cauchy_integral (off the cut) and gamma_cauchy_boundary
 (on the upper edge), so no map runs a quadrature.  tooth_density and
 limit_density give the same densities as DensitySpecs for the quadrature
 route, cauchy_integral and cauchy_boundary, which checks the closed form.
-The far-offset integral, the unit-mass check of limit_constants and the
-limit profiles are quadratures of their own.
+
+The limit profiles of the rescaled approximants are the same closed-form
+transforms on the negative axis: substituting t = mu^2 turns each profile
+integral into gamma_cauchy_integral at zeta = -lambda^2.  The only
+quadratures left here are checks: the far-offset integral route and the
+unit-mass check of limit_constants.
 """
 
 from __future__ import annotations
@@ -300,6 +304,10 @@ def sgn_limit_profile(k: int, lam, cfg: PrecisionConfig | None = None):
 
         1 + ((-1)^(k+1)/pi) Int (mu/lambda)^(2k-1) e^-(lambda^2+mu^2)
                                  * 2 mu / (lambda^2 + mu^2) dmu.
+
+    With t = mu^2 this is a gamma-density Cauchy transform at -lambda^2:
+
+        1 + (-1)^(k+1) e^-lambda^2 lambda^(1-2k) gamma_cauchy_integral(k - 1/2, -lambda^2).
     """
     cfg = cfg or DEFAULT_CONFIG
     if not isinstance(k, int) or k < 1:
@@ -309,16 +317,9 @@ def sgn_limit_profile(k: int, lam, cfg: PrecisionConfig | None = None):
         if lam <= 0:
             raise InvalidProblemError("lambda must be positive")
         lam2 = lam * lam
-        expo = 2 * k - 1
-
-        def f(mu):
-            mu2 = mu * mu
-            return (mu / lam) ** expo * mp.exp(-(lam2 + mu2)) * 2 * mu / (lam2 + mu2)
-
-        cut = mp.sqrt(cfg.tail_cut_for(expo)) + 2
-        integral = integrate_finite(f, 0, cut, cfg)
-        sign = 1 if (k + 1) % 2 == 0 else -1
-        return 1 + sign * integral / mp.pi
+        cau = gamma_cauchy_integral(_tooth_exponent(k), -lam2, cfg)
+        sign = 1 if k % 2 == 1 else -1
+        return 1 + sign * mp.exp(-lam2) * lam ** (1 - 2 * k) * cau
 
 
 def power_limit_profile(p, lam, cfg: PrecisionConfig | None = None):
@@ -326,6 +327,10 @@ def power_limit_profile(p, lam, cfg: PrecisionConfig | None = None):
 
         lambda^p + (sin(pi p/2)/pi) Int mu^p e^-(lambda^2+mu^2)
                                         * 2 mu / (lambda^2 + mu^2) dmu.
+
+    With t = mu^2 this is a gamma-density Cauchy transform at -lambda^2:
+
+        lambda^p + sin(pi p/2) e^-lambda^2 gamma_cauchy_integral(p/2, -lambda^2).
 
     At lambda = 0 the value collapses to sin(pi p/2) Gamma(p/2) / pi.
     """
@@ -336,19 +341,9 @@ def power_limit_profile(p, lam, cfg: PrecisionConfig | None = None):
         lam = as_mpf(lam)
         if lam < 0:
             raise InvalidProblemError("lambda must be nonnegative")
-        lam2 = lam * lam
-        cut = mp.sqrt(cfg.tail_cut_for(p)) + 2
+        half = p / 2
         if lam == 0:
-            # The kernel reduces to 2 mu^(p-1) e^-mu^2.
-            def f0(mu):
-                return 2 * mu ** (p - 1) * mp.exp(-mu * mu)
-
-            integral = integrate_finite(f0, 0, cut, cfg, alpha=p - 1)
-        else:
-
-            def f(mu):
-                mu2 = mu * mu
-                return mu**p * mp.exp(-(lam2 + mu2)) * 2 * mu / (lam2 + mu2)
-
-            integral = integrate_finite(f, 0, cut, cfg, alpha=p + 1)
-        return lam**p + mp.sinpi(p / 2) * integral / mp.pi
+            return mp.sinpi(half) * mp.gamma(half) / mp.pi
+        lam2 = lam * lam
+        cau = gamma_cauchy_integral(half, -lam2, cfg)
+        return lam**p + mp.sinpi(half) * mp.exp(-lam2) * cau

@@ -328,28 +328,27 @@ def profile_convergence(
     with cfg.workprec():
         lams = [as_mpf(x) for x in lambda_grid]
         a = as_mpf(params["a"])
+        # The profile does not depend on m: evaluate it once per lambda, and
+        # reject a bad lambda before any solve runs.
         if family is ProblemKind.POWER:
             p = as_mpf(params["p"])
+            targets = [power_limit_profile(p, lam, cfg) for lam in lams]
         else:
-            k = params["k"]
+            targets = [sgn_limit_profile(params["k"], lam, cfg) for lam in lams]
         for m in sorted(int(m) for m in m_list):
             problem = build_problem(family, params, m)
             if solutions is not None and m in solutions:
                 sol = solutions[m]
             else:
                 sol = solve(problem, cfg)
+            if family is ProblemKind.POWER:
+                step, gain = mp.sqrt(a / m), (mp.mpf(m) / a) ** (p / 2)
+            else:
+                step, gain = mp.sqrt(2 * a / (2 * m - 1)), 1
             best = mp.mpf(-1)
             best_lam = lams[0]
-            for lam in lams:
-                if family is ProblemKind.POWER:
-                    x = mp.sqrt(a / m) * lam
-                    scaled = (mp.mpf(m) / a) ** (p / 2) * eval_solution(sol, problem, x)
-                    target = power_limit_profile(p, lam, cfg)
-                else:
-                    x = mp.sqrt(2 * a / (2 * m - 1)) * lam
-                    scaled = eval_solution(sol, problem, x)
-                    target = sgn_limit_profile(k, lam, cfg)
-                dist = abs(scaled - target)
+            for lam, target in zip(lams, targets):
+                dist = abs(gain * eval_solution(sol, problem, step * lam) - target)
                 if dist > best:
                     best, best_lam = dist, lam
             rows.append(ProfileDistanceRow(degree=m, sup_distance=best, lambda_at_sup=best_lam))

@@ -8,6 +8,13 @@ package is a half or quarter integer, so this is the common path); other
 exponents fall back to t = u^(1/(1+alpha)), which removes the leading
 singularity only.  Integrals over (0, inf) of exponentially decaying
 densities are truncated at a tail point chosen from the precision budget.
+
+Every map and profile in the package has a closed form, so run-time
+quadrature now serves only checks: the far-offset integral route
+(far_offset_integral), the unit-mass check of limit_constants(check=True),
+and the boundary residuals of ``bernlab conformal --task boundary``, through
+the quadrature Cauchy transforms.  The tests use it as the oracle for the
+closed forms.
 """
 
 from __future__ import annotations

@@ -122,6 +122,24 @@ def test_boundary_report_checks_principal_value(tmp_path, family):
         assert abs(mp.mpf(results["max_pv_residual"])) < mp.mpf("1e-35")
 
 
+def test_profiles_grid_is_built_at_working_precision(tmp_path):
+    # The grid 0.1 + i * 2.9/12 (default ends, 13 points) holds points such
+    # as 0.825 that no binary float holds; built at 53 bits they would be
+    # off by about 1e-17.
+    code, doc = _run_json(
+        tmp_path,
+        "profiles.json",
+        ["profiles", "--family", "absxp", "--p", "1.5", "--a", "0.5", "--m", "4",
+         "--lambda-count", "13"],
+    )
+    assert code == 0
+    with mp.workprec(320):
+        got = mp.mpf(doc["results"]["rows"][0]["lambda_at_sup"])
+        step = (mp.mpf("3.0") - mp.mpf("0.1")) / 12
+        nearest = min((mp.mpf("0.1") + step * i for i in range(13)), key=lambda x: abs(x - got))
+        assert abs(got - nearest) < mp.mpf(2) ** -250
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(bernlab.cli.__file__).parents[1])
     probe = (

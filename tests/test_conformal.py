@@ -1,12 +1,14 @@
 """Slit maps, their normalization constants, and the two limit profiles."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from bernlab import conformal as cf
 from bernlab.errors import InvalidProblemError
 from bernlab.precision import PrecisionConfig
-from bernlab.specialfn import cauchy_boundary, cauchy_integral
+from bernlab.specialfn import cauchy_boundary, cauchy_integral, integrate_finite
 
 INV_SQRT_PI = "0.564189583547756286948079451560772585844050629329"
 
@@ -21,6 +23,10 @@ ON_CUT = ("0.01", "1", "10", "60")
 CFG_MAP = PrecisionConfig(mantissa_bits=128)
 CFG_ORACLE = PrecisionConfig(mantissa_bits=192)
 
+# Points where the closed-form limit profiles are checked against the
+# mu-integrals that define them; the sgn profile is defined for lambda > 0.
+PROFILE_LAMBDAS = ("0", "0.1", "0.5", "1", "2", "3", "6")
+
 
 def _assert_closed_form_matches_quadrature(density, map_at, boundary_at):
     with CFG_ORACLE.workprec():
@@ -33,6 +39,46 @@ def _assert_closed_form_matches_quadrature(density, map_at, boundary_at):
             got = mp.exp(boundary_at(xi).cauchy_part)
             ref = cauchy_boundary(density, xi, CFG_ORACLE)
             assert abs(got - ref) < mp.mpf("1e-25") * abs(ref), xi
+
+
+def _power_profile_by_quadrature(p, lam, cfg):
+    """lambda^p + (sin(pi p/2)/pi) Int mu^p e^-(lambda^2+mu^2) 2 mu / (lambda^2+mu^2) dmu
+    by adaptive Gauss-Legendre quadrature in mu."""
+    with cfg.workprec():
+        p, lam = mp.mpf(p), mp.mpf(lam)
+        lam2 = lam * lam
+        cut = mp.sqrt(cfg.tail_cut_for(p)) + 2
+        if lam == 0:
+            # The kernel reduces to 2 mu^(p-1) e^-mu^2.
+            def f0(mu):
+                return 2 * mu ** (p - 1) * mp.exp(-mu * mu)
+
+            integral = integrate_finite(f0, 0, cut, cfg, alpha=p - 1)
+        else:
+
+            def f(mu):
+                mu2 = mu * mu
+                return mu**p * mp.exp(-(lam2 + mu2)) * 2 * mu / (lam2 + mu2)
+
+            integral = integrate_finite(f, 0, cut, cfg, alpha=p + 1)
+        return lam**p + mp.sinpi(p / 2) * integral / mp.pi
+
+
+def _sgn_profile_by_quadrature(k, lam, cfg):
+    """1 + ((-1)^(k+1)/pi) Int (mu/lambda)^(2k-1) e^-(lambda^2+mu^2)
+    2 mu / (lambda^2+mu^2) dmu by adaptive Gauss-Legendre quadrature in mu."""
+    with cfg.workprec():
+        lam = mp.mpf(lam)
+        lam2 = lam * lam
+        expo = 2 * k - 1
+
+        def f(mu):
+            mu2 = mu * mu
+            return (mu / lam) ** expo * mp.exp(-(lam2 + mu2)) * 2 * mu / (lam2 + mu2)
+
+        cut = mp.sqrt(cfg.tail_cut_for(expo)) + 2
+        integral = integrate_finite(f, 0, cut, cfg)
+        return 1 + (-1) ** (k + 1) * integral / mp.pi
 
 
 def test_real_and_increasing_on_negative_axis(cfg256):
@@ -223,6 +269,45 @@ def test_limit_maps_match_quadrature(p):
         lambda zeta: cf.limit_map(p, zeta, CFG_MAP),
         lambda xi: cf.limit_map_boundary(p, xi, CFG_MAP),
     )
+
+
+@pytest.mark.parametrize("p", ["0.5", "1.5", "3", "5"])
+def test_power_profile_matches_quadrature(p):
+    for lam in PROFILE_LAMBDAS:
+        got = cf.power_limit_profile(p, lam, CFG_MAP)
+        ref = _power_profile_by_quadrature(p, lam, CFG_ORACLE)
+        with CFG_ORACLE.workprec():
+            assert abs(got - ref) < mp.mpf("1e-25") * abs(ref), lam
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sgn_profile_matches_quadrature(k):
+    for lam in PROFILE_LAMBDAS[1:]:
+        got = cf.sgn_limit_profile(k, lam, CFG_MAP)
+        ref = _sgn_profile_by_quadrature(k, lam, CFG_ORACLE)
+        with CFG_ORACLE.workprec():
+            assert abs(got - ref) < mp.mpf("1e-25") * abs(ref), lam
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.floats(0.1, 6, exclude_min=True, exclude_max=True).filter(
+        lambda p: p not in (2.0, 4.0)
+    ),
+    lam=st.floats(0.05, 6, exclude_min=True, exclude_max=True),
+)
+def test_power_profile_matches_t_form_by_mpmath(p, lam):
+    # The t = mu^2 form of the profile integral, by mpmath's tanh-sinh
+    # quadrature; split at lambda^2, the distance to the pole at -lambda^2.
+    got = cf.power_limit_profile(p, lam, CFG_MAP)
+    with CFG_MAP.workprec():
+        p, lam = mp.mpf(p), mp.mpf(lam)
+        lam2 = lam * lam
+        integral = mp.quad(
+            lambda t: t ** (p / 2) * mp.exp(-t) / (t + lam2), [0, lam2, 1 + lam2, mp.inf]
+        )
+        ref = lam**p + mp.sinpi(p / 2) * mp.exp(-lam2) * integral / mp.pi
+        assert abs(got - ref) < mp.mpf("1e-25") * abs(ref)
 
 
 def test_maps_reject_bad_k_and_p():

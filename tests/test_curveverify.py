@@ -3,6 +3,7 @@
 import pytest
 from mpmath import mp
 
+from bernlab import curveverify
 from bernlab.curveverify import (
     PhaseTrace,
     curve_residuals,
@@ -178,3 +179,33 @@ def test_profiles_accept_preseeded_solutions(solved_power, cfg256):
 def test_profiles_reject_akhiezer(cfg256):
     with pytest.raises(InvalidProblemError):
         profile_convergence(ProblemKind.AKHIEZER, {"s": 1, "b": 2}, [3], ["1"], cfg256)
+
+
+def test_profiles_evaluate_each_lambda_once(monkeypatch, cfg128):
+    # The limit profile does not depend on the degree, so a table over three
+    # degrees evaluates it once per lambda, not once per (degree, lambda).
+    calls = []
+    profile = curveverify.power_limit_profile
+
+    def counted(p, lam, cfg=None):
+        calls.append(lam)
+        return profile(p, lam, cfg)
+
+    monkeypatch.setattr(curveverify, "power_limit_profile", counted)
+    lams = ["0.25", "0.5", "1", "2", "3"]
+    rows = profile_convergence(
+        ProblemKind.POWER, {"p": "1.5", "a": "0.5"}, [2, 3, 4], lams, cfg128
+    )
+    assert [row.degree for row in rows] == [2, 3, 4]
+    assert len(calls) == len(lams)
+
+
+def test_profiles_reject_bad_lambda_before_solving(monkeypatch, cfg128):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the lambda grid was checked")
+
+    monkeypatch.setattr(curveverify, "solve", no_solve)
+    with pytest.raises(InvalidProblemError, match="lambda must be positive"):
+        profile_convergence(
+            ProblemKind.SGN_LAURENT, {"k": 1, "a": "0.5"}, [2, 3, 4], ["1", "0", "2"], cfg128
+        )

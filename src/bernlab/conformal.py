@@ -33,6 +33,7 @@ from mpmath import mp
 
 from .errors import InvalidProblemError, QuadratureError
 from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf, check_exponent
+from .remez import bracketed_root
 from .specialfn import (
     DensitySpec,
     gamma_cauchy_boundary,
@@ -140,8 +141,9 @@ def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 
     """The point -D on the negative axis where the slit map vanishes.
 
     The map is strictly increasing along the negative axis, so the bracket
-    [-hi, -lo] holds one sign change and mpmath's bracketed findroot is
-    safe.
+    [-hi, -lo] holds one sign change.  Its two end values, computed for
+    that check, seed remez.bracketed_root, which finds D without
+    evaluating the map at either end again.
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
@@ -156,7 +158,7 @@ def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 
                 f"no sign change on the bracket: f(-{lo})={mp.nstr(f_lo, 6)}, "
                 f"f(-{hi})={mp.nstr(f_hi, 6)}"
             )
-        return mp.findroot(value, (lo, hi), solver="anderson", verify=False)
+        return bracketed_root(value, lo, hi, f_lo, f_hi)
 
 
 def far_offset_closed(k: int, cfg: PrecisionConfig | None = None):

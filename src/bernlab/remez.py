@@ -14,7 +14,11 @@ The equioscillation reference starts at Chebyshev points and is exchanged
 globally: the roots of the weighted deviation between reference points cut
 the interval into segments, each segment's extremum is a root of the
 deviation's derivative or a segment end, and these extrema replace the whole
-reference.  Both kinds of root come from mpmath's bracketed findroot.
+reference.  The derivative is closed form: the target's and weight's slopes
+are written out per family, and P' is the Chebyshev derivative series of P
+(as in Pachon & Trefethen's barycentric Remez), evaluated by clenshaw.  Both
+kinds of root come from mpmath's bracketed findroot, through bracketed_root,
+which reuses the values the caller already holds at the bracket's ends.
 """
 
 from __future__ import annotations
@@ -70,6 +74,15 @@ class MinimaxProblem:
         if self.kind is ProblemKind.SGN_LAURENT:
             return y ** (mp.mpf(1) / 2 - mp.mpf(self.k))
         return mp.mpf(1)
+
+    def deviation_slope(self, y, poly, dpoly):
+        """d/dy of weight(y) * (target(y) - P(y)), given P(y) and P'(y)."""
+        if self.kind is ProblemKind.POWER:
+            return as_mpf(self.p) / 2 * self.target(y) / y - dpoly
+        if self.kind is ProblemKind.SGN_LAURENT:
+            # weight * target is 1, so only the weight's slope meets P.
+            return -self.weight(y) * ((mp.mpf(1) / 2 - self.k) * poly / y + dpoly)
+        return -as_mpf(self.s) * self.target(y) / (as_mpf(self.b) + y) - dpoly
 
     def alternation_count(self) -> int:
         return self.degree + 2
@@ -183,6 +196,42 @@ def clenshaw(coeffs, interval, y):
     return t * b1 - b2 + coeffs[0]
 
 
+def chebyshev_derivative(coeffs, interval):
+    """Chebyshev coefficients of dP/dy for P = clenshaw(coeffs, interval, .).
+
+    The backward recurrence d[j-1] = d[j+1] + 2j c[j] gives dP/dt; the map
+    t = (2y - lo - hi)/(hi - lo) scales it by 2/(hi - lo).
+    """
+    lo, hi = interval
+    n = len(coeffs) - 1
+    d = [mp.mpf(0)] * (n + 2)
+    for j in range(n, 0, -1):
+        d[j - 1] = d[j + 1] + 2 * j * coeffs[j]
+    d[0] /= 2
+    scale = 2 / (hi - lo)
+    return [scale * c for c in d[: max(n, 1)]]
+
+
+def bracketed_root(f, lo, hi, f_lo, f_hi):
+    """Root of f on [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
+
+    mpmath's Anderson-Bjoerck findroot evaluates the bracket's ends before
+    its first step, once to detect the dimension and once to start; those
+    calls are answered from f_lo and f_hi, so f runs at interior points only.
+    """
+
+    # A single parameter: findroot first tries f(*bracket) and falls back
+    # to f(lo) on the TypeError.
+    def known_ends(y):
+        if y == lo:
+            return f_lo
+        if y == hi:
+            return f_hi
+        return f(y)
+
+    return mp.findroot(known_ends, (lo, hi), solver="anderson", verify=False)
+
+
 def _chebyshev_row(t, n):
     row = [mp.mpf(1), t]
     for _ in range(2, n + 1):
@@ -209,16 +258,25 @@ def _solve_levelling(problem, ref):
     return coeffs, sol[size - 1]
 
 
-def _locate_extrema(problem, residual, ref):
+def _locate_extrema(problem, coeffs, ref):
     """Roots of the residual between reference points, then one extremum
     per root-bounded segment.
 
-    Both searches are mpmath's bracketed Anderson-Bjoerck solver: on the
-    residual for the roots, and on its derivative for an extremum inside a
-    segment whose slope changes sign.  A segment whose slope keeps one sign
-    peaks at an end.
+    Both searches are bracketed_root: on the residual for the roots, and on
+    its closed-form slope for an extremum inside a segment whose slope
+    changes sign.  A segment whose slope keeps one sign peaks at an end.
     """
     lo, hi = problem.interval_mp()
+    dcoeffs = chebyshev_derivative(coeffs, (lo, hi))
+
+    def residual(y):
+        return problem.weight(y) * (problem.target(y) - clenshaw(coeffs, (lo, hi), y))
+
+    def slope(y):
+        return problem.deviation_slope(
+            y, clenshaw(coeffs, (lo, hi), y), clenshaw(dcoeffs, (lo, hi), y)
+        )
+
     r_ref = [residual(y) for y in ref]
     roots = []
     for i in range(len(ref) - 1):
@@ -231,12 +289,7 @@ def _locate_extrema(problem, residual, ref):
                 "residual does not alternate on the reference",
                 diagnostics={"reference": ref, "values": r_ref},
             )
-        roots.append(
-            mp.findroot(residual, (ref[i], ref[i + 1]), solver="anderson", verify=False)
-        )
-
-    def slope(y):
-        return mp.diff(residual, y)
+        roots.append(bracketed_root(residual, ref[i], ref[i + 1], r_ref[i], r_ref[i + 1]))
 
     bounds = [lo] + roots + [hi]
     slopes = [slope(y) for y in bounds]
@@ -245,11 +298,12 @@ def _locate_extrema(problem, residual, ref):
     for i in range(len(bounds) - 1):
         a, b = bounds[i], bounds[i + 1]
         if slopes[i] * slopes[i + 1] < 0:
-            x = mp.findroot(slope, (a, b), solver="anderson", verify=False)
+            x = bracketed_root(slope, a, b, slopes[i], slopes[i + 1])
+            v = residual(x)
         else:
-            x = max((a, b), key=lambda y: abs(residual(y)))
+            x, v = max(((a, residual(a)), (b, residual(b))), key=lambda xv: abs(xv[1]))
         points.append(x)
-        values.append(residual(x))
+        values.append(v)
     return points, values
 
 
@@ -294,12 +348,6 @@ def solve(
         stale = 0
         for iteration in range(1, max_iterations + 1):
             coeffs, e_signed = _solve_levelling(problem, ref)
-
-            # A single parameter: findroot first tries residual(*bracket), so
-            # a defaulted second parameter would swallow the bracket's end.
-            def residual(y):
-                return problem.weight(y) * (problem.target(y) - clenshaw(coeffs, (lo, hi), y))
-
             scale = max(abs(problem.target(y)) for y in ref)
             if abs(e_signed) <= tiny * scale:
                 # Target already in the approximation space.
@@ -312,7 +360,7 @@ def solve(
                     levelling_ratio=mp.mpf(1),
                     interval=(lo, hi),
                 )
-            points, values = _locate_extrema(problem, residual, ref)
+            points, values = _locate_extrema(problem, coeffs, ref)
             abs_vals = [abs(v) for v in values]
             ratio = min(abs_vals) / max(abs_vals)
             signs = [mp.sign(v) for v in values]

@@ -1,16 +1,21 @@
 """Exchange solver: closed-form oracles, optimality certificates, invariants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from bernlab import conformal, remez
 from bernlab.errors import InvalidProblemError, PrecisionBudgetError
 from bernlab.remez import (
     MinimaxProblem,
     ProblemKind,
+    bracketed_root,
     build_akhiezer_problem,
     build_power_problem,
     build_problem,
     build_sgn_problem,
+    chebyshev_derivative,
     clenshaw,
     eval_solution,
     reduced_deviation,
@@ -109,12 +114,25 @@ FROZEN_ERRORS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def frozen_solution(cfg256):
+    """(problem, solution) of a FROZEN_ERRORS case, solved once per module."""
+    cache = {}
+
+    def get(kind, params, m):
+        if kind not in cache:
+            problem = build_problem(kind, params, m)
+            cache[kind] = (problem, solve(problem, cfg256))
+        return cache[kind]
+
+    return get
+
+
 @pytest.mark.parametrize("kind, params, m, frozen", FROZEN_ERRORS)
-def test_no_extremum_is_missed(kind, params, m, frozen, cfg256):
+def test_no_extremum_is_missed(kind, params, m, frozen, cfg256, frozen_solution):
     # A missed extremum leaves the deviation above E somewhere, so a dense
     # Chebyshev grid must stay within E, and E must not move.
-    problem = build_problem(kind, params, m)
-    sol = solve(problem, cfg256)
+    problem, sol = frozen_solution(kind, params, m)
     with cfg256.workprec():
         lo, hi = problem.interval_mp()
         count = 20 * (problem.degree + 2)
@@ -125,6 +143,94 @@ def test_no_extremum_is_missed(kind, params, m, frozen, cfg256):
         dense = max(abs(reduced_deviation(sol, problem, y)) for y in grid)
         assert dense <= sol.error * (1 + mp.mpf("1e-15"))
         assert abs(sol.error / mp.mpf(frozen) - 1) < mp.mpf("1e-40")
+
+
+@pytest.mark.parametrize("kind, params, m, frozen", FROZEN_ERRORS)
+def test_slope_matches_numerical_derivative(kind, params, m, frozen, cfg256, frozen_solution):
+    # The exchange's closed-form slope against a difference quotient of the
+    # deviation taken at twice the bits, at 20 interior points.
+    problem, sol = frozen_solution(kind, params, m)
+    with cfg256.workprec():
+        lo, hi = sol.interval
+        dcoeffs = chebyshev_derivative(sol.coeffs, sol.interval)
+        for j in range(20):
+            y = lo + (hi - lo) * (j + mp.mpf("0.5")) / 20
+            got = problem.deviation_slope(
+                y, clenshaw(sol.coeffs, sol.interval, y), clenshaw(dcoeffs, sol.interval, y)
+            )
+            with mp.workprec(2 * cfg256.mantissa_bits):
+                want = mp.diff(lambda u: reduced_deviation(sol, problem, u), y)
+            assert abs(got - want) <= mp.mpf("1e-60") * abs(want)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    coeffs=st.lists(st.floats(-10, 10), min_size=1, max_size=14),
+    lo=st.floats(-3, 2),
+    width=st.floats(0.01, 5),
+    u=st.floats(0, 1),
+)
+def test_chebyshev_derivative_series(coeffs, lo, width, u, cfg128):
+    with cfg128.workprec():
+        interval = (mp.mpf(lo), mp.mpf(lo) + mp.mpf(width))
+        cs = [mp.mpf(c) for c in coeffs]
+        y = interval[0] + mp.mpf(width) * mp.mpf(u)
+        got = clenshaw(chebyshev_derivative(cs, interval), interval, y)
+        with mp.workprec(2 * cfg128.mantissa_bits):
+            want = mp.diff(lambda v: clenshaw(cs, interval, v), y)
+        scale = sum(abs(c) for c in cs) * len(cs) ** 2 / mp.mpf(width)
+        assert abs(got - want) <= mp.mpf("1e-30") * (abs(want) + scale)
+
+
+@pytest.fixture
+def recorded_searches(monkeypatch):
+    """Route every bracketed_root call through a recorder of f's arguments;
+    collects (f's name, lo, hi, points f was evaluated at) per search."""
+    searches = []
+
+    def recording_root(f, lo, hi, f_lo, f_hi):
+        seen = []
+
+        def recorder(y):
+            seen.append(y)
+            return f(y)
+
+        searches.append((f.__name__, lo, hi, seen))
+        return bracketed_root(recorder, lo, hi, f_lo, f_hi)
+
+    monkeypatch.setattr(remez, "bracketed_root", recording_root)
+    monkeypatch.setattr(conformal, "bracketed_root", recording_root)
+    return searches
+
+
+def test_exchange_never_reevaluates_bracket_ends(recorded_searches, monkeypatch, cfg256):
+    def no_diff(*args, **kwargs):
+        raise AssertionError("the exchange must not difference the residual")
+
+    monkeypatch.setattr(mp, "diff", no_diff)
+    solve(build_power_problem("1.5", "0.5", 8), cfg256)
+    assert {name for name, *_ in recorded_searches} == {"residual", "slope"}
+    for _, lo, hi, seen in recorded_searches:
+        assert seen
+        assert lo not in seen and hi not in seen
+
+
+def test_zero_search_never_reevaluates_bracket_ends(recorded_searches, monkeypatch, cfg256):
+    # slit_map_zero's sign check evaluates each end once; the search never again.
+    offsets = []
+    slit_map = conformal.slit_map
+
+    def counting_map(k, zeta, cfg=None):
+        offsets.append(-zeta)
+        return slit_map(k, zeta, cfg)
+
+    monkeypatch.setattr(conformal, "slit_map", counting_map)
+    conformal.slit_map_zero(1, cfg256)
+    [(_, lo, hi, seen)] = recorded_searches
+    assert seen
+    assert lo not in seen and hi not in seen
+    assert offsets.count(lo) == 1 and offsets.count(hi) == 1
+    assert len(offsets) == 2 + len(seen)
 
 
 def test_error_decreases_with_degree(cfg256):

@@ -32,14 +32,13 @@ from .errors import (
     PrecisionBudgetError,
     QuadratureError,
 )
-from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf
+from .precision import DEFAULT_CONFIG, PrecisionConfig
 from .specialfn import (
     DensitySpec,
     SignedLog,
     cauchy_boundary,
     cauchy_integral,
     gamma_density,
-    gamma_value,
     gauss_legendre_nodes,
     hilbert_grid,
     integrate_finite,
@@ -77,7 +76,6 @@ from .conformal import (
 )
 from .asymptotics import (
     AsymptoticsReport,
-    abs_gamma,
     akhiezer_a_from_b,
     akhiezer_b_from_a,
     akhiezer_convert,
@@ -116,13 +114,11 @@ __all__ = [
     "QuadratureError",
     "DEFAULT_CONFIG",
     "PrecisionConfig",
-    "as_mpf",
     "DensitySpec",
     "SignedLog",
     "cauchy_boundary",
     "cauchy_integral",
     "gamma_density",
-    "gamma_value",
     "gauss_legendre_nodes",
     "hilbert_grid",
     "integrate_finite",
@@ -154,7 +150,6 @@ __all__ = [
     "slit_map_zero",
     "tooth_density",
     "AsymptoticsReport",
-    "abs_gamma",
     "akhiezer_a_from_b",
     "akhiezer_b_from_a",
     "akhiezer_convert",

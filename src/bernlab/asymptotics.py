@@ -15,17 +15,11 @@ from dataclasses import dataclass, field
 
 from mpmath import mp
 
+from .conformal import far_offset_closed
 from .errors import InvalidProblemError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf, check_exponent, check_gap
+from .precision import DEFAULT_CONFIG, PrecisionConfig, check_exponent, check_gap
 from .remez import ProblemKind, build_problem, solve
 from .specialfn import log_gamma
-
-
-def abs_gamma(x, cfg: PrecisionConfig | None = None):
-    """|Gamma(x)| for non-pole x, through the signed log-gamma."""
-    cfg = cfg or DEFAULT_CONFIG
-    with cfg.workprec():
-        return mp.exp(log_gamma(x, cfg).log_abs)
 
 
 def predict_power_error(p, a, m: int, cfg: PrecisionConfig | None = None):
@@ -39,10 +33,11 @@ def predict_power_error(p, a, m: int, cfg: PrecisionConfig | None = None):
     if m < 1:
         raise InvalidProblemError("m must be a positive integer")
     with cfg.workprec():
-        p = as_mpf(p)
-        a = as_mpf(a)
+        p = mp.mpf(p)
+        a = mp.mpf(a)
         ratio = (1 - a) / (1 + a)
-        const = a ** (p / 2 - 1) * (1 + a) ** 2 / (2 * abs_gamma(-p / 2, cfg))
+        # check_exponent keeps -p/2 off the poles of Gamma.
+        const = a ** (p / 2 - 1) * (1 + a) ** 2 / (2 * abs(mp.gamma(-p / 2)))
         return ratio ** (m + 1) * mp.mpf(m) ** (-p / 2 - 1) * const
 
 
@@ -54,7 +49,8 @@ def predict_slit_height(k: int, a, m: int, cfg: PrecisionConfig | None = None):
 
     The constant inside the second log is 2a/(1-a^2): the height grows
     like (k+1/2) log(2 A) with A = a(2m-1)/(1-a^2).  The sgn minimax
-    error then satisfies L ~ 1/cosh(B).
+    error then satisfies L ~ 1/cosh(B).  The last term is the far-field
+    offset of the slit map of index k, conformal.far_offset_closed.
 
     The formula is leading order only: acosh(1/L) - B -> 0 as m grows,
     like O(1/m) (about 2.3/m at k = 1, a = 1/2).  The next-order term is
@@ -67,13 +63,13 @@ def predict_slit_height(k: int, a, m: int, cfg: PrecisionConfig | None = None):
         raise InvalidProblemError("m must be a positive integer")
     check_gap(a)
     with cfg.workprec():
-        a = as_mpf(a)
+        a = mp.mpf(a)
         half = mp.mpf(1) / 2
         return (
             (m - half) * mp.log((1 + a) / (1 - a))
             + (k + half) * mp.log(2 * m - 1)
             + (k + half) * mp.log(2 * a / (1 - a * a))
-            - (log_gamma(k + half, cfg).log_abs - mp.log(mp.pi))
+            - far_offset_closed(k, cfg)
         )
 
 
@@ -81,7 +77,7 @@ def slit_height_from_error(error, cfg: PrecisionConfig | None = None):
     """Invert L = 1/cosh(B): the slit height realized by a sgn error L."""
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        error = as_mpf(error)
+        error = mp.mpf(error)
         if not 0 < error < 1:
             raise InvalidProblemError("error must lie in (0, 1)")
         return mp.acosh(1 / error)
@@ -90,19 +86,19 @@ def slit_height_from_error(error, cfg: PrecisionConfig | None = None):
 def akhiezer_b_from_a(a):
     """b = (1+a^2)/(1-a^2), the pole offset matching interval gap a."""
     check_gap(a)
-    a = as_mpf(a)
+    a = mp.mpf(a)
     return (1 + a * a) / (1 - a * a)
 
 
 def akhiezer_a_from_b(b):
     """Inverse of akhiezer_b_from_a: a = sqrt((b-1)/(b+1)) for b > 1."""
-    b = as_mpf(b)
+    b = mp.mpf(b)
     if b <= 1:
         raise InvalidProblemError("b must exceed 1")
     return mp.sqrt((b - 1) / (b + 1))
 
 
-def akhiezer_convert(s, a, l: int, shifted_error):
+def akhiezer_convert(s, a, shifted_error):
     """Two-interval error from a shifted-power error, exactly:
 
         E_{2l}(-2s, a) = (1+b)^s * E_l[(b+x)^(-s)],  b = (1+a^2)/(1-a^2).
@@ -110,12 +106,12 @@ def akhiezer_convert(s, a, l: int, shifted_error):
     The substitution y = (b+x)/(b+1) maps [-1,1] onto [a^2,1], so this
     identity holds at every degree l, not just asymptotically.
     """
-    if float(as_mpf(s)) == 0:
+    if float(mp.mpf(s)) == 0:
         raise InvalidProblemError("s must be nonzero")
     check_gap(a)
-    s = as_mpf(s)
+    s = mp.mpf(s)
     b = akhiezer_b_from_a(a)
-    return (1 + b) ** s * as_mpf(shifted_error)
+    return (1 + b) ** s * mp.mpf(shifted_error)
 
 
 def predict_akhiezer_error(s, b, l: int, cfg: PrecisionConfig | None = None):
@@ -124,19 +120,21 @@ def predict_akhiezer_error(s, b, l: int, cfg: PrecisionConfig | None = None):
         (l^(s-1)/|Gamma(s)|) (b - sqrt(b^2-1))^l / (b^2-1)^((s+1)/2).
     """
     cfg = cfg or DEFAULT_CONFIG
-    if float(as_mpf(s)) == 0:
+    if float(mp.mpf(s)) == 0:
         raise InvalidProblemError("s must be nonzero")
-    if float(as_mpf(b)) <= 1:
+    if float(mp.mpf(b)) <= 1:
         raise InvalidProblemError("b must exceed 1")
     if l < 1:
         raise InvalidProblemError("l must be a positive integer")
     with cfg.workprec():
-        s = as_mpf(s)
-        b = as_mpf(b)
+        s = mp.mpf(s)
+        b = mp.mpf(b)
         root = mp.sqrt(b * b - 1)
+        # log_gamma, not mp.gamma: s may sit on a pole, which must raise
+        # GammaPoleError rather than mpmath's plain ValueError.
         return (
             mp.mpf(l) ** (s - 1)
-            / abs_gamma(s, cfg)
+            / mp.exp(log_gamma(s, cfg).log_abs)
             * (b - root) ** l
             / root ** (s + 1)
         )
@@ -148,15 +146,12 @@ class AsymptoticsReport:
 
     rows hold (m, computed, predicted, ratio); for the sgn family the
     compared quantity is the slit height B rather than the error itself,
-    and gap = computed - predicted is the figure of merit.  log_computed
-    keeps the errors comparable across many orders of magnitude.
+    and gap = computed - predicted is the figure of merit.
     """
 
     family: ProblemKind
     parameters: dict
     rows: tuple = field(default_factory=tuple)
-    log_computed: tuple = field(default_factory=tuple)
-    log_predicted: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         ms = [row[0] for row in self.rows]
@@ -217,8 +212,6 @@ def compare(
         solved = dict(map(_solve_one, tasks))
 
     rows = []
-    log_c = []
-    log_p = []
     with cfg.workprec():
         for m in degrees:
             err = solved[m]
@@ -232,12 +225,4 @@ def compare(
                 computed = err
                 predicted = predict_akhiezer_error(parameters["s"], parameters["b"], m, cfg)
             rows.append((m, computed, predicted, computed / predicted))
-            log_c.append(mp.log(err))
-            log_p.append(mp.log(abs(predicted)))
-    return AsymptoticsReport(
-        family=family,
-        parameters=dict(parameters),
-        rows=tuple(rows),
-        log_computed=tuple(log_c),
-        log_predicted=tuple(log_p),
-    )
+    return AsymptoticsReport(family=family, parameters=dict(parameters), rows=tuple(rows))

@@ -23,9 +23,9 @@ from mpmath import mp, mpc, mpf
 
 from . import asymptotics, conformal, conjecture, curveverify, remez
 from .errors import InvalidProblemError
-from .precision import PrecisionConfig, as_mpf
+from .precision import PrecisionConfig
 from .remez import ProblemKind
-from .specialfn import cauchy_boundary, gamma_cauchy_boundary, log_gamma
+from .specialfn import cauchy_boundary, gamma_cauchy_boundary
 
 SCHEMA = "bernlab-report/1"
 
@@ -167,7 +167,7 @@ def _family_parameters(ns: argparse.Namespace, cfg: PrecisionConfig) -> tuple:
 
 def _log_spaced(lo, hi, count: int, cfg: PrecisionConfig):
     with cfg.workprec():
-        lo, hi = as_mpf(lo), as_mpf(hi)
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
         if not (0 < lo < hi) or count < 2:
             raise InvalidProblemError("need 0 < min < max and at least 2 points")
         ratio = mp.log(hi / lo) / (count - 1)
@@ -176,7 +176,7 @@ def _log_spaced(lo, hi, count: int, cfg: PrecisionConfig):
 
 def _lin_spaced(lo, hi, count: int, cfg: PrecisionConfig):
     with cfg.workprec():
-        lo, hi = as_mpf(lo), as_mpf(hi)
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
         if not lo < hi or count < 2:
             raise InvalidProblemError("need min < max and at least 2 points")
         step = (hi - lo) / (count - 1)
@@ -339,7 +339,7 @@ def _boundary_residuals(ns: argparse.Namespace, cfg: PrecisionConfig):
             dens = conformal.tooth_density(ns.k)
             scale = 1
         else:
-            p = as_mpf(ns.p)
+            p = mp.mpf(ns.p)
             consts = conformal.limit_constants(p, cfg, check=False)
             dens = conformal.limit_density(p, cfg)
             half = p / 2
@@ -404,8 +404,8 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
             raise InvalidProblemError("task constants needs --p")
         consts = conformal.limit_constants(ns.p, cfg)
         with cfg.workprec():
-            p = as_mpf(ns.p)
-            gamma_neg = mp.exp(log_gamma(-p / 2, cfg).log_abs)
+            p = mp.mpf(ns.p)
+            gamma_neg = abs(mp.gamma(-p / 2))
             identity = (
                 mp.exp(consts.expansion_constant) * consts.boundary_scale * gamma_neg
                 - 1
@@ -463,7 +463,7 @@ def _cmd_convert(ns: argparse.Namespace, cfg: PrecisionConfig):
     if ns.a is None or ns.s is None:
         raise InvalidProblemError("convert needs --s and --a")
     with cfg.workprec():
-        a = as_mpf(ns.a)
+        a = mp.mpf(ns.a)
         b = asymptotics.akhiezer_b_from_a(a)
         endpoint_ratio = (1 - a) / (1 + a)
         payload = {"s": ns.s, "a": ns.a, "b": b, "endpoint_ratio": endpoint_ratio}
@@ -471,9 +471,7 @@ def _cmd_convert(ns: argparse.Namespace, cfg: PrecisionConfig):
             if ns.l is None:
                 raise InvalidProblemError("converting an error needs --l (degree)")
             payload["shifted_error"] = ns.error
-            payload["symmetric_error"] = asymptotics.akhiezer_convert(
-                ns.s, ns.a, ns.l, ns.error
-            )
+            payload["symmetric_error"] = asymptotics.akhiezer_convert(ns.s, ns.a, ns.error)
             payload["symmetric_degree"] = 2 * ns.l
     row = [payload.get(k, "") for k in ("b", "endpoint_ratio", "symmetric_error")]
     payload["_csv"] = (["b", "endpoint_ratio", "symmetric_error"], [row])

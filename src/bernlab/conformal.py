@@ -32,14 +32,13 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .errors import InvalidProblemError, QuadratureError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf, check_exponent
+from .precision import DEFAULT_CONFIG, PrecisionConfig, check_exponent
 from .remez import bracketed_root
 from .specialfn import (
     DensitySpec,
     gamma_cauchy_boundary,
     gamma_cauchy_integral,
     gamma_density,
-    gamma_value,
     integrate_finite,
     integrate_halfline,
     log_gamma,
@@ -48,31 +47,24 @@ from .specialfn import (
 
 @dataclass(frozen=True)
 class ConformalSample:
-    """One evaluation of a conformal map, split into its three terms."""
+    """One evaluation of a conformal map: the point zeta, the map's value,
+    and cauchy_part, the log of the Cauchy transform inside the value."""
 
     zeta: object
     value: object
-    linear_part: object
-    log_part: object
     cauchy_part: object
 
 
 @dataclass(frozen=True)
 class MapConstants:
-    """Normalization constants of a slit map or of the limit map.
+    """Normalization constants of the limit map.
 
-    zero_location: D > 0 with slit_map(-D) = 0.
-    far_offset: constant term of the expansion on the far negative axis.
     boundary_scale: scale of the limit-map density (Lambda).
     expansion_constant: constant c in limit_map(zeta) ~ zeta - log(-zeta) + c.
     """
 
-    k: int | None = None
-    p: object = None
-    zero_location: object = None
-    far_offset: object = None
-    boundary_scale: object = None
-    expansion_constant: object = None
+    boundary_scale: object
+    expansion_constant: object
 
 
 def _require_off_cut(zeta):
@@ -105,10 +97,9 @@ def slit_map(k: int, zeta, cfg: PrecisionConfig | None = None) -> ConformalSampl
             zeta = mp.re(zeta)
         cau = gamma_cauchy_integral(_tooth_exponent(k), zeta, cfg)
         half = mp.mpf(1) / 2
-        log_part = -(k - half) * mp.log(-zeta)
         cauchy_part = mp.log(cau)
-        value = zeta + log_part + cauchy_part
-        return ConformalSample(zeta, value, zeta, log_part, cauchy_part)
+        value = zeta - (k - half) * mp.log(-zeta) + cauchy_part
+        return ConformalSample(zeta, value, cauchy_part)
 
 
 def slit_map_boundary(k: int, xi, cfg: PrecisionConfig | None = None) -> ConformalSample:
@@ -118,13 +109,12 @@ def slit_map_boundary(k: int, xi, cfg: PrecisionConfig | None = None) -> Conform
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        xi = as_mpf(xi)
+        xi = mp.mpf(xi)
         cau = gamma_cauchy_boundary(_tooth_exponent(k), xi, cfg)
         half = mp.mpf(1) / 2
-        log_part = -(k - half) * (mp.log(xi) - mp.mpc(0, mp.pi))
         cauchy_part = mp.log(cau)
-        value = xi + log_part + cauchy_part
-        return ConformalSample(mp.mpc(xi, 0), value, mp.mpc(xi, 0), log_part, cauchy_part)
+        value = xi - (k - half) * (mp.log(xi) - mp.mpc(0, mp.pi)) + cauchy_part
+        return ConformalSample(mp.mpc(xi, 0), value, cauchy_part)
 
 
 def phase_density(k: int, t, cfg: PrecisionConfig | None = None):
@@ -147,7 +137,7 @@ def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        lo, hi = (as_mpf(bracket[0]), as_mpf(bracket[1]))
+        lo, hi = (mp.mpf(bracket[0]), mp.mpf(bracket[1]))
 
         def value(d):
             return slit_map(k, -d, cfg).value
@@ -179,7 +169,7 @@ def far_offset_far_field(k: int, cfg: PrecisionConfig | None = None, *, radii=(1
         raise InvalidProblemError("need exactly three radii")
     with cfg.workprec():
         half = mp.mpf(1) / 2
-        rs = [as_mpf(r) for r in radii]
+        rs = [mp.mpf(r) for r in radii]
         ys = [slit_map(k, -r, cfg).value + r + (k + half) * mp.log(r) for r in rs]
         # Fit y = Y + c1*u + c2*u^2 with u = rs[0]/r and read off Y.
         us = [rs[0] / r for r in rs]
@@ -224,11 +214,11 @@ def far_offset_integral(k: int, cfg: PrecisionConfig | None = None):
         return d + top * mp.log(d) - corr
 
 
-def _limit_exponent_and_scale(p, cfg: PrecisionConfig):
+def _limit_exponent_and_scale(p):
     """p/2 and pi / Gamma(p/2), after rejecting a bad p; call inside workprec."""
     check_exponent(p)
-    half = as_mpf(p) / 2
-    return half, mp.pi / gamma_value(half, cfg)
+    half = mp.mpf(p) / 2
+    return half, mp.pi / mp.gamma(half)
 
 
 def limit_density(p, cfg: PrecisionConfig | None = None):
@@ -239,7 +229,7 @@ def limit_density(p, cfg: PrecisionConfig | None = None):
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        return gamma_density(*_limit_exponent_and_scale(p, cfg))
+        return gamma_density(*_limit_exponent_and_scale(p))
 
 
 def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> MapConstants:
@@ -253,7 +243,7 @@ def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> Map
     cfg = cfg or DEFAULT_CONFIG
     check_exponent(p)
     with cfg.workprec():
-        p = as_mpf(p)
+        p = mp.mpf(p)
         sin_abs = abs(mp.sinpi(p / 2))
         lam = sin_abs * mp.exp(log_gamma(p / 2, cfg).log_abs) / mp.pi
         c = (
@@ -271,7 +261,7 @@ def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> Map
                 raise QuadratureError(
                     f"unit-mass cross-check failed: mass = {mp.nstr(mass, 20)}"
                 )
-        return MapConstants(p=p, boundary_scale=lam, expansion_constant=c)
+        return MapConstants(boundary_scale=lam, expansion_constant=c)
 
 
 def limit_map(p, zeta, cfg: PrecisionConfig | None = None) -> ConformalSample:
@@ -282,23 +272,23 @@ def limit_map(p, zeta, cfg: PrecisionConfig | None = None) -> ConformalSample:
         _require_off_cut(zeta)
         if mp.im(zeta) == 0:
             zeta = mp.re(zeta)
-        half, scale = _limit_exponent_and_scale(p, cfg)
+        half, scale = _limit_exponent_and_scale(p)
         cau = scale * gamma_cauchy_integral(half, zeta, cfg)
         cauchy_part = mp.log(cau)
         value = zeta + cauchy_part
-        return ConformalSample(zeta, value, zeta, mp.mpf(0), cauchy_part)
+        return ConformalSample(zeta, value, cauchy_part)
 
 
 def limit_map_boundary(p, xi, cfg: PrecisionConfig | None = None) -> ConformalSample:
     """Boundary value of the limit map at xi + i0, xi > 0."""
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        xi = as_mpf(xi)
-        half, scale = _limit_exponent_and_scale(p, cfg)
+        xi = mp.mpf(xi)
+        half, scale = _limit_exponent_and_scale(p)
         cau = scale * gamma_cauchy_boundary(half, xi, cfg)
         cauchy_part = mp.log(cau)
         value = xi + cauchy_part
-        return ConformalSample(mp.mpc(xi, 0), value, mp.mpc(xi, 0), mp.mpf(0), cauchy_part)
+        return ConformalSample(mp.mpc(xi, 0), value, cauchy_part)
 
 
 def sgn_limit_profile(k: int, lam, cfg: PrecisionConfig | None = None):
@@ -315,7 +305,7 @@ def sgn_limit_profile(k: int, lam, cfg: PrecisionConfig | None = None):
     if not isinstance(k, int) or k < 1:
         raise InvalidProblemError("k must be a positive integer")
     with cfg.workprec():
-        lam = as_mpf(lam)
+        lam = mp.mpf(lam)
         if lam <= 0:
             raise InvalidProblemError("lambda must be positive")
         lam2 = lam * lam
@@ -339,8 +329,8 @@ def power_limit_profile(p, lam, cfg: PrecisionConfig | None = None):
     cfg = cfg or DEFAULT_CONFIG
     check_exponent(p)
     with cfg.workprec():
-        p = as_mpf(p)
-        lam = as_mpf(lam)
+        p = mp.mpf(p)
+        lam = mp.mpf(lam)
         if lam < 0:
             raise InvalidProblemError("lambda must be nonnegative")
         half = p / 2

@@ -22,7 +22,7 @@ from mpmath import mp
 
 from .conformal import power_limit_profile, sgn_limit_profile
 from .errors import BranchTrackingError, InvalidProblemError, PrecisionBudgetError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf
+from .precision import DEFAULT_CONFIG, PrecisionConfig
 from .remez import (
     MinimaxProblem,
     MinimaxSolution,
@@ -63,11 +63,11 @@ class PhaseTrace:
                 )
 
 
-def _phase_samples(sol: MinimaxSolution, problem: MinimaxProblem, cfg):
+def _phase_samples(sol: MinimaxSolution, problem: MinimaxProblem):
     """Closure y -> (-1)^[p/2] (P(iy) - (iy)^p) / E, the arccos argument."""
     if problem.kind is not ProblemKind.POWER:
         raise InvalidProblemError("phase reconstruction expects a power problem")
-    p = as_mpf(problem.p)
+    p = mp.mpf(problem.p)
     sign = 1 if int(mp.floor(p / 2)) % 2 == 0 else -1
     err = sol.error
     if err <= 0:
@@ -112,10 +112,10 @@ def reconstruct_phase(
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        ys = [as_mpf(y) for y in y_grid]
+        ys = [mp.mpf(y) for y in y_grid]
         if not ys or any(b <= a for a, b in zip(ys, ys[1:])) or ys[0] <= 0:
             raise InvalidProblemError("y_grid must be positive and increasing")
-        g = _phase_samples(sol, problem, cfg)
+        g = _phase_samples(sol, problem)
 
         def principal(y):
             return mp.acos(g(y))
@@ -177,8 +177,8 @@ def curve_residuals(trace: PhaseTrace, error, p, cfg: PrecisionConfig | None = N
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        error = as_mpf(error)
-        p = as_mpf(p)
+        error = mp.mpf(error)
+        p = mp.mpf(p)
         scale = abs(mp.sinpi(p / 2))
         if scale == 0:
             raise InvalidProblemError("even integer p degenerates the curve equation")
@@ -194,8 +194,6 @@ class SignPatternReport:
     """Outcome of the coefficient sign-change count for P(x) - x^p - tE."""
 
     t: object
-    exponents: tuple
-    signs: tuple
     sign_changes: int
     expected_changes: int
     first_sign: int
@@ -212,7 +210,7 @@ class SignPatternReport:
         )
 
 
-def _monomial_coefficients(coeffs, interval, cfg):
+def _monomial_coefficients(coeffs, interval):
     """Expand a Chebyshev-basis polynomial into monomials of y.
 
     Done at doubled working precision; the conversion conditioning grows
@@ -267,27 +265,23 @@ def sign_pattern_check(
             "exponentially"
         )
     with cfg.workprec(extra=cfg.mantissa_bits):
-        t = as_mpf(t)
+        t = mp.mpf(t)
         if not abs(t) < 1:
             raise InvalidProblemError("t must lie in (-1, 1)")
-        p = as_mpf(problem.p)
-        mono = _monomial_coefficients(sol.coeffs, sol.interval, cfg)
+        p = mp.mpf(problem.p)
+        mono = _monomial_coefficients(sol.coeffs, sol.interval)
         mono[0] -= t * sol.error
         half_p = p / 2
         entries = [(mp.mpf(j), c) for j, c in enumerate(mono)]
         entries.append((half_p, mp.mpf(-1)))
         entries.sort(key=lambda e: e[0])
-        exps, vals = zip(*entries)
-        signs = tuple(1 if v > 0 else (-1 if v < 0 else 0) for v in vals)
-        nz = [s for s in signs if s != 0]
+        nz = [1 if v > 0 else -1 for _, v in entries if v != 0]
         changes = sum(1 for x, y in zip(nz, nz[1:]) if x != y)
         floor_half = int(mp.floor(half_p))
         expected_first = 1 if floor_half % 2 == 0 else -1
         expected_last = 1 if (floor_half + m + 1) % 2 == 0 else -1
         return SignPatternReport(
             t=t,
-            exponents=exps,
-            signs=signs,
             sign_changes=changes,
             expected_changes=m + 1,
             first_sign=nz[0] if nz else 0,
@@ -326,12 +320,12 @@ def profile_convergence(
         raise InvalidProblemError("profiles exist for the power and sgn families")
     rows = []
     with cfg.workprec():
-        lams = [as_mpf(x) for x in lambda_grid]
-        a = as_mpf(params["a"])
+        lams = [mp.mpf(x) for x in lambda_grid]
+        a = mp.mpf(params["a"])
         # The profile does not depend on m: evaluate it once per lambda, and
         # reject a bad lambda before any solve runs.
         if family is ProblemKind.POWER:
-            p = as_mpf(params["p"])
+            p = mp.mpf(params["p"])
             targets = [power_limit_profile(p, lam, cfg) for lam in lams]
         else:
             targets = [sgn_limit_profile(params["k"], lam, cfg) for lam in lams]

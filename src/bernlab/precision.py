@@ -60,18 +60,9 @@ class PrecisionConfig:
 DEFAULT_CONFIG = PrecisionConfig()
 
 
-def as_mpf(value):
-    """Convert a number or decimal string to mpf at the current precision.
-
-    Strings go through mpmath's decimal parser, so CLI inputs round-trip
-    without a float detour.
-    """
-    return mp.mpf(value)
-
-
 def check_exponent(p) -> float:
     """Reject p unless p > 0 and p is not an even integer; return float(p)."""
-    p_f = float(as_mpf(p))
+    p_f = float(mp.mpf(p))
     if p_f <= 0 or (p_f == int(p_f) and int(p_f) % 2 == 0):
         raise InvalidProblemError("p must be positive and not an even integer")
     return p_f
@@ -79,7 +70,7 @@ def check_exponent(p) -> float:
 
 def check_gap(a) -> float:
     """Reject a unless 0 < a < 1; return float(a)."""
-    a_f = float(as_mpf(a))
+    a_f = float(mp.mpf(a))
     if not 0 < a_f < 1:
         raise InvalidProblemError("a must lie in (0, 1)")
     return a_f

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from mpmath import mp
 
 from .errors import InvalidProblemError, NonConvergenceError, PrecisionBudgetError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf, check_gap
+from .precision import DEFAULT_CONFIG, PrecisionConfig, check_gap
 
 
 class ProblemKind(enum.Enum):
@@ -43,8 +43,8 @@ class ProblemKind(enum.Enum):
 class MinimaxProblem:
     """A weighted polynomial minimax problem in the reduced variable.
 
-    Raw parameters are kept as given (numbers or decimal strings) and
-    converted to mpf inside the solver's working precision.
+    Raw parameters are kept as given (numbers or decimal strings); solve
+    converts them to mpf once, inside its working precision.
     """
 
     kind: ProblemKind
@@ -55,20 +55,19 @@ class MinimaxProblem:
     s: object = None
     b: object = None
     degree: int = 0
-    interval: tuple = (0.0, 1.0)
 
     def interval_mp(self):
         if self.kind is ProblemKind.AKHIEZER:
             return mp.mpf(-1), mp.mpf(1)
-        a = as_mpf(self.a)
+        a = mp.mpf(self.a)
         return a * a, mp.mpf(1)
 
     def target(self, y):
         if self.kind is ProblemKind.POWER:
-            return y ** (as_mpf(self.p) / 2)
+            return y ** (mp.mpf(self.p) / 2)
         if self.kind is ProblemKind.SGN_LAURENT:
             return y ** (mp.mpf(self.k) - mp.mpf(1) / 2)
-        return (as_mpf(self.b) + y) ** (-as_mpf(self.s))
+        return (mp.mpf(self.b) + y) ** (-mp.mpf(self.s))
 
     def weight(self, y):
         if self.kind is ProblemKind.SGN_LAURENT:
@@ -78,21 +77,18 @@ class MinimaxProblem:
     def deviation_slope(self, y, poly, dpoly):
         """d/dy of weight(y) * (target(y) - P(y)), given P(y) and P'(y)."""
         if self.kind is ProblemKind.POWER:
-            return as_mpf(self.p) / 2 * self.target(y) / y - dpoly
+            return mp.mpf(self.p) / 2 * self.target(y) / y - dpoly
         if self.kind is ProblemKind.SGN_LAURENT:
             # weight * target is 1, so only the weight's slope meets P.
             return -self.weight(y) * ((mp.mpf(1) / 2 - self.k) * poly / y + dpoly)
-        return -as_mpf(self.s) * self.target(y) / (as_mpf(self.b) + y) - dpoly
-
-    def alternation_count(self) -> int:
-        return self.degree + 2
+        return -mp.mpf(self.s) * self.target(y) / (mp.mpf(self.b) + y) - dpoly
 
     def decay_bits(self) -> float:
         """Rough size of -log2(E), used for the precision budget check."""
         if self.kind is ProblemKind.AKHIEZER:
-            b = float(as_mpf(self.b))
+            b = float(mp.mpf(self.b))
             return self.degree * math.log2(b + math.sqrt(b * b - 1.0))
-        a = float(as_mpf(self.a))
+        a = float(mp.mpf(self.a))
         bits = (self.m or 0) * math.log2((1.0 + a) / (1.0 - a))
         if self.kind is ProblemKind.SGN_LAURENT:
             bits += (self.k + 0.5) * math.log2(max(2.0 * self.m - 1.0, 2.0))
@@ -105,17 +101,15 @@ def build_power_problem(p, a, m: int) -> MinimaxProblem:
     p may be negative (used by the Akhiezer change of variables) but not an
     even integer >= 0, where the target is already a polynomial.
     """
-    p_f = float(as_mpf(p))
-    a_f = check_gap(a)
+    p_f = float(mp.mpf(p))
+    check_gap(a)
     if p_f == 0 or (p_f > 0 and p_f == int(p_f) and int(p_f) % 2 == 0):
         raise InvalidProblemError("p must not be an even integer (degenerate target)")
     if not isinstance(m, int) or m < 1:
         raise InvalidProblemError("m must be a positive integer")
     if not 2 * m > p_f:
         raise InvalidProblemError("need 2m > p")
-    return MinimaxProblem(
-        kind=ProblemKind.POWER, p=p, a=a, m=m, degree=m, interval=(a_f * a_f, 1.0)
-    )
+    return MinimaxProblem(kind=ProblemKind.POWER, p=p, a=a, m=m, degree=m)
 
 
 def build_sgn_problem(k: int, a, m: int) -> MinimaxProblem:
@@ -123,34 +117,25 @@ def build_sgn_problem(k: int, a, m: int) -> MinimaxProblem:
 
     Powers run from -(2k-1) to 2m-1; the reduced problem has degree m+k-1.
     """
-    a_f = check_gap(a)
+    check_gap(a)
     if not isinstance(k, int) or k < 1:
         raise InvalidProblemError("k must be a positive integer")
     if not isinstance(m, int) or m < 1:
         raise InvalidProblemError("m must be a positive integer")
-    return MinimaxProblem(
-        kind=ProblemKind.SGN_LAURENT,
-        a=a,
-        k=k,
-        m=m,
-        degree=m + k - 1,
-        interval=(a_f * a_f, 1.0),
-    )
+    return MinimaxProblem(kind=ProblemKind.SGN_LAURENT, a=a, k=k, m=m, degree=m + k - 1)
 
 
 def build_akhiezer_problem(s, b, degree: int) -> MinimaxProblem:
     """Best degree-l approximation of (b+x)^-s on [-1, 1], b > 1."""
-    b_f = float(as_mpf(b))
-    s_f = float(as_mpf(s))
+    b_f = float(mp.mpf(b))
+    s_f = float(mp.mpf(s))
     if not b_f > 1:
         raise InvalidProblemError("b must exceed 1")
     if s_f == 0:
         raise InvalidProblemError("s must be nonzero")
     if not isinstance(degree, int) or degree < 1:
         raise InvalidProblemError("degree must be a positive integer")
-    return MinimaxProblem(
-        kind=ProblemKind.AKHIEZER, s=s, b=b, m=degree, degree=degree, interval=(-1.0, 1.0)
-    )
+    return MinimaxProblem(kind=ProblemKind.AKHIEZER, s=s, b=b, m=degree, degree=degree)
 
 
 def build_problem(kind, params: dict, m: int) -> MinimaxProblem:
@@ -328,6 +313,15 @@ def solve(
             f"configured {cfg.mantissa_bits}"
         )
     with cfg.workprec():
+        # Parse decimal parameters once, not on every residual evaluation.
+        problem = replace(
+            problem,
+            **{
+                name: mp.mpf(getattr(problem, name))
+                for name in ("p", "a", "s", "b")
+                if getattr(problem, name) is not None
+            },
+        )
         lo, hi = problem.interval_mp()
         n = problem.degree
         count = n + 2
@@ -337,7 +331,7 @@ def solve(
                 for i in range(count)
             ]
         else:
-            ref = sorted(as_mpf(y) for y in initial_reference)
+            ref = sorted(mp.mpf(y) for y in initial_reference)
             if len(ref) != count or ref[0] < lo or ref[-1] > hi:
                 raise InvalidProblemError(
                     f"initial reference must be {count} points inside the interval"

@@ -1,6 +1,6 @@
 """Arbitrary-precision special functions, quadrature, and Cauchy transforms."""
 
-from .gamma import SignedLog, gamma_value, log_gamma
+from .gamma import SignedLog, log_gamma
 from .quadrature import (
     DensitySpec,
     gamma_density,
@@ -20,7 +20,6 @@ from .hilbert import hilbert_grid
 __all__ = [
     "SignedLog",
     "log_gamma",
-    "gamma_value",
     "DensitySpec",
     "gamma_density",
     "gauss_legendre_nodes",

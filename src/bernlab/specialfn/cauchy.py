@@ -22,7 +22,7 @@ from __future__ import annotations
 from mpmath import mp
 
 from ..errors import CutViolationError
-from ..precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf
+from ..precision import DEFAULT_CONFIG, PrecisionConfig
 from .quadrature import DensitySpec, integrate_finite, integrate_halfline
 
 # Extra guard bits for the regularized principal-value window, where the
@@ -46,7 +46,7 @@ def _off_support(zeta):
 
 
 def _on_support(xi):
-    xi = as_mpf(xi)
+    xi = mp.mpf(xi)
     if xi <= 0:
         raise CutViolationError("boundary values are defined for xi > 0")
     return xi
@@ -66,7 +66,7 @@ def cauchy_integral(density: DensitySpec, zeta, cfg: PrecisionConfig | None = No
             return _d(t) / (t - _z)
 
         return integrate_halfline(
-            DensitySpec(density.exponent_alpha, f, density.decay), cfg
+            DensitySpec(density.exponent_alpha, f), cfg
         ) / mp.pi
 
 
@@ -81,7 +81,7 @@ def cauchy_boundary(density: DensitySpec, xi, cfg: PrecisionConfig | None = None
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec(extra=_PV_EXTRA_BITS):
         xi = _on_support(xi)
-        eps = min(as_mpf(_PV_EPSILON), xi / 2)
+        eps = min(mp.mpf(_PV_EPSILON), xi / 2)
         left, right = xi - eps, xi + eps
         tau_xi = density(xi)
         # Keep the truncation point clear of the singularity window; for xi
@@ -118,7 +118,7 @@ def gamma_cauchy_integral(alpha, zeta, cfg: PrecisionConfig | None = None):
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        return _gamma_closed_form(as_mpf(alpha), -_off_support(zeta))
+        return _gamma_closed_form(mp.mpf(alpha), -_off_support(zeta))
 
 
 def gamma_cauchy_boundary(alpha, xi, cfg: PrecisionConfig | None = None):
@@ -131,6 +131,6 @@ def gamma_cauchy_boundary(alpha, xi, cfg: PrecisionConfig | None = None):
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         xi = _on_support(xi)
-        alpha = as_mpf(alpha)
+        alpha = mp.mpf(alpha)
         pv = mp.re(_gamma_closed_form(alpha, -xi))
         return mp.mpc(pv, xi**alpha * mp.exp(-xi))

@@ -11,7 +11,7 @@ from typing import NamedTuple
 from mpmath import mp
 
 from ..errors import GammaPoleError
-from ..precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf
+from ..precision import DEFAULT_CONFIG, PrecisionConfig
 
 
 class SignedLog(NamedTuple):
@@ -19,9 +19,6 @@ class SignedLog(NamedTuple):
 
     log_abs: object
     sign: int
-
-    def value(self):
-        return self.sign * mp.exp(self.log_abs)
 
 
 def log_gamma(x, cfg: PrecisionConfig | None = None) -> SignedLog:
@@ -31,17 +28,10 @@ def log_gamma(x, cfg: PrecisionConfig | None = None) -> SignedLog:
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec(extra=16):
-        x = as_mpf(x)
+        x = mp.mpf(x)
         # mp.loggamma would raise a plain ValueError at the poles.
         if x <= 0 and mp.isint(x):
             raise GammaPoleError(f"gamma pole at {x}")
         # Gamma is negative exactly on the intervals (-2j-1, -2j).
         sign = -1 if x < 0 and int(mp.floor(x)) % 2 else 1
         return SignedLog(mp.re(mp.loggamma(x)), sign)
-
-
-def gamma_value(x, cfg: PrecisionConfig | None = None):
-    """Gamma(x) with sign, via log_gamma."""
-    cfg = cfg or DEFAULT_CONFIG
-    with cfg.workprec(extra=16):
-        return log_gamma(x, cfg).value()

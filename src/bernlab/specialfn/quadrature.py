@@ -25,7 +25,7 @@ from typing import Callable
 from mpmath import mp
 
 from ..errors import QuadratureError
-from ..precision import DEFAULT_CONFIG, PrecisionConfig, as_mpf
+from ..precision import DEFAULT_CONFIG, PrecisionConfig
 
 _node_cache: dict[tuple[int, int], tuple[list, list]] = {}
 
@@ -92,7 +92,6 @@ def integrate_finite_err(
     alpha=None,
     rel_tol=None,
     max_depth: int | None = None,
-    initial_panels: int = 1,
 ):
     """Integrate f on [lo, hi]; returns (value, error_estimate).
 
@@ -102,19 +101,19 @@ def integrate_finite_err(
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        lo = as_mpf(lo)
-        hi = as_mpf(hi)
+        lo = mp.mpf(lo)
+        hi = mp.mpf(hi)
         if hi <= lo:
             raise ValueError("empty or reversed integration interval")
         if rel_tol is None:
             rel_tol = cfg.rel_tol
         else:
-            rel_tol = as_mpf(rel_tol)
+            rel_tol = mp.mpf(rel_tol)
         if max_depth is None:
             max_depth = cfg.mantissa_bits + 64
         g = f
-        if alpha is not None and as_mpf(alpha) != 0:
-            alpha = as_mpf(alpha)
+        if alpha is not None and mp.mpf(alpha) != 0:
+            alpha = mp.mpf(alpha)
             if alpha <= -1:
                 raise ValueError("endpoint exponent must exceed -1")
             if lo != 0:
@@ -140,16 +139,10 @@ def integrate_finite_err(
 
         nodes, weights = gauss_legendre_nodes(cfg.quad_order)
         width = hi - lo
-        # Seed panels; the coarse pass also sets the absolute scale.
-        stack = []
-        scale = mp.mpf(0)
-        for i in range(initial_panels):
-            a = lo + width * i / initial_panels
-            b = lo + width * (i + 1) / initial_panels
-            coarse = _panel(g, a, b, nodes, weights)
-            scale += abs(coarse)
-            stack.append((a, b, coarse, 0))
-        scale = max(scale, mp.mpf(2) ** (-cfg.mantissa_bits))
+        # The coarse pass over the whole interval sets the absolute scale.
+        coarse = _panel(g, lo, hi, nodes, weights)
+        stack = [(lo, hi, coarse, 0)]
+        scale = max(abs(coarse), mp.mpf(2) ** (-cfg.mantissa_bits))
         total = mp.mpf(0)
         err = mp.mpf(0)
         while stack:
@@ -185,22 +178,17 @@ def integrate_finite(f, lo, hi, cfg=None, *, alpha=None, rel_tol=None, max_depth
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """A density on (0, inf).
+    """A density on (0, inf) that decays like exp(-t).
 
-    values(t) behaves like t^exponent_alpha near 0; decay records whether
-    an exp(-t) factor bounds the tail ("exponential") or nothing does
-    ("none"), in which case half-line integrals are refused.
+    values(t) behaves like t^exponent_alpha near 0.
     """
 
     exponent_alpha: float
     values: Callable = field(repr=False)
-    decay: str = "exponential"
 
     def __post_init__(self):
         if float(self.exponent_alpha) <= -1:
             raise ValueError("exponent_alpha must exceed -1 for integrability")
-        if self.decay not in ("exponential", "none"):
-            raise ValueError("decay must be 'exponential' or 'none'")
 
     def __call__(self, t):
         return self.values(t)
@@ -218,42 +206,31 @@ def gamma_density(alpha, scale=1) -> DensitySpec:
         if h % 2 == 0:
 
             def values(t, _s=scale, _n=h // 2):
-                return as_mpf(_s) * t**_n * mp.exp(-t)
+                return mp.mpf(_s) * t**_n * mp.exp(-t)
 
         else:
 
             def values(t, _s=scale, _h=h):
-                return as_mpf(_s) * mp.sqrt(t) ** _h * mp.exp(-t)
+                return mp.mpf(_s) * mp.sqrt(t) ** _h * mp.exp(-t)
 
     else:
 
         def values(t, _a=alpha, _s=scale):
-            return as_mpf(_s) * t ** as_mpf(_a) * mp.exp(-t)
+            return mp.mpf(_s) * t ** mp.mpf(_a) * mp.exp(-t)
 
     return DensitySpec(exponent_alpha=alpha_f, values=values)
 
 
-def integrate_halfline(density, cfg: PrecisionConfig | None = None, *, weight=None, rel_tol=None):
-    """Integral of density(t) * weight(t) over (0, inf).
+def integrate_halfline(density, cfg: PrecisionConfig | None = None):
+    """Integral of density(t) over (0, inf).
 
     The density must decay like exp(-t); the integral is truncated at
     cfg.tail_cut_for(alpha), beyond which the discarded mass is below the
-    working precision.  weight, when given, must stay polynomially bounded.
+    working precision.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not isinstance(density, DensitySpec):
         raise TypeError("integrate_halfline expects a DensitySpec")
-    if density.decay != "exponential":
-        raise QuadratureError("cannot truncate a half-line integral without decay")
     with cfg.workprec():
         cut = cfg.tail_cut_for(density.exponent_alpha)
-        if weight is None:
-            f = density
-        else:
-
-            def f(t, _d=density, _w=weight):
-                return _d(t) * _w(t)
-
-        return integrate_finite(
-            f, 0, cut, cfg, alpha=density.exponent_alpha, rel_tol=rel_tol
-        )
+        return integrate_finite(density, 0, cut, cfg, alpha=density.exponent_alpha)

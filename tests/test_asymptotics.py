@@ -93,7 +93,7 @@ def test_two_interval_conversion_is_exact_per_degree(cfg256):
         b = akhiezer_b_from_a(a)
         shifted = solve(build_akhiezer_problem(1, b, 3), cfg256)
         two_interval = solve(build_power_problem(-2, a, 3), cfg256)
-        converted = akhiezer_convert(1, a, 3, shifted.error)
+        converted = akhiezer_convert(1, a, shifted.error)
         assert abs(converted / two_interval.error - 1) < mp.mpf("1e-30")
 
 
@@ -164,4 +164,4 @@ def test_predictor_validation():
     with pytest.raises(InvalidProblemError):
         predict_akhiezer_error(1, "0.5", 5)
     with pytest.raises(InvalidProblemError):
-        akhiezer_convert(0, "0.5", 3, "0.1")
+        akhiezer_convert(0, "0.5", "0.1")

@@ -64,18 +64,10 @@ def test_halfline_gamma_three_halves(cfg256):
 def test_halfline_with_weight(cfg256):
     # int_0^inf sqrt(t) e^-t * t dt = Gamma(5/2) = (3/2) Gamma(3/2).
     with cfg256.workprec():
-        got = integrate_halfline(gamma_density("0.5"), cfg256, weight=lambda t: t)
+        dens = gamma_density("0.5")
+        got = integrate_halfline(DensitySpec(1.5, lambda t: dens(t) * t), cfg256)
         ref = mp.mpf(GAMMA_3_2) * mp.mpf(3) / 2
         assert abs(got - ref) / ref < mp.mpf("1e-55")
-
-
-def test_error_estimate_shrinks_with_finer_panels(cfg256):
-    with cfg256.workprec():
-        f = lambda t: mp.exp(t) * mp.cos(3 * t)
-        v1, e1 = integrate_finite_err(f, 0, 2, cfg256)
-        v2, e2 = integrate_finite_err(f, 0, 2, cfg256, initial_panels=4)
-        assert abs(v1 - v2) < mp.mpf("1e-70")
-        assert e2 <= e1 * (1 + mp.mpf("1e-20"))
 
 
 def test_error_estimate_bounds_true_error(cfg256):
@@ -87,7 +79,10 @@ def test_error_estimate_bounds_true_error(cfg256):
 
 def test_nonconvergent_integrand_raises(cfg256):
     # A jump at an irrational point defeats bisection; a small depth cap
-    # must surface QuadratureError instead of silently returning.
+    # must surface QuadratureError instead of silently returning.  At the
+    # default cap of mantissa_bits + 64 the same jump integrates to the right
+    # value with a zero error estimate and never raises, so max_depth is the
+    # only way to reach QuadratureError here.
     with cfg256.workprec():
         step = lambda t: mp.mpf(1) if t > 1 / mp.pi else mp.mpf(0)
         with pytest.raises(QuadratureError):
@@ -99,14 +94,6 @@ def test_reversed_interval_rejected(cfg256):
         integrate_finite(lambda t: t, 1, 0, cfg256)
 
 
-def test_halfline_requires_decay(cfg256):
-    slow = DensitySpec(0.0, lambda t: 1 / (1 + t * t), decay="none")
-    with pytest.raises(QuadratureError):
-        integrate_halfline(slow, cfg256)
-
-
 def test_density_validation():
     with pytest.raises(ValueError):
         DensitySpec(-1.5, lambda t: t)
-    with pytest.raises(ValueError):
-        DensitySpec(0.0, lambda t: t, decay="algebraic")

@@ -233,6 +233,25 @@ def test_zero_search_never_reevaluates_bracket_ends(recorded_searches, monkeypat
     assert len(offsets) == 2 + len(seen)
 
 
+def test_solve_parses_decimal_parameters_once(monkeypatch, cfg256):
+    # Parsing p and a on every residual and slope evaluation would cost
+    # about 1,560 decimal parses at this degree; once per solve costs 3
+    # (a for the precision budget, then p and a inside the working precision).
+    import mpmath.ctx_mp_python as ctx
+
+    problem = build_power_problem("1.5", "0.5", 8)
+    parses = []
+    from_str = ctx.from_str
+
+    def counting_from_str(*args, **kwargs):
+        parses.append(args[0])
+        return from_str(*args, **kwargs)
+
+    monkeypatch.setattr(ctx, "from_str", counting_from_str)
+    solve(problem, cfg256)
+    assert len(parses) <= 3, f"{len(parses)} decimal parses in one solve"
+
+
 def test_error_decreases_with_degree(cfg256):
     with cfg256.workprec():
         errors = [

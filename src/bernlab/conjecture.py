@@ -19,6 +19,22 @@ until the requested resolution is reached.  The fixed-point sweep alone
 stalls near the branch crossover where the asin inversion folds, which is
 why the Newton corrector is not optional.  Everything runs in double
 precision, matching the Hilbert stencil.
+
+Newton is matrix-free (inexact Newton-Krylov).  On the half grid the
+scaled Jacobian is D1 + D2*K, with diagonals D1 = L cos(rho) sinh(u) and
+D2 = L sin(rho) cosh(u) (u = x + rho_tilde, rows scaled) and K the
+half-grid Hilbert operator, one FFT convolution per product.  Each Newton
+system is solved by GMRES, right-preconditioned by (D1 - D2*K) * W with
+W = 1/(D1^2 + D2^2): since K^2 = -I for the continuous transform (the
+classical regularization of singular integral equations), the product
+(D1 + D2*K)(D1 - D2*K) is close to D1^2 + D2^2 wherever the diagonals vary
+slowly, and GMRES needs about ten iterations at every grid size.  D2 must
+stay outside K.  In the far field rho is about 1e-15, and D2 ~ sin(rho)
+there scales the K term, rounding included, down to the size of rho.  The
+other ordering, (D1 - K*D2) * W, takes as few iterations, but K then
+spreads the near-field rounding, of order 1e-16, onto far nodes where rho
+itself is about 1e-15; the unscaled residual ends between 1e-7 and 1e-5
+instead of near 5e-13.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ import numpy as np
 from .errors import InvalidProblemError
 from .precision import DEFAULT_CONFIG, PrecisionConfig, check_exponent
 from .specialfn import hilbert_grid
+from .specialfn.hilbert import hilbert_operator
 
 _PHASE_FIXED_POINT = "fixed-point"
 _PHASE_NEWTON = "newton"
@@ -39,6 +56,10 @@ _PI_TAIL = float(np.sin(np.pi))
 
 # Fixed-point steps tolerated without improvement before Newton takes over.
 _STALL_LIMIT = 300
+
+# Newton's linear solves: GMRES relative residual and iteration cap.
+_GMRES_RTOL = 1e-10
+_GMRES_MAX_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -101,25 +122,61 @@ def _half_grid(x_max: float, nodes: int) -> np.ndarray:
     return np.linspace(-x_max, x_max, nodes)[nodes // 2 :]
 
 
-def _half_transform_matrix(nodes: int) -> np.ndarray:
-    """Dense matrix mapping rho on the positive half grid to its discrete
-    Hilbert transform there, for even rho and even node count.
+def _half_operator(nodes: int):
+    """K: rho on the positive half grid to its discrete Hilbert transform
+    there, for even rho and even node count.
 
-    Uses the same odd-offset stencil as hilbert_grid; the mirror image of
-    positive node i is full index nodes-1-(nodes//2+i), which folds the
-    kernel into a sum of two Toeplitz-like gathers.
+    The profile is mirrored onto the full grid and transformed with one
+    circular convolution of size 2*nodes, whose kernel spectrum
+    hilbert_operator computes once for the level.
     """
+    transform = hilbert_operator(nodes)
     m = nodes // 2
-    offsets = np.arange(-(nodes - 1), nodes)
-    kernel = np.where(
-        offsets % 2 != 0, (2.0 / np.pi) / np.where(offsets == 0, 1, offsets), 0.0
-    )
-    origin = nodes - 1
-    cols = np.arange(m)
-    mat = np.empty((m, m))
-    for row in range(m):
-        mat[row] = kernel[origin + row - cols] + kernel[origin + row + 1 + cols]
-    return mat
+    return lambda v: transform(np.concatenate([v[::-1], v]))[m:]
+
+
+def _gmres(apply, rhs, rtol, max_iters):
+    """GMRES from zero for apply(x) = rhs, without restart.
+
+    Arnoldi uses classical Gram-Schmidt applied twice (CGS2); Givens
+    rotations keep the least-squares residual of the Hessenberg system,
+    which is the residual norm of the iterate.  Returns (x, converged),
+    converged meaning that norm fell to rtol*|rhs| within max_iters
+    products.
+    """
+    beta = np.linalg.norm(rhs)
+    basis = np.zeros((max_iters + 1, rhs.size))
+    hess = np.zeros((max_iters + 1, max_iters))
+    cos_g, sin_g = np.zeros(max_iters), np.zeros(max_iters)
+    g = np.zeros(max_iters + 1)
+    g[0] = beta
+    basis[0] = rhs / beta
+    k = 0
+    converged = False
+    while k < max_iters and not converged:
+        w = apply(basis[k])
+        for _ in range(2):
+            coef = basis[: k + 1] @ w
+            w -= coef @ basis[: k + 1]
+            hess[: k + 1, k] += coef
+        hess[k + 1, k] = np.linalg.norm(w)
+        basis[k + 1] = w / hess[k + 1, k]
+        for i in range(k):
+            hess[i : i + 2, k] = (
+                cos_g[i] * hess[i, k] + sin_g[i] * hess[i + 1, k],
+                cos_g[i] * hess[i + 1, k] - sin_g[i] * hess[i, k],
+            )
+        radius = np.hypot(hess[k, k], hess[k + 1, k])
+        cos_g[k], sin_g[k] = hess[k, k] / radius, hess[k + 1, k] / radius
+        hess[k, k] = radius
+        g[k + 1] = -sin_g[k] * g[k]
+        g[k] *= cos_g[k]
+        k += 1
+        converged = abs(g[k]) <= rtol * beta
+    y = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        y[i] = (g[i] - hess[i, i + 1 : k] @ y[i + 1 :]) / hess[i, i]
+    return y @ basis[:k], converged
 
 
 def _defect_weights(xpos: np.ndarray) -> np.ndarray:
@@ -139,7 +196,7 @@ def _interior_max(values: np.ndarray) -> float:
     return float(np.max(np.abs(values[:-1])))
 
 
-def _fixed_point_phase(xpos, mat, L, theta, iters, history, nodes):
+def _fixed_point_phase(xpos, half_op, L, theta, iters, history, nodes):
     """Damped asin-form sweep from the documented initial guess.
 
     Returns (rho, L, clamp_events).  The L update pulls toward the largest
@@ -151,8 +208,9 @@ def _fixed_point_phase(xpos, mat, L, theta, iters, history, nodes):
     best = np.inf
     stall = 0
     idx = np.arange(xpos.size)
+    tilde = half_op(rho)
     for _ in range(iters):
-        u = xpos + mat @ rho
+        u = xpos + tilde
         sinh_u = np.sinh(u)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             candidate = np.where(sinh_u > 0, xpos / sinh_u, -np.inf)
@@ -167,7 +225,8 @@ def _fixed_point_phase(xpos, mat, L, theta, iters, history, nodes):
         margin = np.sqrt(np.maximum(1.0 - g * g, 0.0))
         step = theta * np.minimum(1.0, 4.0 * margin + 0.05)
         rho = np.clip((1.0 - step) * rho + step * target, 0.0, np.pi * (1 - 1e-15))
-        res = _interior_max(L * np.sin(rho) * np.sinh(xpos + mat @ rho) - xpos)
+        tilde = half_op(rho)
+        res = _interior_max(L * np.sin(rho) * np.sinh(xpos + tilde) - xpos)
         history.append((nodes, _PHASE_FIXED_POINT, res, L))
         if res < best - 1e-15:
             best, stall = res, 0
@@ -178,19 +237,25 @@ def _fixed_point_phase(xpos, mat, L, theta, iters, history, nodes):
     return rho, L, clamps
 
 
-def _newton_phase(xpos, rho, L, mat, iters, history, nodes):
+def _newton_phase(xpos, rho, L, half_op, iters, history, nodes):
     """Bordered Newton solve of the discrete system on the half grid.
 
     Unknowns are (rho at positive nodes, L); the extra row enforces the pi
     centering defect, the extra column carries dF/dL.  Rows are scaled by
     1/(L(|sinh u|+1)) so the huge far-field entries do not swamp the
-    linear algebra.  Line search accepts only merit decreases.
+    linear algebra.  The Jacobian is never formed: its product with
+    (v, dL) is D1*v + D2*K(v) + dF/dL*dL, with the centering row, and GMRES
+    solves each step right-preconditioned by (D1 - D2*K)/(D1^2 + D2^2) on
+    the profile block (identity on L; see the module docstring for why D2
+    stays outside K).  A GMRES run that hits its iteration cap ends the
+    level unconverged, as a singular system would.  Line search accepts
+    only merit decreases.
     """
     m = xpos.size
     weights = _defect_weights(xpos)
 
     def assemble(rho_v, L_v):
-        u = xpos + mat @ rho_v
+        u = xpos + half_op(rho_v)
         sinh_u, cosh_u = np.sinh(u), np.cosh(u)
         f = L_v * np.sin(rho_v) * sinh_u - xpos
         scale = 1.0 / (L_v * (np.abs(sinh_u) + 1.0))
@@ -201,20 +266,26 @@ def _newton_phase(xpos, rho, L, mat, iters, history, nodes):
     merit = np.max(np.abs(f * scale)) + abs(defect)
     converged = False
     for _ in range(iters):
-        sin_r, cos_r = np.sin(rho), np.cos(rho)
-        jac = np.zeros((m + 1, m + 1))
-        jac[:m, :m] = (
-            np.diag(L * cos_r * sinh_u) + (L * sin_r * cosh_u)[:, None] * mat
-        ) * scale[:, None]
-        jac[:m, m] = sin_r * sinh_u * scale
-        jac[m, :3] = -weights
-        rhs = np.empty(m + 1)
-        rhs[:m] = -f * scale
-        rhs[m] = -defect
-        try:
-            delta = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
+        sin_r = np.sin(rho)
+        d1 = L * np.cos(rho) * sinh_u * scale
+        d2 = L * sin_r * cosh_u * scale
+        col = sin_r * sinh_u * scale
+        inv_norm = 1.0 / (d1 * d1 + d2 * d2)
+
+        def precondition(z):
+            w = z[:m] * inv_norm
+            return np.append(d1 * w - d2 * half_op(w), z[m])
+
+        def jacobian_times_precondition(z):
+            pz = precondition(z)
+            v = pz[:m]
+            return np.append(d1 * v + d2 * half_op(v) + col * pz[m], -weights @ v[:3])
+
+        rhs = np.append(-f * scale, -defect)
+        y, solved = _gmres(jacobian_times_precondition, rhs, _GMRES_RTOL, _GMRES_MAX_ITERS)
+        if not solved:
             break
+        delta = precondition(y)
         # Trust region: cap the profile step and the relative L step.
         step = 1.0
         biggest = np.max(np.abs(delta[:m]))
@@ -294,16 +365,16 @@ def solve_phase_equation(
     converged = False
     for level in levels:
         x_new = _half_grid(x_max, level)
-        mat = _half_transform_matrix(level)
+        half_op = _half_operator(level)
         if rho is None:
             rho, L, clamps = _fixed_point_phase(
-                x_new, mat, L, theta, fixed_point_iters, history, level
+                x_new, half_op, L, theta, fixed_point_iters, history, level
             )
         else:
             rho = np.interp(x_new, xpos, rho)
         xpos = x_new
         rho, L, converged = _newton_phase(
-            xpos, rho, L, mat, newton_iters, history, level
+            xpos, rho, L, half_op, newton_iters, history, level
         )
 
     full_grid = np.linspace(-x_max, x_max, nodes)

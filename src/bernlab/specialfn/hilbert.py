@@ -9,10 +9,11 @@ enters and the principal value cancels symmetrically:
 
     htilde_j = (2/pi) * sum over odd k of rho_{j-k} / k.
 
-That sum is a convolution, evaluated by a zero-padded real FFT.  Samples beyond the grid edge
-are treated as zero; the caller controls the truncation error through the
-grid half-width.  Double precision is used throughout: the transform feeds
-the exploratory curve solver, whose targets sit far above 1e-12.
+That sum is a convolution, evaluated by a zero-padded real FFT of size 2n
+(see hilbert_operator).  Samples beyond the grid edge are treated as zero;
+the caller controls the truncation error through the grid half-width.
+Double precision is used throughout: the transform feeds the exploratory
+curve solver, whose targets sit far above 1e-12.
 """
 
 from __future__ import annotations
@@ -41,12 +42,29 @@ def hilbert_grid(values, grid=None):
             raise ValueError("grid must be uniform and increasing")
         if abs(x[0] + x[-1]) > 1e-9 * max(abs(x[0]), abs(x[-1])):
             raise ValueError("grid must be symmetric about 0")
+    return hilbert_operator(n)(rho)
+
+
+def hilbert_operator(n: int):
+    """The transform on n samples as a function of the samples.
+
+    The kernel's spectrum is computed here once, so repeated transforms on
+    one grid (the phase solver's Newton and GMRES steps) each cost one
+    rfft/irfft pair.  The linear convolution of the samples with the
+    2n-1 kernel taps has 3n-2 terms, of which the n centred on the
+    kernel's middle tap are the transform.  A circular convolution of
+    size 2n wraps only terms 2n..3n-3 onto 0..n-3, so it leaves those n
+    outputs exact, and 2n is a well-factored FFT length where 3n-2
+    often is not.
+    """
+    size = 2 * n
     offsets = np.arange(-(n - 1), n)
     kernel = np.zeros(2 * n - 1)
     odd = offsets % 2 != 0
     kernel[odd] = (2.0 / np.pi) / offsets[odd]
-    # The full linear convolution has 3n-2 terms; the n centered on the
-    # kernel's middle tap are the transform at the grid nodes.
-    size = 3 * n - 2
-    full = np.fft.irfft(np.fft.rfft(rho, size) * np.fft.rfft(kernel, size), size)
-    return full[n - 1 : 2 * n - 1]
+    spectrum = np.fft.rfft(kernel, size)
+
+    def apply(rho):
+        return np.fft.irfft(np.fft.rfft(rho, size) * spectrum, size)[n - 1 : 2 * n - 1]
+
+    return apply

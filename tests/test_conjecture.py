@@ -1,8 +1,16 @@
 """Nonlinear phase-equation solver: convergence, symmetry, refinement."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bernlab
+from bernlab import conjecture
 from bernlab.conjecture import (
     ConjectureState,
     phase_residual,
@@ -153,3 +161,78 @@ def test_state_validation():
         ConjectureState(grid=grid + 1.0, rho=zeros, rho_tilde=zeros, L=1.0, residual_norm=0.0)
     with pytest.raises(InvalidProblemError):
         ConjectureState(grid=grid, rho=zeros + 4.0, rho_tilde=zeros, L=1.0, residual_norm=0.0)
+
+
+def _dense_half_stencil(nodes):
+    # The odd-offset stencil (2/pi)/k folded onto the positive half grid for
+    # even profiles: the mirror of positive node j sits k = i + j + 1 away.
+    i, j = np.indices((nodes // 2, nodes // 2))
+    kernel = lambda k: np.where(k % 2 != 0, (2.0 / np.pi) / np.where(k == 0, 1, k), 0.0)
+    return kernel(i - j) + kernel(i + j + 1)
+
+
+@pytest.mark.parametrize("nodes", [64, 1024])
+def test_half_operator_matches_dense_stencil(nodes):
+    v = np.random.default_rng(nodes).standard_normal(nodes // 2)
+    got = conjecture._half_operator(nodes)(v)
+    assert np.max(np.abs(got - _dense_half_stencil(nodes) @ v)) < 1e-14 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize(
+    "nodes, frozen", [(1024, 0.288053882912753), (2048, 0.28396816084052473)]
+)
+def test_level_matches_dense_newton_values(nodes, frozen):
+    # Frozen from the dense-LU Newton solver that the Krylov solver replaced.
+    state = solve_phase_equation(1, nodes=nodes)
+    assert abs(state.L - frozen) < 1e-13 * frozen
+
+
+@pytest.mark.parametrize("nodes", [512, 4096])
+def test_gmres_iterations_per_newton_step_stay_flat(nodes, monkeypatch):
+    # One operator product per GMRES iteration.
+    counts = []
+    gmres = conjecture._gmres
+
+    def counted(apply, *args):
+        counts.append(0)
+
+        def counted_apply(z):
+            counts[-1] += 1
+            return apply(z)
+
+        return gmres(counted_apply, *args)
+
+    monkeypatch.setattr(conjecture, "_gmres", counted)
+    state = solve_phase_equation(1, nodes=nodes)
+    assert state.converged
+    newton_rows = sum(row[1] == "newton" for row in state.history)
+    assert len(counts) == newton_rows
+    assert max(counts) <= 20
+
+
+@pytest.mark.parametrize("nodes", [2048, 4096])
+def test_far_field_keeps_relative_accuracy(nodes):
+    # Where rho is near 1e-15 a preconditioner that lets the Hilbert
+    # operator's rounding through leaves residuals near 1e-6.
+    assert solve_phase_equation(1, nodes=nodes).residual_norm <= 1e-11
+
+
+def test_gmres_iteration_cap_reports_failure(monkeypatch):
+    monkeypatch.setattr(conjecture, "_GMRES_MAX_ITERS", 2)
+    state = solve_phase_equation(1, nodes=512)
+    assert state.failed
+    assert not state.converged
+    assert not any(row[1] == "newton" for row in state.history)
+
+
+def test_report_does_not_depend_on_blas_threads():
+    src = str(Path(bernlab.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "bernlab.cli", "conjecture", "--nodes", "512"],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        reports.append(json.loads(out.stdout))
+    assert reports[0] == reports[1]

@@ -197,16 +197,19 @@ def compare(
 
     parameters: {p, a} for POWER, {k, a} for SGN_LAURENT, {s, b} for
     AKHIEZER.  Solver runs are independent, so jobs > 1 distributes them
-    over processes.  Solver errors propagate.
+    over at most one process per degree.  Solver errors propagate.
     """
     cfg = cfg or DEFAULT_CONFIG
     family = ProblemKind(family)
     degrees = sorted(int(m) for m in degrees)
     if not degrees:
         raise InvalidProblemError("need at least one degree")
+    if jobs < 1:
+        raise InvalidProblemError("jobs must be a positive integer")
     tasks = [(family, parameters, m, cfg.mantissa_bits) for m in degrees]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = dict(pool.map(_solve_one, tasks))
     else:
         solved = dict(map(_solve_one, tasks))

@@ -270,13 +270,8 @@ def _cmd_verify_curve(ns: argparse.Namespace, cfg: PrecisionConfig):
             )
         ],
     }
-    rows = [
-        [y, u, v, w, r]
-        for y, u, v, w, r in zip(
-            trace.y_grid, trace.u, trace.v, trace.branch_windings, residuals
-        )
-    ]
-    payload["_csv"] = (["y", "u", "v", "winding", "residual"], rows)
+    header = ["y", "u", "v", "winding", "residual"]
+    payload["_csv"] = (header, [[row[k] for k in header] for row in payload["trace"]])
     if ns.sign_t:
         checks = []
         for tok in ns.sign_t.split(","):
@@ -316,10 +311,8 @@ def _cmd_profiles(ns: argparse.Namespace, cfg: PrecisionConfig):
             for row in rows
         ],
     }
-    payload["_csv"] = (
-        ["m", "sup_distance", "lambda_at_sup"],
-        [[row.degree, row.sup_distance, row.lambda_at_sup] for row in rows],
-    )
+    header = ["m", "sup_distance", "lambda_at_sup"]
+    payload["_csv"] = (header, [[row[k] for k in header] for row in payload["rows"]])
     return payload, 0
 
 
@@ -427,15 +420,7 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
 
 
 def _cmd_conjecture(ns: argparse.Namespace, cfg: PrecisionConfig):
-    state = conjecture.solve_phase_equation(
-        ns.p,
-        ns.L0,
-        ns.x_max,
-        ns.nodes,
-        cfg,
-        theta=ns.theta,
-        tol=ns.tol,
-    )
+    state = conjecture.solve_phase_equation(ns.p, ns.x_max, ns.nodes, cfg, tol=ns.tol)
     payload = {
         "p": state.p,
         "L": state.L,
@@ -444,17 +429,12 @@ def _cmd_conjecture(ns: argparse.Namespace, cfg: PrecisionConfig):
         "iterations": state.iterations,
         "converged": state.converged,
         "failed": state.failed,
-        "clamp_events": state.clamp_events,
         "nodes": int(state.grid.size),
         "x_max": float(state.grid[-1]),
     }
-    phase_code = {"fixed-point": 0, "newton": 1}
     payload["_csv"] = (
-        ["iteration", "nodes", "phase", "residual", "L"],
-        [
-            [i, nodes, phase_code.get(phase, -1), res, lvl]
-            for i, (nodes, phase, res, lvl) in enumerate(state.history)
-        ],
+        ["iteration", "nodes", "residual", "L"],
+        [[i, *row] for i, row in enumerate(state.history)],
     )
     return payload, 0 if state.converged else 2
 
@@ -559,10 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("conjecture", help="whole-line phase-equation solver")
     sp.add_argument("--p", default="1", help="exponent label (equation is p-free)")
-    sp.add_argument("--L0", type=float, default=0.5, help="initial level parameter")
     sp.add_argument("--x-max", type=float, default=40.0, help="grid half-width")
     sp.add_argument("--nodes", type=int, default=4096, help="grid size (even)")
-    sp.add_argument("--theta", type=float, default=0.2, help="fixed-point damping")
     sp.add_argument("--tol", type=float, default=1e-8, help="convergence residual")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_conjecture)

@@ -12,13 +12,12 @@ extrapolates to pi at x = 0 (the map's centering condition).  Nothing here
 claims existence or uniqueness of a solution; the module reports residuals
 of candidate profiles and nothing more.
 
-Solution scheme: a damped fixed-point sweep (asin form, clamped) provides
-a warm start on a coarse grid; a bordered Newton iteration on the half
-grid then solves the discrete system to rounding, and the grid is doubled
-until the requested resolution is reached.  The fixed-point sweep alone
-stalls near the branch crossover where the asin inversion folds, which is
-why the Newton corrector is not optional.  Everything runs in double
-precision, matching the Hilbert stencil.
+Solution scheme: a bordered Newton iteration on the half grid solves the
+discrete system to rounding, starting on a coarse grid from the Gaussian
+rho = (pi/2) exp(-x^2) with L = 1/2; the grid is then doubled, each level
+seeded by linear interpolation of the last, until the requested
+resolution is reached.  Everything runs in double precision, matching the
+Hilbert stencil.
 
 Newton is matrix-free (inexact Newton-Krylov).  On the half grid the
 scaled Jacobian is D1 + D2*K, with diagonals D1 = L cos(rho) sinh(u) and
@@ -48,14 +47,11 @@ from .precision import DEFAULT_CONFIG, PrecisionConfig, check_exponent
 from .specialfn import hilbert_grid
 from .specialfn.hilbert import hilbert_operator
 
-_PHASE_FIXED_POINT = "fixed-point"
-_PHASE_NEWTON = "newton"
-
 # Tail of pi beyond double precision; sin(float pi) equals it to 1e-49.
 _PI_TAIL = float(np.sin(np.pi))
 
-# Fixed-point steps tolerated without improvement before Newton takes over.
-_STALL_LIMIT = 300
+# Newton steps allowed per continuation level.
+_NEWTON_MAX_ITERS = 60
 
 # Newton's linear solves: GMRES relative residual and iteration cap.
 _GMRES_RTOL = 1e-10
@@ -74,9 +70,8 @@ class ConjectureState:
     residual_norm: max equation residual over interior nodes.
     p: exponent the run was labelled with; the reduced equation itself is
         parameter-free, so this is metadata for reports.
-    clamp_events: number of asin-domain violations clamped during the
-        fixed-point phase.
-    history: per-iteration rows (nodes, phase, residual, L) across all
+    iterations: Newton steps taken over all continuation levels.
+    history: one row (nodes, residual, L) per Newton step across all
         continuation levels, coarse to fine.
     """
 
@@ -89,7 +84,6 @@ class ConjectureState:
     iterations: int = 0
     converged: bool = False
     failed: bool = False
-    clamp_events: int = 0
     history: tuple = ()
 
     def __post_init__(self):
@@ -115,7 +109,7 @@ class ConjectureState:
     def residual_history(self) -> tuple:
         """Residuals of the iterations taken on the returned grid."""
         n = self.grid.size
-        return tuple(row[2] for row in self.history if row[0] == n)
+        return tuple(row[1] for row in self.history if row[0] == n)
 
 
 def _half_grid(x_max: float, nodes: int) -> np.ndarray:
@@ -196,48 +190,7 @@ def _interior_max(values: np.ndarray) -> float:
     return float(np.max(np.abs(values[:-1])))
 
 
-def _fixed_point_phase(xpos, half_op, L, theta, iters, history, nodes):
-    """Damped asin-form sweep from the documented initial guess.
-
-    Returns (rho, L, clamp_events).  The L update pulls toward the largest
-    value keeping the asin argument within range, which plays the role of
-    the centering adjustment at this accuracy level.
-    """
-    rho = 0.5 * np.pi * np.exp(-xpos * xpos)
-    clamps = 0
-    best = np.inf
-    stall = 0
-    idx = np.arange(xpos.size)
-    tilde = half_op(rho)
-    for _ in range(iters):
-        u = xpos + tilde
-        sinh_u = np.sinh(u)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            candidate = np.where(sinh_u > 0, xpos / sinh_u, -np.inf)
-        peak = int(np.argmax(candidate))
-        L = 0.7 * L + 0.3 * max(float(candidate[peak]), 1e-6)
-        raw = xpos / (L * np.maximum(sinh_u, 1e-300))
-        clamps += int(np.sum((raw < 0.0) | (raw > 1.0)))
-        g = np.clip(raw, 0.0, 1.0)
-        base = np.arcsin(g)
-        # Obtuse branch inside the crossover, acute outside.
-        target = np.where(idx < peak, np.pi - base, base)
-        margin = np.sqrt(np.maximum(1.0 - g * g, 0.0))
-        step = theta * np.minimum(1.0, 4.0 * margin + 0.05)
-        rho = np.clip((1.0 - step) * rho + step * target, 0.0, np.pi * (1 - 1e-15))
-        tilde = half_op(rho)
-        res = _interior_max(L * np.sin(rho) * np.sinh(xpos + tilde) - xpos)
-        history.append((nodes, _PHASE_FIXED_POINT, res, L))
-        if res < best - 1e-15:
-            best, stall = res, 0
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                break
-    return rho, L, clamps
-
-
-def _newton_phase(xpos, rho, L, half_op, iters, history, nodes):
+def _newton_phase(xpos, rho, L, half_op, history, nodes):
     """Bordered Newton solve of the discrete system on the half grid.
 
     Unknowns are (rho at positive nodes, L); the extra row enforces the pi
@@ -265,7 +218,7 @@ def _newton_phase(xpos, rho, L, half_op, iters, history, nodes):
     f, sinh_u, cosh_u, scale, defect = assemble(rho, L)
     merit = np.max(np.abs(f * scale)) + abs(defect)
     converged = False
-    for _ in range(iters):
+    for _ in range(_NEWTON_MAX_ITERS):
         sin_r = np.sin(rho)
         d1 = L * np.cos(rho) * sinh_u * scale
         d2 = L * sin_r * cosh_u * scale
@@ -309,7 +262,7 @@ def _newton_phase(xpos, rho, L, half_op, iters, history, nodes):
             step *= 0.5
         if not accepted:
             break
-        history.append((nodes, _PHASE_NEWTON, _interior_max(f), L))
+        history.append((nodes, _interior_max(f), L))
         if merit < 1e-13:
             converged = True
             break
@@ -318,64 +271,48 @@ def _newton_phase(xpos, rho, L, half_op, iters, history, nodes):
 
 def solve_phase_equation(
     p,
-    L_init: float = 0.5,
     x_max: float = 40.0,
     nodes: int = 4096,
     cfg: PrecisionConfig | None = None,
     *,
-    theta: float = 0.2,
     tol: float = 1e-8,
-    fixed_point_iters: int = 400,
-    newton_iters: int = 60,
 ) -> ConjectureState:
     """Solve the discrete phase equation on [-x_max, x_max].
 
     The exponent p is validated and recorded but does not enter the
-    reduced equation.  theta is the damping of the fixed-point warm start;
-    tol is the interior residual defining convergence.  Coarse-to-fine
-    continuation halves the cost and keeps Newton inside its basin: the
-    warm start runs on a grid of at most 256 nodes and each doubling is
-    seeded by linear interpolation.
+    reduced equation.  tol is the interior residual defining convergence.
+    Coarse-to-fine continuation halves the cost and keeps Newton inside
+    its basin: the grid is halved while it exceeds 384 nodes and stays
+    divisible by 4, Newton starts on that coarsest level from
+    rho = (pi/2) exp(-x^2) with L = 1/2, and each doubling is seeded by
+    linear interpolation.  Each level allows _NEWTON_MAX_ITERS steps.
 
     Never raises on non-convergence: the best state found is returned
     with the failed flag set, so the caller can inspect the trace.
     """
     cfg = cfg or DEFAULT_CONFIG
     p_f = check_exponent(p)
-    if not L_init > 0:
-        raise InvalidProblemError("L_init must be positive")
     if not x_max > 0:
         raise InvalidProblemError("x_max must be positive")
     if nodes < 32 or nodes % 2 != 0:
         raise InvalidProblemError(
             "nodes must be an even count of at least 32 (x = 0 falls between nodes)"
         )
-    if not 0 < theta <= 1:
-        raise InvalidProblemError("theta must lie in (0, 1]")
 
     levels = [nodes]
     while levels[0] > 384 and levels[0] % 4 == 0:
         levels.insert(0, levels[0] // 2)
 
     history: list = []
-    clamps = 0
-    L = float(L_init)
-    rho = None
-    xpos = None
-    converged = False
+    xpos = _half_grid(x_max, levels[0])
+    rho = 0.5 * np.pi * np.exp(-xpos * xpos)
+    L = 0.5
     for level in levels:
         x_new = _half_grid(x_max, level)
-        half_op = _half_operator(level)
-        if rho is None:
-            rho, L, clamps = _fixed_point_phase(
-                x_new, half_op, L, theta, fixed_point_iters, history, level
-            )
-        else:
-            rho = np.interp(x_new, xpos, rho)
+        # The identity on the coarsest level; seeds each finer one.
+        rho = np.interp(x_new, xpos, rho)
         xpos = x_new
-        rho, L, converged = _newton_phase(
-            xpos, rho, L, half_op, newton_iters, history, level
-        )
+        rho, L, converged = _newton_phase(xpos, rho, L, _half_operator(level), history, level)
 
     full_grid = np.linspace(-x_max, x_max, nodes)
     full_rho = np.concatenate([rho[::-1], rho])
@@ -393,7 +330,6 @@ def solve_phase_equation(
         iterations=len(history),
         converged=succeeded,
         failed=not succeeded,
-        clamp_events=clamps,
         history=tuple(history),
     )
 

@@ -3,6 +3,7 @@
 import pytest
 from mpmath import mp
 
+from bernlab import asymptotics
 from bernlab.asymptotics import (
     akhiezer_a_from_b,
     akhiezer_b_from_a,
@@ -150,6 +151,45 @@ def test_parallel_sweep_matches_serial(cfg192):
         assert row_s[0] == row_p[0]
         assert row_s[1] == row_p[1]
         assert row_s[2] == row_p[2]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by a recorder of the sizes asked for that
+    maps in this process, so no worker is ever started."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", Recorder)
+    return sizes
+
+
+def test_sweep_pool_is_capped_at_one_worker_per_degree(pool_sizes):
+    report = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [2, 3], jobs=500)
+    assert pool_sizes == [2]
+    assert [row[0] for row in report.rows] == [2, 3]
+    # One degree needs no pool at all.
+    compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [2], jobs=500)
+    assert pool_sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_non_positive_jobs(jobs, pool_sizes):
+    with pytest.raises(InvalidProblemError):
+        compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [2, 3], jobs=jobs)
+    assert pool_sizes == []
 
 
 def test_predictor_validation():

@@ -189,8 +189,8 @@ def test_conjecture_report_and_trace(tmp_path):
         main(["conjecture", "--nodes", "512", "--format", "csv", "--output", str(out)]) == 0
     )
     rows = list(csv.reader(out.read_text().splitlines()))
-    assert rows[0] == ["iteration", "nodes", "phase", "residual", "L"]
-    assert {r[2] for r in rows[1:]} <= {"0", "1"}
+    assert rows[0] == ["iteration", "nodes", "residual", "L"]
+    assert [int(r[0]) for r in rows[1:]] == list(range(results["iterations"]))
 
 
 def test_conjecture_failure_exit_code(tmp_path):
@@ -243,6 +243,19 @@ def test_missing_parameter_exits_one(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_with_zero_jobs_exits_one(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    code = main(
+        [
+            "sweep", "--family", "absxp", "--p", "1", "--a", "0.5",
+            "--m", "3,4", "--jobs", "0", "--output", str(out),
+        ]
+    )
+    assert code == 1
+    assert not out.exists()
+    assert "jobs" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_one():

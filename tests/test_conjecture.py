@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,7 @@ def test_converges_to_tolerance(solved):
     assert not solved.failed
     assert solved.residual_norm < 1e-8
     assert 0.28 < solved.L < 0.30
-    assert solved.iterations > 0
-    assert solved.clamp_events >= 0
+    assert solved.iterations == len(solved.history) > 0
 
 
 def test_profile_symmetry(solved):
@@ -64,7 +64,6 @@ def test_residual_history_tail_is_monotone(solved):
 
 
 def test_history_rows_are_labelled(solved):
-    assert all(row[1] in ("fixed-point", "newton") for row in solved.history)
     sizes = [row[0] for row in solved.history]
     # Continuation runs coarse to fine.
     assert sizes == sorted(sizes)
@@ -116,15 +115,18 @@ def test_level_constant_stable_under_window_doubling():
     assert abs(narrow.L - wide.L) / wide.L < 0.01
 
 
-def test_starved_iteration_budget_reports_failure():
-    state = solve_phase_equation(1, nodes=512, fixed_point_iters=3, newton_iters=0)
+def test_starved_iteration_budget_reports_failure(monkeypatch):
+    monkeypatch.setattr(conjecture, "_NEWTON_MAX_ITERS", 0)
+    state = solve_phase_equation(1, nodes=512)
     assert state.failed
     assert not state.converged
     assert np.isfinite(state.residual_norm)
 
 
-def test_refinement_ratio_input_checks(solved):
-    bad = solve_phase_equation(1, nodes=512, fixed_point_iters=3, newton_iters=0)
+def test_refinement_ratio_input_checks(solved, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(conjecture, "_NEWTON_MAX_ITERS", 0)
+        bad = solve_phase_equation(1, nodes=512)
     good = solve_phase_equation(1, nodes=512)
     fine = solve_phase_equation(1, nodes=2048)
     with pytest.raises(InvalidProblemError):
@@ -142,10 +144,6 @@ def test_parameter_validation():
         solve_phase_equation(1, nodes=511)
     with pytest.raises(InvalidProblemError):
         solve_phase_equation(1, nodes=16)
-    with pytest.raises(InvalidProblemError):
-        solve_phase_equation(1, nodes=512, theta=1.5)
-    with pytest.raises(InvalidProblemError):
-        solve_phase_equation(1, nodes=512, L_init=0)
     with pytest.raises(InvalidProblemError):
         solve_phase_equation(1, nodes=512, x_max=-1)
 
@@ -205,8 +203,7 @@ def test_gmres_iterations_per_newton_step_stay_flat(nodes, monkeypatch):
     monkeypatch.setattr(conjecture, "_gmres", counted)
     state = solve_phase_equation(1, nodes=nodes)
     assert state.converged
-    newton_rows = sum(row[1] == "newton" for row in state.history)
-    assert len(counts) == newton_rows
+    assert len(counts) == len(state.history)
     assert max(counts) <= 20
 
 
@@ -222,7 +219,20 @@ def test_gmres_iteration_cap_reports_failure(monkeypatch):
     state = solve_phase_equation(1, nodes=512)
     assert state.failed
     assert not state.converged
-    assert not any(row[1] == "newton" for row in state.history)
+    assert state.history == ()
+
+
+@pytest.mark.parametrize(
+    "nodes, x_max",
+    [(32, 40.0), (388, 40.0), (1024, 2.0), (1024, 20.0), (1024, 160.0), (4096, 40.0)],
+)
+def test_newton_alone_converges_from_the_gaussian_start(nodes, x_max):
+    # No warm-up sweep precedes Newton: every history row is a Newton step,
+    # and a dozen of them suffice on every continuation level.
+    state = solve_phase_equation(1, nodes=nodes, x_max=x_max)
+    assert state.converged
+    assert state.residual_norm <= 1e-11
+    assert max(Counter(row[0] for row in state.history).values()) <= 12
 
 
 def test_report_does_not_depend_on_blas_threads():

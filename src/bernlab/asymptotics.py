@@ -196,14 +196,17 @@ def compare(
     """Sweep the solver over degrees and compare with the predictor.
 
     parameters: {p, a} for POWER, {k, a} for SGN_LAURENT, {s, b} for
-    AKHIEZER.  Solver runs are independent, so jobs > 1 distributes them
-    over at most one process per degree.  Solver errors propagate.
+    AKHIEZER.  Each degree may appear once.  Solver runs are independent,
+    so jobs > 1 distributes them over at most one process per degree.
+    Solver errors propagate.
     """
     cfg = cfg or DEFAULT_CONFIG
     family = ProblemKind(family)
     degrees = sorted(int(m) for m in degrees)
     if not degrees:
         raise InvalidProblemError("need at least one degree")
+    if len(set(degrees)) != len(degrees):
+        raise InvalidProblemError(f"degrees repeat: {degrees}")
     if jobs < 1:
         raise InvalidProblemError("jobs must be a positive integer")
     tasks = [(family, parameters, m, cfg.mantissa_bits) for m in degrees]

@@ -420,7 +420,7 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
 
 
 def _cmd_conjecture(ns: argparse.Namespace, cfg: PrecisionConfig):
-    state = conjecture.solve_phase_equation(ns.p, ns.x_max, ns.nodes, cfg, tol=ns.tol)
+    state = conjecture.solve_phase_equation(ns.p, ns.x_max, ns.nodes, tol=ns.tol)
     payload = {
         "p": state.p,
         "L": state.L,

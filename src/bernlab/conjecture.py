@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProblemError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, check_exponent
+from .precision import check_exponent
 from .specialfn import hilbert_grid
 from .specialfn.hilbert import hilbert_operator
 
@@ -273,7 +273,6 @@ def solve_phase_equation(
     p,
     x_max: float = 40.0,
     nodes: int = 4096,
-    cfg: PrecisionConfig | None = None,
     *,
     tol: float = 1e-8,
 ) -> ConjectureState:
@@ -290,7 +289,6 @@ def solve_phase_equation(
     Never raises on non-convergence: the best state found is returned
     with the failed flag set, so the caller can inspect the trace.
     """
-    cfg = cfg or DEFAULT_CONFIG
     p_f = check_exponent(p)
     if not x_max > 0:
         raise InvalidProblemError("x_max must be positive")

@@ -19,6 +19,17 @@ are written out per family, and P' is the Chebyshev derivative series of P
 (as in Pachon & Trefethen's barycentric Remez), evaluated by clenshaw.  Both
 kinds of root come from mpmath's bracketed findroot, through bracketed_root,
 which reuses the values the caller already holds at the bracket's ends.
+
+Levelling is barycentric and needs no linear solve.  The level h on a
+reference is a ratio of two divided differences; P is then known at the
+reference points, is carried to the Chebyshev extreme points by the
+barycentric formula and turned into coefficients by a DCT-I, all in O(n^2).
+
+Precision ramps up within one solve.  The early exchange steps run at the
+precision budget's own figure, max(mantissa_bits/4, decay_bits + 48) plus
+guard bits; once the levelling ratio is within 10^-(digits/16) of 1, two
+quadratic steps short of the stop, every step runs at the full working
+precision, and the solve returns only after at least two such steps.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from dataclasses import dataclass, replace
 from mpmath import mp
 
 from .errors import InvalidProblemError, NonConvergenceError, PrecisionBudgetError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, check_gap
+from .precision import DEFAULT_CONFIG, GUARD_BITS, PrecisionConfig, check_gap
 
 
 class ProblemKind(enum.Enum):
@@ -217,30 +228,46 @@ def bracketed_root(f, lo, hi, f_lo, f_hi):
     return mp.findroot(known_ends, (lo, hi), solver="anderson", verify=False)
 
 
-def _chebyshev_row(t, n):
-    row = [mp.mpf(1), t]
-    for _ in range(2, n + 1):
-        row.append(2 * t * row[-1] - row[-2])
-    return row[: n + 1]
-
-
 def _solve_levelling(problem, ref):
-    """Polynomial + level E interpolating the alternating conditions on ref."""
+    """Chebyshev coefficients of P and the signed level h with
+    w(y_i) (f(y_i) - P(y_i)) = (-1)^i h on the n + 2 reference points.
+
+    The (n+1)-th divided difference of P vanishes, so h is a ratio of two
+    divided differences, with barycentric weights lam_i = 1/prod_j(t_i - t_j).
+    P is then known at the reference points; its values at the Chebyshev
+    extreme points cos(pi k/n) come from the barycentric formula through all
+    reference points but one interior one, and a DCT-I turns them into
+    coefficients.  O(n^2) throughout.
+    """
     lo, hi = problem.interval_mp()
     n = problem.degree
-    size = n + 2
-    rows = []
-    rhs = []
-    for i, y in enumerate(ref):
-        t = (2 * y - (lo + hi)) / (hi - lo)
-        row = _chebyshev_row(t, n)
-        sigma = 1 if i % 2 == 0 else -1
-        row.append(sigma / problem.weight(y))
-        rows.append(row)
-        rhs.append(problem.target(y))
-    sol = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-    coeffs = [sol[j] for j in range(size - 1)]
-    return coeffs, sol[size - 1]
+    t = [(2 * y - (lo + hi)) / (hi - lo) for y in ref]
+    lam = [1 / mp.fprod(ti - tj for j, tj in enumerate(t) if j != i) for i, ti in enumerate(t)]
+    f = [problem.target(y) for y in ref]
+    sigma_w = [(1 if i % 2 == 0 else -1) / problem.weight(y) for i, y in enumerate(ref)]
+    h = mp.fdot(lam, f) / mp.fdot(lam, sigma_w)
+    # Dropping node d from the interpolation set multiplies lam_i by t_i - t_d.
+    d = (n + 1) // 2
+    nodes = [(ti, li * (ti - t[d]), fi - h * si)
+             for i, (ti, li, fi, si) in enumerate(zip(t, lam, f, sigma_w)) if i != d]
+    cos_table = [mp.cospi(mp.mpf(j) / n) for j in range(2 * n)]
+    samples = []
+    for x in cos_table[: n + 1]:
+        hit = [v for ti, _, v in nodes if ti == x]
+        if hit:
+            samples.append(hit[0])
+            continue
+        q = [mu / (x - ti) for ti, mu, _ in nodes]
+        samples.append(mp.fdot(q, [v for *_, v in nodes]) / mp.fsum(q))
+    samples[0] /= 2
+    samples[n] /= 2
+    coeffs = [
+        2 * mp.fdot(samples, [cos_table[j * k % (2 * n)] for k in range(n + 1)]) / n
+        for j in range(n + 1)
+    ]
+    coeffs[0] /= 2
+    coeffs[n] /= 2
+    return coeffs, h
 
 
 def _locate_extrema(problem, coeffs, ref):
@@ -302,8 +329,10 @@ def solve(
     """Run the exchange until the deviation levels to the stopping ratio.
 
     Stops when min|r|/max|r| over the located extrema reaches
-    1 - 10^-(digits/4); raises NonConvergenceError on stagnation and
-    PrecisionBudgetError when the expected E would drown in roundoff.
+    1 - 10^-(digits/4) after at least two steps at full precision (the
+    steps before run at reduced precision, see the module docstring);
+    raises NonConvergenceError on stagnation and PrecisionBudgetError when
+    the expected E would drown in roundoff.
     """
     cfg = cfg or DEFAULT_CONFIG
     needed = problem.decay_bits() + 48
@@ -337,24 +366,33 @@ def solve(
                     f"initial reference must be {count} points inside the interval"
                 )
         stop_ratio = 1 - mp.mpf(10) ** (-(cfg.decimal_digits / 4))
-        tiny = mp.mpf(2) ** (-(mp.prec - 16))
+        # Two quadratic steps short of the stop: from here on, full precision.
+        ramp_ratio = 1 - mp.mpf(10) ** (-(cfg.decimal_digits / 16))
+        bits = max(cfg.mantissa_bits // 4, math.ceil(needed))
+        full_steps = 0
         best_ratio = -1
         stale = 0
         for iteration in range(1, max_iterations + 1):
-            coeffs, e_signed = _solve_levelling(problem, ref)
-            scale = max(abs(problem.target(y)) for y in ref)
-            if abs(e_signed) <= tiny * scale:
-                # Target already in the approximation space.
-                return MinimaxSolution(
-                    coeffs=tuple(coeffs),
-                    error=mp.mpf(0),
-                    alternation=tuple(ref),
-                    signs=tuple(1 if i % 2 == 0 else -1 for i in range(count)),
-                    iterations=iteration,
-                    levelling_ratio=mp.mpf(1),
-                    interval=(lo, hi),
-                )
-            points, values = _locate_extrema(problem, coeffs, ref)
+            full = bits == cfg.mantissa_bits
+            with mp.workprec(bits + GUARD_BITS):
+                coeffs, e_signed = _solve_levelling(problem, ref)
+                scale = max(abs(problem.target(y)) for y in ref)
+                if abs(e_signed) <= mp.mpf(2) ** (16 - mp.prec) * scale:
+                    # Target already in the approximation space; its
+                    # coefficients come from a full-precision levelling.
+                    if not full:
+                        bits = cfg.mantissa_bits
+                        continue
+                    return MinimaxSolution(
+                        coeffs=tuple(coeffs),
+                        error=mp.mpf(0),
+                        alternation=tuple(ref),
+                        signs=tuple(1 if i % 2 == 0 else -1 for i in range(count)),
+                        iterations=iteration,
+                        levelling_ratio=mp.mpf(1),
+                        interval=(lo, hi),
+                    )
+                points, values = _locate_extrema(problem, coeffs, ref)
             abs_vals = [abs(v) for v in values]
             ratio = min(abs_vals) / max(abs_vals)
             signs = [mp.sign(v) for v in values]
@@ -365,7 +403,8 @@ def solve(
                         diagnostics={"points": points, "values": values},
                     )
             ref = points
-            if ratio >= stop_ratio:
+            full_steps += full
+            if full_steps >= 2 and ratio >= stop_ratio:
                 return MinimaxSolution(
                     coeffs=tuple(coeffs),
                     error=max(abs_vals),
@@ -375,6 +414,8 @@ def solve(
                     levelling_ratio=ratio,
                     interval=(lo, hi),
                 )
+            if ratio >= ramp_ratio:
+                bits = cfg.mantissa_bits
             if ratio <= best_ratio * (1 + mp.mpf(10) ** (-4)):
                 stale += 1
                 if stale >= 8:

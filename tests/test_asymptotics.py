@@ -192,6 +192,12 @@ def test_sweep_rejects_non_positive_jobs(jobs, pool_sizes):
     assert pool_sizes == []
 
 
+def test_sweep_rejects_repeated_degrees(pool_sizes):
+    with pytest.raises(InvalidProblemError):
+        compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [3, 2, 3], jobs=2)
+    assert pool_sizes == []
+
+
 def test_predictor_validation():
     with pytest.raises(InvalidProblemError):
         predict_power_error(2, "0.5", 5)

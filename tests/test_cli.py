@@ -258,6 +258,19 @@ def test_sweep_with_zero_jobs_exits_one(tmp_path, capsys):
     assert "jobs" in capsys.readouterr().err
 
 
+def test_sweep_with_repeated_degrees_exits_one(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    code = main(
+        [
+            "sweep", "--family", "absxp", "--p", "1", "--a", "0.5",
+            "--m", "3,3", "--bits", "64", "--output", str(out),
+        ]
+    )
+    assert code == 1
+    assert not out.exists()
+    assert "repeat" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one():
     assert main(["solve", "--no-such-flag"]) == 1
 

@@ -7,6 +7,7 @@ from mpmath import mp
 
 from bernlab import conformal, remez
 from bernlab.errors import InvalidProblemError, PrecisionBudgetError
+from bernlab.precision import GUARD_BITS, PrecisionConfig
 from bernlab.remez import (
     MinimaxProblem,
     ProblemKind,
@@ -161,6 +162,63 @@ def test_slope_matches_numerical_derivative(kind, params, m, frozen, cfg256, fro
             with mp.workprec(2 * cfg256.mantissa_bits):
                 want = mp.diff(lambda u: reduced_deviation(sol, problem, u), y)
             assert abs(got - want) <= mp.mpf("1e-60") * abs(want)
+
+
+@pytest.mark.parametrize("kind, params, m, frozen", FROZEN_ERRORS)
+def test_twice_the_bits_lands_inside_the_bracket(kind, params, m, frozen, cfg256, frozen_solution):
+    # De la Vallee Poussin: the optimal E lies between min|r| over the
+    # alternation set and max|r| over the interval, which the alternation set
+    # holds once no extremum is missed.  This holds whatever path the exchange
+    # took; a 512-bit solve stands in for the optimum.
+    problem, sol = frozen_solution(kind, params, m)
+    finer = solve(problem, PrecisionConfig(mantissa_bits=512)).error
+    with mp.workprec(2 * cfg256.mantissa_bits):
+        levels = [abs(reduced_deviation(sol, problem, y)) for y in sol.alternation]
+        assert min(levels) <= finer <= max(levels)
+
+
+@pytest.mark.parametrize("m", [1, 8, 40])
+@pytest.mark.parametrize(
+    "kind, params",
+    [("power", {"p": "1.5", "a": "0.5"}), ("sgn_laurent", {"k": 2, "a": "0.3"}),
+     ("akhiezer", {"s": "2.5", "b": "1.2"})],
+)
+def test_levelling_matches_dense_solve(kind, params, m, cfg256):
+    # Oracle: the (n+2)^2 Chebyshev-Vandermonde system P(y_i) + s_i h / w(y_i)
+    # = f(y_i), solved by LU on a non-optimal reference (Chebyshev points).
+    problem = build_problem(kind, params, m)
+    with cfg256.workprec():
+        lo, hi = problem.interval_mp()
+        n = problem.degree
+        ref = [(lo + hi) / 2 - (hi - lo) / 2 * mp.cospi(mp.mpf(i) / (n + 1)) for i in range(n + 2)]
+        rows = []
+        for i, y in enumerate(ref):
+            t = (2 * y - (lo + hi)) / (hi - lo)
+            rows.append([mp.chebyt(j, t) for j in range(n + 1)] + [(-1) ** i / problem.weight(y)])
+        dense = mp.lu_solve(mp.matrix(rows), mp.matrix([problem.target(y) for y in ref]))
+        coeffs, h = remez._solve_levelling(problem, ref)
+        assert abs(h - dense[n + 1]) <= mp.mpf("1e-60") * abs(dense[n + 1])
+        scale = max(abs(dense[j]) for j in range(n + 1))
+        assert len(coeffs) == n + 1
+        assert max(abs(c - dense[j]) for j, c in enumerate(coeffs)) <= mp.mpf("1e-60") * scale
+
+
+def test_early_iterations_run_at_reduced_precision(monkeypatch, cfg256):
+    # The precision ramp: the first exchange steps search for extrema below
+    # the working precision, and the last two at the full working precision.
+    precisions = []
+    locate = remez._locate_extrema
+
+    def recording_locate(*args):
+        precisions.append(mp.prec)
+        return locate(*args)
+
+    monkeypatch.setattr(remez, "_locate_extrema", recording_locate)
+    sol = solve(build_power_problem("1.5", "0.5", 8), cfg256)
+    full = cfg256.mantissa_bits + GUARD_BITS
+    assert len(precisions) == sol.iterations
+    assert precisions[0] < full
+    assert precisions[-2:] == [full, full]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -76,7 +76,6 @@ from .conformal import (
 )
 from .asymptotics import (
     AsymptoticsReport,
-    akhiezer_a_from_b,
     akhiezer_b_from_a,
     akhiezer_convert,
     compare,
@@ -150,7 +149,6 @@ __all__ = [
     "slit_map_zero",
     "tooth_density",
     "AsymptoticsReport",
-    "akhiezer_a_from_b",
     "akhiezer_b_from_a",
     "akhiezer_convert",
     "compare",

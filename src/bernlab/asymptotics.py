@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .conformal import far_offset_closed
 from .errors import InvalidProblemError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, check_exponent, check_gap
+from .precision import DEFAULT_CONFIG, PrecisionConfig, check_degrees, check_exponent, check_gap
 from .remez import ProblemKind, build_problem, solve
 from .specialfn import log_gamma
 
@@ -88,14 +88,6 @@ def akhiezer_b_from_a(a):
     check_gap(a)
     a = mp.mpf(a)
     return (1 + a * a) / (1 - a * a)
-
-
-def akhiezer_a_from_b(b):
-    """Inverse of akhiezer_b_from_a: a = sqrt((b-1)/(b+1)) for b > 1."""
-    b = mp.mpf(b)
-    if b <= 1:
-        raise InvalidProblemError("b must exceed 1")
-    return mp.sqrt((b - 1) / (b + 1))
 
 
 def akhiezer_convert(s, a, shifted_error):
@@ -202,11 +194,7 @@ def compare(
     """
     cfg = cfg or DEFAULT_CONFIG
     family = ProblemKind(family)
-    degrees = sorted(int(m) for m in degrees)
-    if not degrees:
-        raise InvalidProblemError("need at least one degree")
-    if len(set(degrees)) != len(degrees):
-        raise InvalidProblemError(f"degrees repeat: {degrees}")
+    degrees = check_degrees(degrees)
     if jobs < 1:
         raise InvalidProblemError("jobs must be a positive integer")
     tasks = [(family, parameters, m, cfg.mantissa_bits) for m in degrees]

@@ -51,21 +51,16 @@ def _render(obj, cfg: PrecisionConfig):
         return {key: _render(val, cfg) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_render(val, cfg) for val in obj]
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, int) or obj is None:
+        # bool is an int subclass and stays a JSON boolean.
         return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, float):
-        # repr of the builtin float; numpy scalars subclass float but
-        # stringify with a type wrapper.
-        return repr(float(obj))
     if isinstance(obj, (mpf, mpc)):
         return _num_str(obj, cfg)
-    if isinstance(obj, ProblemKind):
-        return obj.value
     if isinstance(obj, str):
         return obj
     try:
+        # repr of the builtin float, also for numpy scalars, which
+        # stringify with a type wrapper.
         return repr(float(obj))
     except (TypeError, ValueError):
         return str(obj)
@@ -179,8 +174,7 @@ def _lin_spaced(lo, hi, count: int, cfg: PrecisionConfig):
         lo, hi = mp.mpf(lo), mp.mpf(hi)
         if not lo < hi or count < 2:
             raise InvalidProblemError("need min < max and at least 2 points")
-        step = (hi - lo) / (count - 1)
-        return [lo + step * i for i in range(count)]
+        return mp.linspace(lo, hi, count)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ horizontal slit; log(-zeta) is the principal branch, so the cut sits on
 (|sin(pi p/2)| / scale) * t^(p/2) e^-t with the scale fixed so the mass of
 tau(t)/t is pi.
 
-Every map here evaluates its Cauchy transform in closed form, through
-specialfn's gamma_cauchy_integral (off the cut) and gamma_cauchy_boundary
-(on the upper edge), so no map runs a quadrature.  tooth_density and
+Both maps are zeta - c log(-zeta) + log(scale C(zeta)), with C the closed
+Cauchy transform of t^alpha e^-t, at (alpha, scale, c) = (k - 1/2, 1, k - 1/2)
+for the slit map and (p/2, pi/Gamma(p/2), 0) for the limit map.  One
+evaluator works off the cut (gamma_cauchy_integral), one on the upper edge
+(gamma_cauchy_boundary), so no map runs a quadrature.  tooth_density and
 limit_density give the same densities as DensitySpecs for the quadrature
 route, cauchy_integral and cauchy_boundary, which checks the closed form.
 
@@ -67,11 +69,6 @@ class MapConstants:
     expansion_constant: object
 
 
-def _require_off_cut(zeta):
-    if mp.im(zeta) == 0 and mp.re(zeta) >= 0:
-        raise InvalidProblemError("zeta lies on the cut [0, inf)")
-
-
 def _tooth_exponent(k: int):
     if not isinstance(k, int) or k < 0:
         raise InvalidProblemError("k must be a nonnegative integer")
@@ -83,38 +80,42 @@ def tooth_density(k: int):
     return gamma_density(_tooth_exponent(k))
 
 
+def _map_off_cut(alpha, scale, log_coeff, zeta, cfg):
+    """The map of the module docstring, c = log_coeff, off the cut."""
+    with cfg.workprec():
+        zeta = mp.mpmathify(zeta)
+        if mp.im(zeta) == 0:
+            if mp.re(zeta) >= 0:
+                raise InvalidProblemError("zeta lies on the cut [0, inf)")
+            zeta = mp.re(zeta)
+        cauchy_part = mp.log(scale * gamma_cauchy_integral(alpha, zeta, cfg))
+        log_term = log_coeff * mp.log(-zeta) if log_coeff else 0
+        return ConformalSample(zeta, zeta - log_term + cauchy_part, cauchy_part)
+
+
+def _map_boundary(alpha, scale, log_coeff, xi, cfg):
+    """The same map at xi + i0, xi > 0: log(-zeta) is log(xi) - i*pi there."""
+    with cfg.workprec():
+        xi = mp.mpf(xi)
+        cauchy_part = mp.log(scale * gamma_cauchy_boundary(alpha, xi, cfg))
+        log_term = log_coeff * (mp.log(xi) - mp.mpc(0, mp.pi)) if log_coeff else 0
+        return ConformalSample(mp.mpc(xi, 0), xi - log_term + cauchy_part, cauchy_part)
+
+
 def slit_map(k: int, zeta, cfg: PrecisionConfig | None = None) -> ConformalSample:
     """Evaluate the slit map of index k off the cut.
 
     For k = 0 the map is normalized so its value tends to 0 as zeta -> 0
     along the negative axis.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    with cfg.workprec():
-        zeta = mp.mpmathify(zeta)
-        _require_off_cut(zeta)
-        if mp.im(zeta) == 0:
-            zeta = mp.re(zeta)
-        cau = gamma_cauchy_integral(_tooth_exponent(k), zeta, cfg)
-        half = mp.mpf(1) / 2
-        cauchy_part = mp.log(cau)
-        value = zeta - (k - half) * mp.log(-zeta) + cauchy_part
-        return ConformalSample(zeta, value, cauchy_part)
+    alpha = _tooth_exponent(k)
+    return _map_off_cut(alpha, 1, alpha, zeta, cfg or DEFAULT_CONFIG)
 
 
 def slit_map_boundary(k: int, xi, cfg: PrecisionConfig | None = None) -> ConformalSample:
-    """Boundary value of the slit map at xi + i0, xi > 0.
-
-    log(-zeta) continues to log(xi) - i*pi from above the cut.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    with cfg.workprec():
-        xi = mp.mpf(xi)
-        cau = gamma_cauchy_boundary(_tooth_exponent(k), xi, cfg)
-        half = mp.mpf(1) / 2
-        cauchy_part = mp.log(cau)
-        value = xi - (k - half) * (mp.log(xi) - mp.mpc(0, mp.pi)) + cauchy_part
-        return ConformalSample(mp.mpc(xi, 0), value, cauchy_part)
+    """Boundary value of the slit map at xi + i0, xi > 0."""
+    alpha = _tooth_exponent(k)
+    return _map_boundary(alpha, 1, alpha, xi, cfg or DEFAULT_CONFIG)
 
 
 def phase_density(k: int, t, cfg: PrecisionConfig | None = None):
@@ -158,18 +159,16 @@ def far_offset_closed(k: int, cfg: PrecisionConfig | None = None):
         return log_gamma(mp.mpf(2 * k + 1) / 2, cfg).log_abs - mp.log(mp.pi)
 
 
-def far_offset_far_field(k: int, cfg: PrecisionConfig | None = None, *, radii=(1e4, 1e5, 1e6)):
+def far_offset_far_field(k: int, cfg: PrecisionConfig | None = None):
     """Far-field route: evaluate the map at zeta = -R and extrapolate.
 
     The correction decays like 1/R, so a three-point Richardson fit in
     R0/R removes the first two orders.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if len(radii) != 3:
-        raise InvalidProblemError("need exactly three radii")
     with cfg.workprec():
         half = mp.mpf(1) / 2
-        rs = [mp.mpf(r) for r in radii]
+        rs = [mp.mpf(r) for r in (1e4, 1e5, 1e6)]
         ys = [slit_map(k, -r, cfg).value + r + (k + half) * mp.log(r) for r in rs]
         # Fit y = Y + c1*u + c2*u^2 with u = rs[0]/r and read off Y.
         us = [rs[0] / r for r in rs]
@@ -214,11 +213,12 @@ def far_offset_integral(k: int, cfg: PrecisionConfig | None = None):
         return d + top * mp.log(d) - corr
 
 
-def _limit_exponent_and_scale(p):
-    """p/2 and pi / Gamma(p/2), after rejecting a bad p; call inside workprec."""
+def _limit_exponent_and_scale(p, cfg):
+    """p/2 and pi / Gamma(p/2) at cfg's precision, after rejecting a bad p."""
     check_exponent(p)
-    half = mp.mpf(p) / 2
-    return half, mp.pi / mp.gamma(half)
+    with cfg.workprec():
+        half = mp.mpf(p) / 2
+        return half, mp.pi / mp.gamma(half)
 
 
 def limit_density(p, cfg: PrecisionConfig | None = None):
@@ -227,9 +227,7 @@ def limit_density(p, cfg: PrecisionConfig | None = None):
     With Lambda = |sin(pi p/2)| Gamma(p/2) / pi the sine factors cancel,
     so the scale is pi / Gamma(p/2).
     """
-    cfg = cfg or DEFAULT_CONFIG
-    with cfg.workprec():
-        return gamma_density(*_limit_exponent_and_scale(p))
+    return gamma_density(*_limit_exponent_and_scale(p, cfg or DEFAULT_CONFIG))
 
 
 def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> MapConstants:
@@ -267,28 +265,13 @@ def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> Map
 def limit_map(p, zeta, cfg: PrecisionConfig | None = None) -> ConformalSample:
     """The limit map zeta + log of the Cauchy transform of the limit density."""
     cfg = cfg or DEFAULT_CONFIG
-    with cfg.workprec():
-        zeta = mp.mpmathify(zeta)
-        _require_off_cut(zeta)
-        if mp.im(zeta) == 0:
-            zeta = mp.re(zeta)
-        half, scale = _limit_exponent_and_scale(p)
-        cau = scale * gamma_cauchy_integral(half, zeta, cfg)
-        cauchy_part = mp.log(cau)
-        value = zeta + cauchy_part
-        return ConformalSample(zeta, value, cauchy_part)
+    return _map_off_cut(*_limit_exponent_and_scale(p, cfg), 0, zeta, cfg)
 
 
 def limit_map_boundary(p, xi, cfg: PrecisionConfig | None = None) -> ConformalSample:
     """Boundary value of the limit map at xi + i0, xi > 0."""
     cfg = cfg or DEFAULT_CONFIG
-    with cfg.workprec():
-        xi = mp.mpf(xi)
-        half, scale = _limit_exponent_and_scale(p)
-        cau = scale * gamma_cauchy_boundary(half, xi, cfg)
-        cauchy_part = mp.log(cau)
-        value = xi + cauchy_part
-        return ConformalSample(mp.mpc(xi, 0), value, cauchy_part)
+    return _map_boundary(*_limit_exponent_and_scale(p, cfg), 0, xi, cfg)
 
 
 def sgn_limit_profile(k: int, lam, cfg: PrecisionConfig | None = None):

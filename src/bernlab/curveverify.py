@@ -9,7 +9,7 @@ its conformal-map structure:
   measures nothing but numerical error;
 * the coefficient sequence of P(x) - x^p - tE, ordered by exponent, shows
   exactly m+1 sign changes (a total-positivity fact), with prescribed
-  endpoint signs;
+  endpoint signs (numpy's cheb2poly on mpf objects gives P's monomials);
 * rescaled extremal functions approach the explicit limit profiles as the
   degree grows.
 """
@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from mpmath import mp
+from numpy.polynomial import chebyshev, polynomial
 
 from .conformal import power_limit_profile, sgn_limit_profile
 from .errors import BranchTrackingError, InvalidProblemError, PrecisionBudgetError
-from .precision import DEFAULT_CONFIG, PrecisionConfig
+from .precision import DEFAULT_CONFIG, PrecisionConfig, check_degrees
 from .remez import (
     MinimaxProblem,
     MinimaxSolution,
@@ -130,7 +132,6 @@ def reconstruct_phase(
                 "start the grid at smaller y"
             )
         winding0 = 0 if mp.im(base) > 0 else 1
-        phis = [first]
         windings = [winding0]
 
         prev_y, prev_phi = ys[0], first
@@ -211,34 +212,20 @@ class SignPatternReport:
 
 
 def _monomial_coefficients(coeffs, interval):
-    """Expand a Chebyshev-basis polynomial into monomials of y.
+    """Monomial coefficients in y of a Chebyshev-basis polynomial on interval.
 
-    Done at doubled working precision; the conversion conditioning grows
-    exponentially with the degree, hence the caller's degree cap.
+    numpy's cheb2poly, run on mpf objects, gives the coefficients in
+    s = (2y - (a+b))/(b-a); Horner in s = c0 + c1 y turns them into
+    coefficients in y.  The caller runs this at doubled working precision:
+    the conversion's conditioning grows exponentially with the degree,
+    hence its degree cap.
     """
     a, b = interval
-    # T_j(s) with s = (2y - (a+b))/(b-a); build power series in y.
-    c1 = 2 / (b - a)
-    c0 = -(b + a) / (b - a)
-    deg = len(coeffs) - 1
-    t_prev = [mp.mpf(1)]
-    t_cur = [c0, c1]
-    out = [mp.mpf(0)] * (deg + 1)
-    out[0] += coeffs[0]
-    if deg >= 1:
-        out[0] += coeffs[1] * c0
-        out[1] += coeffs[1] * c1
-    for j in range(2, deg + 1):
-        # T_j = 2 s T_{j-1} - T_{j-2} as coefficient lists.
-        t_next = [mp.mpf(0)] * (j + 1)
-        for i, cval in enumerate(t_cur):
-            t_next[i] += 2 * c0 * cval
-            t_next[i + 1] += 2 * c1 * cval
-        for i, cval in enumerate(t_prev):
-            t_next[i] -= cval
-        for i, cval in enumerate(t_next):
-            out[i] += coeffs[j] * cval
-        t_prev, t_cur = t_cur, t_next
+    s_to_y = [-(b + a) / (b - a), 2 / (b - a)]
+    in_s = chebyshev.cheb2poly(np.array(coeffs, dtype=object))
+    out = in_s[-1:]
+    for c in in_s[-2::-1]:
+        out = polynomial.polyadd(polynomial.polymul(out, s_to_y), [c])
     return out
 
 
@@ -311,13 +298,15 @@ def profile_convergence(
 
     POWER: (m/a)^(p/2) P(sqrt(a/m) lambda) against the power profile.
     SGN_LAURENT: f(sqrt(2a/(2m-1)) lambda) against the sgn profile.
-    solutions, when given, maps m to a pre-solved MinimaxSolution so
-    sweeps can reuse solver output across checks.
+    Each degree may appear once.  solutions, when given, maps m to a
+    pre-solved MinimaxSolution so sweeps can reuse solver output across
+    checks.
     """
     cfg = cfg or DEFAULT_CONFIG
     family = ProblemKind(family)
     if family not in (ProblemKind.POWER, ProblemKind.SGN_LAURENT):
         raise InvalidProblemError("profiles exist for the power and sgn families")
+    degrees = check_degrees(m_list)
     rows = []
     with cfg.workprec():
         lams = [mp.mpf(x) for x in lambda_grid]
@@ -329,7 +318,7 @@ def profile_convergence(
             targets = [power_limit_profile(p, lam, cfg) for lam in lams]
         else:
             targets = [sgn_limit_profile(params["k"], lam, cfg) for lam in lams]
-        for m in sorted(int(m) for m in m_list):
+        for m in degrees:
             problem = build_problem(family, params, m)
             if solutions is not None and m in solutions:
                 sol = solutions[m]

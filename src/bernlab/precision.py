@@ -74,3 +74,13 @@ def check_gap(a) -> float:
     if not 0 < a_f < 1:
         raise InvalidProblemError("a must lie in (0, 1)")
     return a_f
+
+
+def check_degrees(degrees) -> list:
+    """The degrees as sorted ints; reject an empty list or a repeated degree."""
+    degrees = sorted(int(m) for m in degrees)
+    if not degrees:
+        raise InvalidProblemError("need at least one degree")
+    if len(set(degrees)) != len(degrees):
+        raise InvalidProblemError(f"degrees repeat: {degrees}")
+    return degrees

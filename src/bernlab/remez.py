@@ -43,6 +43,9 @@ from mpmath import mp
 from .errors import InvalidProblemError, NonConvergenceError, PrecisionBudgetError
 from .precision import DEFAULT_CONFIG, GUARD_BITS, PrecisionConfig, check_gap
 
+# Exchange steps allowed per solve.
+_MAX_ITERATIONS = 60
+
 
 class ProblemKind(enum.Enum):
     POWER = "power"
@@ -324,7 +327,6 @@ def solve(
     cfg: PrecisionConfig | None = None,
     *,
     initial_reference=None,
-    max_iterations: int = 60,
 ) -> MinimaxSolution:
     """Run the exchange until the deviation levels to the stopping ratio.
 
@@ -372,7 +374,7 @@ def solve(
         full_steps = 0
         best_ratio = -1
         stale = 0
-        for iteration in range(1, max_iterations + 1):
+        for iteration in range(1, _MAX_ITERATIONS + 1):
             full = bits == cfg.mantissa_bits
             with mp.workprec(bits + GUARD_BITS):
                 coeffs, e_signed = _solve_levelling(problem, ref)
@@ -428,7 +430,7 @@ def solve(
             best_ratio = max(best_ratio, ratio)
         raise NonConvergenceError(
             "exchange did not level within the iteration budget",
-            diagnostics={"ratio": best_ratio, "iterations": max_iterations},
+            diagnostics={"ratio": best_ratio, "iterations": _MAX_ITERATIONS},
         )
 
 

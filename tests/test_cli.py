@@ -271,6 +271,34 @@ def test_sweep_with_repeated_degrees_exits_one(tmp_path, capsys):
     assert "repeat" in capsys.readouterr().err
 
 
+def test_profiles_with_repeated_degrees_exits_one(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code = main(
+        [
+            "profiles", "--family", "absxp", "--p", "1.5", "--a", "0.5",
+            "--m", "4,4", "--bits", "64", "--lambda-count", "3",
+            "--format", "csv", "--output", str(out),
+        ]
+    )
+    assert code == 1
+    assert not out.exists()
+    assert "repeat" in capsys.readouterr().err
+
+
+def test_exhausted_iteration_budget_writes_error_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(bernlab.remez, "_MAX_ITERATIONS", 1)
+    code, doc = _run_json(
+        tmp_path,
+        "budget.json",
+        ["solve", "--family", "absxp", "--p", "1.5", "--a", "0.5", "--m", "8"],
+    )
+    assert code == 2
+    error = doc["results"]["error"]
+    assert error["type"] == "NonConvergenceError"
+    assert "iteration budget" in error["message"]
+    assert error["diagnostics"]["iterations"] == 1
+
+
 def test_unknown_flag_exits_one():
     assert main(["solve", "--no-such-flag"]) == 1
 

@@ -16,7 +16,13 @@ from bernlab.errors import (
     InvalidProblemError,
     PrecisionBudgetError,
 )
-from bernlab.remez import ProblemKind, build_power_problem, build_sgn_problem, solve
+from bernlab.remez import (
+    ProblemKind,
+    build_power_problem,
+    build_sgn_problem,
+    clenshaw,
+    solve,
+)
 
 
 def _log_grid(lo, hi, count):
@@ -145,6 +151,23 @@ def test_sign_pattern_needs_power_family(cfg256):
             reconstruct_phase(sol, problem, [mp.mpf("0.1")], cfg256)
 
 
+@pytest.mark.parametrize("m", [1, 8, 16])
+def test_monomial_coefficients_match_clenshaw(cfg256, m):
+    # Horner on the monomial coefficients against the Chebyshev series
+    # itself, at the interval's ends, its middle and outside it.
+    problem = build_power_problem("1.5", "0.5", m)
+    sol = solve(problem, cfg256)
+    with cfg256.workprec(extra=cfg256.mantissa_bits):
+        mono = curveverify._monomial_coefficients(sol.coeffs, sol.interval)
+        a2 = mp.mpf("0.5") ** 2
+        for y in (a2, (a2 + 1) / 2, mp.mpf(1), mp.mpf(2)):
+            horner = mp.mpf(0)
+            for c in reversed(list(mono)):
+                horner = horner * y + c
+            expected = clenshaw(sol.coeffs, sol.interval, y)
+            assert abs(horner - expected) <= mp.mpf("1e-60") * abs(expected)
+
+
 @pytest.mark.parametrize(
     "family,params",
     [
@@ -174,6 +197,17 @@ def test_profiles_accept_preseeded_solutions(solved_power, cfg256):
     with cfg256.workprec():
         assert rows[0].degree == 10
         assert rows[0].sup_distance > 0
+
+
+def test_profiles_reject_repeated_degrees(monkeypatch, cfg128):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the degrees were checked")
+
+    monkeypatch.setattr(curveverify, "solve", no_solve)
+    with pytest.raises(InvalidProblemError, match="degrees repeat"):
+        profile_convergence(
+            ProblemKind.POWER, {"p": "1.5", "a": "0.5"}, [4, 4], ["1"], cfg128
+        )
 
 
 def test_profiles_reject_akhiezer(cfg256):

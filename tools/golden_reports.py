@@ -1,0 +1,99 @@
+"""Write the reports of a fixed set of bernlab commands to a directory.
+
+A refactor is gated on these reports staying byte-identical.  Run the
+script once per checkout and compare the two directories:
+
+    python tools/golden_reports.py OUT_DIR [--src CHECKOUT/src]
+    cmp -s A/solve_absxp_m8.out B/solve_absxp_m8.out   # or: diff -r A B
+
+Each command NAME leaves NAME.out (stdout), NAME.err (stderr) and
+NAME.code (exit code).  The commands run one at a time in fresh
+interpreters with one BLAS thread, so the conjecture reports do not
+depend on the thread count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_POWER = ["--family", "absxp", "--p", "1.5", "--a", "0.5"]
+_SGN = ["--family", "sgn-laurent", "--k", "1", "--a", "0.5"]
+_AKHIEZER = ["--family", "akhiezer", "--s", "1.5", "--b", "2"]
+_SIGN_T = ["--p", "1.5", "--a", "0.5", "--m", "6", "--sign-t=-0.5,0,0.5"]
+_CSV = ["--format", "csv"]
+
+COMMANDS = {
+    "solve_absxp_m8": ["solve", *_POWER, "--m", "8"],
+    "solve_absxp_m8_csv": ["solve", *_POWER, "--m", "8", *_CSV],
+    "solve_absxp_m20": ["solve", *_POWER, "--m", "20"],
+    "solve_sgn_k1_m8": ["solve", *_SGN, "--m", "8"],
+    "solve_sgn_k3_m6": ["solve", "--family", "sgn-laurent", "--k", "3", "--a", "0.3", "--m", "6"],
+    "solve_akhiezer_b2_m8": ["solve", *_AKHIEZER, "--m", "8"],
+    "solve_akhiezer_a05_m8": [
+        "solve", "--family", "akhiezer", "--s", "1.5", "--a", "0.5", "--m", "8",
+    ],
+    "sweep_absxp": ["sweep", *_POWER, "--m", "5..15..5", "--predict", "--jobs", "2"],
+    "sweep_absxp_csv": ["sweep", *_POWER, "--m", "5..15..5", "--predict", "--jobs", "2", *_CSV],
+    "sweep_sgn": ["sweep", *_SGN, "--m", "4..12..4", "--predict"],
+    "sweep_akhiezer": ["sweep", *_AKHIEZER, "--m", "4..12..4", "--predict"],
+    "verify_curve": ["verify-curve", *_SIGN_T],
+    "verify_curve_csv": ["verify-curve", *_SIGN_T, *_CSV],
+    "profiles_absxp": ["profiles", *_POWER, "--m", "4..12..4"],
+    "profiles_sgn": ["profiles", *_SGN, "--m", "4..12..4"],
+    "conformal_boundary_k1": ["conformal", "--k", "1", "--task", "boundary"],
+    "conformal_boundary_p15": ["conformal", "--p", "1.5", "--task", "boundary"],
+    "conformal_offsets_k1": ["conformal", "--k", "1", "--task", "offsets", "--bits", "192"],
+    "conformal_constants_p15": ["conformal", "--p", "1.5", "--task", "constants"],
+    "conformal_constants_p3": ["conformal", "--p", "3", "--task", "constants"],
+    "conformal_zero_k1": ["conformal", "--k", "1", "--task", "zero"],
+    "conformal_zero_k2": ["conformal", "--k", "2", "--task", "zero"],
+    "convert": ["convert", "--s", "1.5", "--a", "0.5"],
+    "convert_error": ["convert", "--s", "1.5", "--a", "0.5", "--l", "8", "--error", "1e-5"],
+    "conjecture_512": ["conjecture", "--nodes", "512"],
+    "conjecture_512_csv": ["conjecture", "--nodes", "512", *_CSV],
+    # Invalid inputs: each exits 1 with a message and no report.
+    "invalid_gamma_pole": [
+        "sweep", "--family", "akhiezer", "--s", "-1", "--b", "2", "--m", "4..12..4", "--predict",
+    ],
+    "invalid_even_p": ["solve", "--family", "absxp", "--p", "2", "--a", "0.5", "--m", "8"],
+    "invalid_gap": ["solve", "--family", "absxp", "--p", "1.5", "--a", "1.5", "--m", "8"],
+    "invalid_both_maps": ["conformal", "--k", "1", "--p", "1.5", "--task", "boundary"],
+    "invalid_sweep_repeat": ["sweep", *_POWER, "--m", "3,3", "--bits", "64", *_CSV],
+    "invalid_profiles_repeat": [
+        "profiles", *_POWER, "--m", "4,4", "--bits", "64", "--lambda-count", "3", *_CSV,
+    ],
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path, help="directory for the reports")
+    parser.add_argument(
+        "--src",
+        type=Path,
+        default=Path(__file__).resolve().parents[1] / "src",
+        help="the src/ directory to import bernlab from (default: this checkout's)",
+    )
+    ns = parser.parse_args(argv)
+    ns.out_dir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(ns.src.resolve()))
+    env.pop("BERNLAB_OUTPUT_DIR", None)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    for name, args in COMMANDS.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "bernlab.cli", *args], env=env, capture_output=True
+        )
+        (ns.out_dir / f"{name}.out").write_bytes(done.stdout)
+        (ns.out_dir / f"{name}.err").write_bytes(done.stderr)
+        (ns.out_dir / f"{name}.code").write_text(f"{done.returncode}\n")
+        print(f"{done.returncode}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,9 +16,18 @@ the interval into segments, each segment's extremum is a root of the
 deviation's derivative or a segment end, and these extrema replace the whole
 reference.  The derivative is closed form: the target's and weight's slopes
 are written out per family, and P' is the Chebyshev derivative series of P
-(as in Pachon & Trefethen's barycentric Remez), evaluated by clenshaw.  Both
-kinds of root come from mpmath's bracketed findroot, through bracketed_root,
-which reuses the values the caller already holds at the bracket's ends.
+(as in Pachon & Trefethen's barycentric Remez).  Both kinds of root come from
+mpmath's bracketed findroot, through bracketed_root, which reuses the values
+the caller already holds at the bracket's ends.
+
+The searches evaluate P and P' with a fixed-point Clenshaw kernel rather than
+clenshaw, which stays for complex and off-interval points.  Once per exchange
+step the coefficients become Python ints scaled by 2^F, F = working bits +
+guard - mag(max|c|); each evaluation runs the recurrence on ints and makes one
+mpf.  The 40 guard bits keep the kernel's noise below findroot's stopping
+tolerance, 2^10 eps at 20 bits above the call's precision, with room for the
+recurrence's O(n^2) error growth; with fewer, each search runs on for more
+evaluations.
 
 Levelling is barycentric and needs no linear solve.  The level h on a
 reference is a ratio of two divided differences; P is then known at the
@@ -39,12 +48,21 @@ import math
 from dataclasses import dataclass, replace
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import InvalidProblemError, NonConvergenceError, PrecisionBudgetError
 from .precision import DEFAULT_CONFIG, GUARD_BITS, PrecisionConfig, check_gap
 
 # Exchange steps allowed per solve.
 _MAX_ITERATIONS = 60
+
+# Guard bits of the fixed-point Clenshaw kernel.  mp.findroot works 20 bits
+# above the precision it is called at and stops on |f| < 2^10 eps there, else
+# runs on to its 30-step cap; the kernel's noise must sit below that, with
+# room for the recurrence's O(n^2) error growth.  With 8, the searches of a
+# 256-bit sgn solve at m = 8 took 10.9 evaluations on average and up to 25,
+# against 8.3 and 13 with 40.
+_KERNEL_GUARD_BITS = 40
 
 
 class ProblemKind(enum.Enum):
@@ -195,6 +213,40 @@ def clenshaw(coeffs, interval, y):
     return t * b1 - b2 + coeffs[0]
 
 
+def _fixed_point_clenshaw(coeffs, interval):
+    """Evaluator of y -> clenshaw(coeffs, interval, y) for mpf coefficients
+    and real mpf y, in integers.
+
+    Block floating point: the coefficients become Python ints scaled by 2^F,
+    F = W - mag(max|c|) with W = mp.prec + _KERNEL_GUARD_BITS, so the
+    absolute error is that of the mpf recurrence for coefficients of any
+    size; t is an int scaled by 2^W.  Each call maps y to t once, runs the
+    recurrence on ints and rounds the one result at the call's mp.prec.
+    """
+    lo, hi = interval
+    wbits = mp.prec + _KERNEL_GUARD_BITS
+    top = max(abs(c) for c in coeffs)
+    fbits = wbits - (mp.mag(top) if top else 0)
+    fixed = [to_fixed(c._mpf_, fbits) for c in coeffs]
+    head, tail = fixed[0], fixed[:0:-1]
+    # t = alpha*y + beta maps the interval onto [-1, 1]; alpha and beta are
+    # rounded at W bits, as alpha*y and beta may nearly cancel.
+    with mp.workprec(wbits):
+        alpha = to_fixed((2 / (hi - lo))._mpf_, wbits)
+        beta = to_fixed((-(lo + hi) / (hi - lo))._mpf_, wbits)
+
+    def evaluate(y):
+        t = ((alpha * to_fixed(y._mpf_, wbits)) >> wbits) + beta
+        b1 = b2 = 0
+        for c in tail:
+            # (2t b1) >> W, as t b1 >> (W - 1).
+            b1, b2 = ((t * b1) >> (wbits - 1)) - b2 + c, b1
+        value = ((t * b1) >> wbits) - b2 + head
+        return mp.make_mpf(from_man_exp(value, -fbits, mp.prec, round_nearest))
+
+    return evaluate
+
+
 def chebyshev_derivative(coeffs, interval):
     """Chebyshev coefficients of dP/dy for P = clenshaw(coeffs, interval, .).
 
@@ -282,15 +334,14 @@ def _locate_extrema(problem, coeffs, ref):
     changes sign.  A segment whose slope keeps one sign peaks at an end.
     """
     lo, hi = problem.interval_mp()
-    dcoeffs = chebyshev_derivative(coeffs, (lo, hi))
+    poly = _fixed_point_clenshaw(coeffs, (lo, hi))
+    dpoly = _fixed_point_clenshaw(chebyshev_derivative(coeffs, (lo, hi)), (lo, hi))
 
     def residual(y):
-        return problem.weight(y) * (problem.target(y) - clenshaw(coeffs, (lo, hi), y))
+        return problem.weight(y) * (problem.target(y) - poly(y))
 
     def slope(y):
-        return problem.deviation_slope(
-            y, clenshaw(coeffs, (lo, hi), y), clenshaw(dcoeffs, (lo, hi), y)
-        )
+        return problem.deviation_slope(y, poly(y), dpoly(y))
 
     r_ref = [residual(y) for y in ref]
     roots = []
@@ -372,7 +423,7 @@ def solve(
         ramp_ratio = 1 - mp.mpf(10) ** (-(cfg.decimal_digits / 16))
         bits = max(cfg.mantissa_bits // 4, math.ceil(needed))
         full_steps = 0
-        best_ratio = -1
+        best_ratio, best_bits = -1, bits
         stale = 0
         for iteration in range(1, _MAX_ITERATIONS + 1):
             full = bits == cfg.mantissa_bits
@@ -416,22 +467,32 @@ def solve(
                     levelling_ratio=ratio,
                     interval=(lo, hi),
                 )
-            if ratio >= ramp_ratio:
-                bits = cfg.mantissa_bits
             if ratio <= best_ratio * (1 + mp.mpf(10) ** (-4)):
                 stale += 1
                 if stale >= 8:
                     raise NonConvergenceError(
                         "levelling ratio stagnated",
-                        diagnostics={"ratio": ratio, "iteration": iteration},
+                        diagnostics={**_ratio_diagnostics(ratio, bits), "iteration": iteration},
                     )
             else:
                 stale = 0
-            best_ratio = max(best_ratio, ratio)
+            if ratio > best_ratio:
+                best_ratio, best_bits = ratio, bits
+            if ratio >= ramp_ratio:
+                bits = cfg.mantissa_bits
         raise NonConvergenceError(
             "exchange did not level within the iteration budget",
-            diagnostics={"ratio": best_ratio, "iterations": _MAX_ITERATIONS},
+            diagnostics={
+                **_ratio_diagnostics(best_ratio, best_bits),
+                "iterations": _MAX_ITERATIONS,
+            },
         )
+
+
+def _ratio_diagnostics(ratio, bits):
+    """A levelling ratio rendered to the decimal digits of the bits of the
+    exchange step that produced it, and those bits."""
+    return {"ratio": mp.nstr(ratio, max(1, int(bits * math.log10(2)))), "bits": bits}
 
 
 def eval_solution(sol: MinimaxSolution, problem: MinimaxProblem, x):

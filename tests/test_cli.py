@@ -297,6 +297,11 @@ def test_exhausted_iteration_budget_writes_error_report(tmp_path, monkeypatch):
     assert error["type"] == "NonConvergenceError"
     assert "iteration budget" in error["message"]
     assert error["diagnostics"]["iterations"] == 1
+    # The only step ran below the working precision; its ratio keeps only
+    # the digits of that step's bits.
+    digits = error["diagnostics"]["ratio"].lower().split("e")[0].replace(".", "").lstrip("-0")
+    assert 0 < len(digits) <= 30
+    assert error["diagnostics"]["bits"] < 256
 
 
 def test_unknown_flag_exits_one():

@@ -240,6 +240,35 @@ def test_chebyshev_derivative_series(coeffs, lo, width, u, cfg128):
         assert abs(got - want) <= mp.mpf("1e-30") * (abs(want) + scale)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    coeffs=st.lists(st.floats(-1, 1), min_size=1, max_size=61),
+    scale=st.integers(-200, 200),
+    bits=st.sampled_from([64, 256, 1024]),
+    lo=st.floats(-3, 2),
+    width=st.floats(0.01, 5),
+    u=st.floats(-1, 2),
+)
+def test_fixed_point_clenshaw_matches_clenshaw(coeffs, scale, bits, lo, width, u):
+    # Degrees 0-60 and coefficients of size 2^-200 to 2^200; u outside [0, 1]
+    # puts y off the interval, where |T_n(t)| grows to rho^n.
+    with mp.workprec(bits):
+        interval = (mp.mpf(lo), mp.mpf(lo) + mp.mpf(width))
+        cs = [mp.ldexp(mp.mpf(c), scale) for c in coeffs]
+        y = interval[0] + mp.mpf(width) * mp.mpf(u)
+        evaluate = remez._fixed_point_clenshaw(cs, interval)
+        got = evaluate(y)
+        assert evaluate(y) == got
+        assert remez._fixed_point_clenshaw(cs, interval)(y) == got
+        with mp.workprec(2 * bits + 64):
+            want = clenshaw(cs, interval, y)
+            t = abs(2 * y - (interval[0] + interval[1])) / mp.mpf(width)
+            rho = t + mp.sqrt(t * t - 1) if t > 1 else 1
+            n = len(cs) - 1
+            bound = mp.ldexp(1, -bits) * (n + 1) ** 2 * max(abs(c) for c in cs) * rho**n
+            assert abs(got - want) <= bound
+
+
 @pytest.fixture
 def recorded_searches(monkeypatch):
     """Route every bracketed_root call through a recorder of f's arguments;
@@ -271,6 +300,24 @@ def test_exchange_never_reevaluates_bracket_ends(recorded_searches, monkeypatch,
     for _, lo, hi, seen in recorded_searches:
         assert seen
         assert lo not in seen and hi not in seen
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        (ProblemKind.POWER, {"p": "1.5", "a": "0.5"}),
+        (ProblemKind.SGN_LAURENT, {"k": 1, "a": "0.5"}),
+        (ProblemKind.AKHIEZER, {"s": "1.5", "b": "2"}),
+    ],
+)
+def test_extremum_searches_stay_within_evaluation_budget(recorded_searches, kind, params, cfg256):
+    # findroot stops on |f| < 2^10 eps at 20 bits above the working
+    # precision; if the residual's noise floor sits above that, each search
+    # runs on toward findroot's 30-step cap instead of stopping at 7-10.
+    solve(build_problem(kind, params, 8), cfg256)
+    counts = [len(seen) for *_, seen in recorded_searches]
+    assert sum(counts) / len(counts) <= 10
+    assert max(counts) <= 20
 
 
 def test_zero_search_never_reevaluates_bracket_ends(recorded_searches, monkeypatch, cfg256):

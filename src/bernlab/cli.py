@@ -45,6 +45,12 @@ def _num_str(x, cfg: PrecisionConfig) -> str:
         return mp.nstr(x, cfg.decimal_digits, strip_zeros=True)
 
 
+def _residual_str(x) -> str:
+    """A residual to 3 significant digits.  It is rounding noise far below
+    its tolerance, so only its order of magnitude carries information."""
+    return mp.nstr(x, 3)
+
+
 def _render(obj, cfg: PrecisionConfig):
     """JSON-safe deep conversion; high-precision values become strings."""
     if isinstance(obj, dict):
@@ -256,9 +262,9 @@ def _cmd_verify_curve(ns: argparse.Namespace, cfg: PrecisionConfig):
     payload = {
         "family": "absxp",
         "error_E": sol.error,
-        "max_relative_residual": max_res,
+        "max_relative_residual": _residual_str(max_res),
         "trace": [
-            {"y": y, "u": u, "v": v, "winding": w, "residual": r}
+            {"y": y, "u": u, "v": v, "winding": w, "residual": _residual_str(r)}
             for y, u, v, w, r in zip(
                 trace.y_grid, trace.u, trace.v, trace.branch_windings, residuals
             )
@@ -352,8 +358,9 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
     if ns.task == "boundary":
         rows = _boundary_residuals(ns, cfg)
         with cfg.workprec():
-            payload["max_residual"] = max(abs(r) for _, r, _ in rows)
-            payload["max_pv_residual"] = max(abs(r) for _, _, r in rows)
+            payload["max_residual"] = _residual_str(max(abs(r) for _, r, _ in rows))
+            payload["max_pv_residual"] = _residual_str(max(abs(r) for _, _, r in rows))
+        rows = [(xi, _residual_str(r), _residual_str(pv)) for xi, r, pv in rows]
         payload["rows"] = [
             {"xi": xi, "residual": r, "pv_residual": pv} for xi, r, pv in rows
         ]

@@ -13,6 +13,13 @@ conformal map in this package, through the incomplete-gamma form of DLMF 8.6,
         = Gamma(alpha+1) w^alpha e^w Gamma(-alpha, w) / pi,   w = -zeta,
 
 on mpmath's principal branches, whose cuts lie on w <= 0, the support.
+On the cut, DLMF 8.5.1, gamma(a, z) = a^-1 z^a e^-z M(1, 1+a, z), turns the
+real part at xi + i0 into one real Kummer function,
+
+    PV/pi = Gamma(alpha) M(1, 1-alpha, -xi) / pi
+            - cot(pi alpha) xi^alpha e^-xi,
+
+so gamma_cauchy_boundary needs no complex incomplete gamma function.
 gamma_cauchy_integral and gamma_cauchy_boundary mirror the quadrature pair;
 the conformal maps use them, and the quadrature pair is their oracle.
 """
@@ -122,15 +129,27 @@ def gamma_cauchy_integral(alpha, zeta, cfg: PrecisionConfig | None = None):
 
 
 def gamma_cauchy_boundary(alpha, xi, cfg: PrecisionConfig | None = None):
-    """Boundary value at xi + i0, xi > 0, of gamma_cauchy_integral.
+    """Boundary value at xi + i0, xi > 0, of gamma_cauchy_integral, alpha > -1
+    and not an integer.
 
-    The closed form at w = -xi is the limit from below the cut, so its real
-    part is the principal value PV/pi; the imaginary part is the density
-    xi^alpha e^-xi itself, as in cauchy_boundary.
+    The real part is the principal value PV/pi, in the Kummer form of DLMF
+    8.5.1 (see the module docstring); the imaginary part is the density
+    xi^alpha e^-xi itself, as in cauchy_boundary.  cospi(alpha) is exactly 0
+    at half-integer alpha, the exponent of every slit map and of the limit
+    map for odd p, so there the cot term drops out without rounding.  Near
+    an integer alpha both terms have a pole that cancels, and the
+    subtraction runs with as many extra bits as the pole costs.  No map in
+    the package has an integer exponent (check_exponent rejects even p).
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         xi = _on_support(xi)
         alpha = mp.mpf(alpha)
-        pv = mp.re(_gamma_closed_form(alpha, -xi))
-        return mp.mpc(pv, xi**alpha * mp.exp(-xi))
+        offset = alpha - mp.nint(alpha)
+        if not offset:
+            raise ValueError("the Kummer form needs a non-integer exponent alpha")
+        with mp.extraprec(max(0, -mp.mag(offset))):
+            density = xi**alpha * mp.exp(-xi)
+            pv = mp.gamma(alpha) * mp.hyp1f1(1, 1 - alpha, -xi) / mp.pi
+            pv -= mp.cospi(alpha) / mp.sinpi(alpha) * density
+        return mp.mpc(pv, density)

@@ -19,15 +19,20 @@ closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 from mpmath import mp
+from mpmath.libmp import from_float, from_man_exp, round_nearest, to_fixed
 
 from ..errors import QuadratureError
 from ..precision import DEFAULT_CONFIG, PrecisionConfig
 
 _node_cache: dict[tuple[int, int], tuple[list, list]] = {}
+
+# Guard bits of the fixed-point Newton in gauss_legendre_nodes.
+_GL_GUARD_BITS = 32
 
 
 def _substitution_order(alpha_f: float, limit: int = 12) -> int | None:
@@ -38,38 +43,70 @@ def _substitution_order(alpha_f: float, limit: int = 12) -> int | None:
     return None
 
 
+def _legendre_pair(x: float, n: int):
+    """P_n(x) and P_(n-1)(x) in double precision, n >= 1."""
+    p_prev, p_cur = 1.0, x
+    for j in range(2, n + 1):
+        p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
+    return p_cur, p_prev
+
+
+def _fixed_legendre_pair(x: int, n: int, wbits: int):
+    """P_n(x) and P_(n-1)(x) for x, and the results, Python ints scaled by 2^wbits."""
+    p_prev, p_cur = 1 << wbits, x
+    for j in range(2, n + 1):
+        p_prev, p_cur = p_cur, ((2 * j - 1) * ((x * p_cur) >> wbits) - (j - 1) * p_prev) // j
+    return p_cur, p_prev
+
+
 def gauss_legendre_nodes(n: int):
     """Nodes and weights of n-point Gauss-Legendre on [-1, 1].
 
-    Computed at the current mpmath precision by Newton iteration on the
-    Legendre recurrence, and cached per (precision, n).
+    Each positive node starts from a Tricomi-style guess, is refined by
+    Newton on the Legendre recurrence in double precision, and then by
+    Newton in fixed point: Python ints scaled by 2^W, W = mp.prec plus
+    _GL_GUARD_BITS = 32 guard bits, which absorb the recurrence's
+    per-step rounding (a few units of 2^-W over n steps).  The weight
+    2 (1 - x^2) / (n (x P_n - P_(n-1)))^2 is formed at W bits too, and each
+    node and weight is rounded once at mp.prec.  Odd n has the middle node 0
+    exactly.  Cached per (precision, n).  Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013), for the seed-then-Newton scheme.
     """
     key = (mp.prec, n)
     cached = _node_cache.get(key)
     if cached is not None:
         return cached
+    prec = mp.prec
+    wbits = prec + _GL_GUARD_BITS
+    one = 1 << wbits
     nodes = [mp.mpf(0)] * n
     weights = [mp.mpf(0)] * n
-    one = mp.mpf(1)
     for i in range((n + 1) // 2):
-        # Tricomi-style initial guess, then Newton to full precision.
-        x = mp.cos(mp.pi * (i + mp.mpf(3) / 4) / (n + mp.mpf(1) / 2))
-        for _ in range(mp.prec.bit_length() + 4):
-            p_prev, p_cur = one, x
-            for j in range(2, n + 1):
-                p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-            deriv = n * (x * p_cur - p_prev) / (x * x - 1)
-            dx = p_cur / deriv
-            x -= dx
-            if abs(dx) < mp.mpf(2) ** (-mp.prec + 4) * (abs(x) + 1):
-                break
-        p_prev, p_cur = one, x
-        for j in range(2, n + 1):
-            p_prev, p_cur = p_cur, ((2 * j - 1) * x * p_cur - (j - 1) * p_prev) / j
-        deriv = n * (x * p_cur - p_prev) / (x * x - 1)
-        w = 2 / ((1 - x * x) * deriv * deriv)
-        nodes[i], weights[i] = -x, w
-        nodes[n - 1 - i], weights[n - 1 - i] = x, w
+        x = 0
+        if 2 * i + 1 < n:
+            xf = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+            for _ in range(8):
+                p_cur, p_prev = _legendre_pair(xf, n)
+                dx = p_cur * (xf * xf - 1) / (n * (xf * p_cur - p_prev))
+                xf -= dx
+                if abs(dx) < 1e-15:
+                    break
+            x = to_fixed(from_float(xf), wbits)
+            for _ in range(wbits.bit_length() + 4):
+                p_cur, p_prev = _fixed_legendre_pair(x, n, wbits)
+                dx = p_cur * (((x * x) >> wbits) - one) // (n * (((x * p_cur) >> wbits) - p_prev))
+                x -= dx
+                # A step under 2^(16 - W) leaves an error of order its
+                # square: far below the final rounding.
+                if abs(dx) < 1 << (_GL_GUARD_BITS // 2):
+                    break
+        p_cur, p_prev = _fixed_legendre_pair(x, n, wbits)
+        d = ((x * p_cur) >> wbits) - p_prev
+        w = ((one - ((x * x) >> wbits)) << (2 * wbits + 1)) // (n * n * d * d)
+        node = mp.make_mpf(from_man_exp(x, -wbits, prec, round_nearest))
+        weight = mp.make_mpf(from_man_exp(w, -wbits, prec, round_nearest))
+        nodes[i], weights[i] = -node, weight
+        nodes[n - 1 - i], weights[n - 1 - i] = node, weight
     _node_cache[key] = (nodes, weights)
     return nodes, weights
 

@@ -99,8 +99,9 @@ def test_criterion_1_special_function_oracles(cfg256):
 
 def test_criterion_2_boundary_identity(cfg256):
     # Im of the quadrature transform is the density; its principal value is
-    # checked against the DLMF 8.6 closed form that the maps themselves use,
-    # relative to |closed form| (never 0, since Im is the density).
+    # checked against the closed form that the maps themselves use (DLMF 8.6,
+    # on the cut in its Kummer form), relative to |closed form| (never 0,
+    # since Im is the density).
     with cfg256.workprec():
         xis = _log_points("0.1", "10", 9)
         worst = worst_pv = mp.mpf(0)

@@ -1,10 +1,12 @@
 """Cauchy transforms off and on the positive half-line."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from bernlab.errors import CutViolationError
-from bernlab.precision import PrecisionConfig
+from bernlab.precision import GUARD_BITS, PrecisionConfig
 from bernlab.specialfn import (
     DensitySpec,
     cauchy_boundary,
@@ -115,3 +117,41 @@ def test_closed_form_rejects_support_points(cfg256):
         gamma_cauchy_integral("0.5", 0, cfg256)
     with pytest.raises(CutViolationError):
         gamma_cauchy_boundary("0.5", -1, cfg256)
+
+
+def test_closed_boundary_rejects_integer_exponent(cfg256):
+    # Both Kummer terms have a pole at integer alpha.
+    with pytest.raises(ValueError):
+        gamma_cauchy_boundary(1, 2, cfg256)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.one_of(
+        st.sampled_from([mp.mpf(2 * k - 1) / 2 for k in range(5)]),
+        st.floats(0, 6, exclude_min=True, exclude_max=True)
+        .filter(lambda p: p != int(p))
+        .map(lambda p: mp.mpf(p) / 2),
+    ),
+    log10_xi=st.floats(-6, 4),
+    bits=st.sampled_from([64, 256, 1024]),
+)
+def test_boundary_kummer_form_matches_incomplete_gamma(alpha, log10_xi, bits):
+    # The Kummer form on the cut against the DLMF 8.6 incomplete-gamma route
+    # at 2*bits + 100: within 32 units in the last place of the working
+    # precision.  p/2 for non-integer p reaches integer alpha as closely as
+    # a double allows, where both Kummer terms have a pole.
+    cfg = PrecisionConfig(mantissa_bits=bits)
+    xi = mp.mpf(10.0**log10_xi)
+    got = gamma_cauchy_boundary(alpha, xi, cfg)
+    with mp.workprec(2 * bits + 100):
+        w = -xi
+        ref = mp.conj(
+            mp.gamma(alpha + 1) * w**alpha * mp.exp(w) * mp.gammainc(-alpha, w) / mp.pi
+        )
+        ulp = mp.mpf(2) ** (mp.mag(ref) - bits - GUARD_BITS)
+        assert abs(got - ref) <= 32 * ulp
+    if 2 * alpha == int(2 * alpha):
+        # cospi is exactly 0 at half-integers: the cot term adds nothing.
+        with cfg.workprec():
+            assert mp.re(got) == mp.gamma(alpha) * mp.hyp1f1(1, 1 - alpha, -xi) / mp.pi

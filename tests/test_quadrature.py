@@ -25,6 +25,22 @@ def test_gauss_legendre_exactness(cfg128):
         assert abs(total - mp.mpf(2) / 15) < mp.mpf("1e-35")
 
 
+@pytest.mark.parametrize("prec, n", [(64, 1), (64, 7), (128, 21), (288, 42), (1088, 60)])
+def test_gauss_legendre_nodes_are_correctly_rounded(prec, n):
+    # Every node and weight within 2 ulps of a build at 2*prec + 64 bits;
+    # odd rules have the middle node 0 exactly, and the weights sum to 2.
+    with mp.workprec(2 * prec + 64):
+        ref_nodes, ref_weights = gauss_legendre_nodes(n)
+    with mp.workprec(prec):
+        nodes, weights = gauss_legendre_nodes(n)
+    if n % 2:
+        assert nodes[n // 2] == 0
+    with mp.workprec(2 * prec + 64):
+        for got, ref in zip(nodes + weights, ref_nodes + ref_weights):
+            assert got == ref == 0 or abs(got - ref) <= 2 * mp.mpf(2) ** (mp.mag(ref) - prec)
+        assert abs(mp.fsum(weights) - 2) <= mp.mpf(2) ** (3 - prec)
+
+
 def test_unit_interval_constant(cfg256):
     with cfg256.workprec():
         got = integrate_finite(lambda t: mp.mpf(1), 0, 1, cfg256)

@@ -46,6 +46,9 @@ COMMANDS = {
     "profiles_sgn": ["profiles", *_SGN, "--m", "4..12..4"],
     "conformal_boundary_k1": ["conformal", "--k", "1", "--task", "boundary"],
     "conformal_boundary_p15": ["conformal", "--p", "1.5", "--task", "boundary"],
+    # alpha = -1/2, where Gamma(alpha) < 0, and odd p, where the cot term is 0.
+    "conformal_boundary_k0": ["conformal", "--k", "0", "--task", "boundary"],
+    "conformal_boundary_p3": ["conformal", "--p", "3", "--task", "boundary"],
     "conformal_offsets_k1": ["conformal", "--k", "1", "--task", "offsets", "--bits", "192"],
     "conformal_constants_p15": ["conformal", "--p", "1.5", "--task", "constants"],
     "conformal_constants_p3": ["conformal", "--p", "3", "--task", "constants"],

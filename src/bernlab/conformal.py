@@ -121,11 +121,16 @@ def slit_map_boundary(k: int, xi, cfg: PrecisionConfig | None = None) -> Conform
 def phase_density(k: int, t, cfg: PrecisionConfig | None = None):
     """(1/pi) * Im of the slit map on the upper edge of the cut.
 
-    Ranges over (k - 1/2, k + 1/2) and tends to k + 1/2 as t -> inf.
+    There -(k - 1/2) log(-zeta) adds (k - 1/2) pi and the log of the Cauchy
+    transform C adds arg C, so this is k - 1/2 + atan2(Im C, Re C)/pi, with
+    no complex log.  Ranges over (k - 1/2, k + 1/2) and tends to k + 1/2 as
+    t -> inf.
     """
     cfg = cfg or DEFAULT_CONFIG
+    alpha = _tooth_exponent(k)
     with cfg.workprec():
-        return mp.im(slit_map_boundary(k, t, cfg).value) / mp.pi
+        transform = gamma_cauchy_boundary(alpha, t, cfg)
+        return alpha + mp.atan2(transform.imag, transform.real) / mp.pi
 
 
 def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 1e6)):

@@ -16,18 +16,22 @@ the interval into segments, each segment's extremum is a root of the
 deviation's derivative or a segment end, and these extrema replace the whole
 reference.  The derivative is closed form: the target's and weight's slopes
 are written out per family, and P' is the Chebyshev derivative series of P
-(as in Pachon & Trefethen's barycentric Remez).  Both kinds of root come from
-mpmath's bracketed findroot, through bracketed_root, which reuses the values
-the caller already holds at the bracket's ends.
+(as in Pachon & Trefethen's barycentric Remez).
+
+Both kinds of root come from bracketed_root, an Anderson-Bjoerck regula
+falsi that reuses the values the caller already holds at the bracket's ends
+and stops once its bracket is as narrow as the search needs.  A residual root
+only bounds a segment, and a few correct bits keep the slope's sign right at
+the segment's end, so it is found to 2^-24 of the gap between its reference
+points.  An extremum is found to 2^-(prec/2 + 16) of its segment: the
+residual is stationary there, so a location error d moves the extremum's
+value, and the next levelling, by O(d^2) (Powell 1981, ch. 9).
 
 The searches evaluate P and P' with a fixed-point Clenshaw kernel rather than
 clenshaw, which stays for complex and off-interval points.  Once per exchange
 step the coefficients become Python ints scaled by 2^F, F = working bits +
 guard - mag(max|c|); each evaluation runs the recurrence on ints and makes one
-mpf.  The 40 guard bits keep the kernel's noise below findroot's stopping
-tolerance, 2^10 eps at 20 bits above the call's precision, with room for the
-recurrence's O(n^2) error growth; with fewer, each search runs on for more
-evaluations.
+mpf.
 
 Levelling is barycentric and needs no linear solve.  The level h on a
 reference is a ratio of two divided differences; P is then known at the
@@ -48,7 +52,26 @@ import math
 from dataclasses import dataclass, replace
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import (
+    fhalf,
+    finf,
+    fone,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    mpf_sign,
+    mpf_sub,
+    round_nearest,
+    to_fixed,
+)
 
 from .errors import InvalidProblemError, NonConvergenceError, PrecisionBudgetError
 from .precision import DEFAULT_CONFIG, GUARD_BITS, PrecisionConfig, check_gap
@@ -56,13 +79,22 @@ from .precision import DEFAULT_CONFIG, GUARD_BITS, PrecisionConfig, check_gap
 # Exchange steps allowed per solve.
 _MAX_ITERATIONS = 60
 
-# Guard bits of the fixed-point Clenshaw kernel.  mp.findroot works 20 bits
-# above the precision it is called at and stops on |f| < 2^10 eps there, else
-# runs on to its 30-step cap; the kernel's noise must sit below that, with
-# room for the recurrence's O(n^2) error growth.  With 8, the searches of a
-# 256-bit sgn solve at m = 8 took 10.9 evaluations on average and up to 25,
-# against 8.3 and 13 with 40.
+# Guard bits of the fixed-point Clenshaw kernel.  The values it gives at the
+# located extrema become E and the levelling ratio, so its error, which grows
+# like n^2 ulps of max|c| through the recurrence (2^12 at degree 60), must sit
+# below the rounding of the residual there; 40 bits leave room far beyond
+# the degrees solved today.  The searches stop on a bracket width, not on
+# |f|, so the kernel's noise does not set their length: with 8 guard bits a
+# 256-bit solve at m = 8 or 40 takes the same evaluations per search.
 _KERNEL_GUARD_BITS = 40
+
+# Steps allowed per bracketed_root search; the exchange's searches take 3-17.
+_MAX_ROOT_STEPS = 100
+
+# The searches' tolerances: residual roots to 2^-24 of the gap between their
+# reference points, extrema to 2^-(prec/2 + 16) of their segment.
+_ROOT_TOL_BITS = 24
+_EXTREMUM_TOL_BITS = 16
 
 
 class ProblemKind(enum.Enum):
@@ -263,24 +295,67 @@ def chebyshev_derivative(coeffs, interval):
     return [scale * c for c in d[: max(n, 1)]]
 
 
-def bracketed_root(f, lo, hi, f_lo, f_hi):
+def bracketed_root(f, lo, hi, f_lo, f_hi, xtol=None):
     """Root of f on [lo, hi], where f_lo = f(lo) and f_hi = f(hi) differ in sign.
 
-    mpmath's Anderson-Bjoerck findroot evaluates the bracket's ends before
-    its first step, once to detect the dimension and once to start; those
-    calls are answered from f_lo and f_hi, so f runs at interior points only.
+    Anderson and Bjoerck's regula falsi (BIT 13, 1973), run at the caller's
+    precision.  The bracket [a, b], with b the last iterate, holds the root;
+    each step evaluates f at the secant point c and keeps the end where f
+    changes sign.  When c lands on b's side, a's value is scaled by
+    1 - f(c)/f(b), or by 1/2 if that is not positive, so a kept end cannot
+    stall the iteration.
+
+    The search stops on the bracket, not on |f|: it returns the secant point
+    of the first bracket at most xtol wide, so the root is within xtol of it.
+    To get there, c stays at least xtol/2 inside the bracket.  A shorter
+    secant step from b is lengthened to xtol/2, where f changes sign once the
+    secant is that close, which leaves a bracket xtol/2 wide.  A step not
+    shorter than half the step before last becomes a bisection, so an f whose
+    slope varies by orders of magnitude over the bracket cannot hold the
+    search at one end.  xtol is never less than two ulps of the larger end,
+    which is also its default.
+
+    f runs at interior points only: f_lo and f_hi stand for the ends.  The
+    loop's own arithmetic is on raw mpf tuples; on mpf objects it cost about
+    as much as an evaluation of the exchange's residual.
     """
-
-    # A single parameter: findroot first tries f(*bracket) and falls back
-    # to f(lo) on the TypeError.
-    def known_ends(y):
-        if y == lo:
-            return f_lo
-        if y == hi:
-            return f_hi
-        return f(y)
-
-    return mp.findroot(known_ends, (lo, hi), solver="anderson", verify=False)
+    prec = mp.prec
+    a, fa, b, fb = lo._mpf_, f_lo._mpf_, hi._mpf_, f_hi._mpf_
+    half_tol = fzero if xtol is None else mpf_shift(xtol._mpf_, -1)
+    before_last = last = finf  # lengths of the last two steps
+    for _ in range(_MAX_ROOT_STEPS):
+        gap = mpf_sub(a, b, prec, round_nearest)
+        step = mpf_div(mpf_mul(fb, gap), mpf_sub(fb, fa, prec, round_nearest), prec, round_nearest)
+        # Never less than an ulp of the larger end, so c never rounds onto an end.
+        top = a if mpf_gt(mpf_abs(a), mpf_abs(b)) else b
+        ulp = (0, 1, top[2] + top[3] - prec, 1)
+        half = half_tol if mpf_gt(half_tol, ulp) else ulp
+        width = mpf_abs(gap)
+        if mpf_le(width, mpf_shift(half, 1)):
+            return mp.make_mpf(mpf_add(b, step, prec, round_nearest))
+        inward = half if mpf_sign(gap) > 0 else mpf_neg(half)
+        size = mpf_abs(step)
+        far = mpf_sub(width, half)  # exact, so a secant step past it stays off a
+        if mpf_lt(size, half):
+            c, size = mpf_add(b, inward, prec, round_nearest), half
+        elif mpf_gt(size, far):
+            c, size = mpf_sub(a, inward, prec, round_nearest), far
+        else:
+            c = mpf_add(b, step, prec, round_nearest)
+        if not mpf_lt(size, mpf_shift(before_last, -1)):
+            size = mpf_shift(width, -1)
+            c = mpf_add(b, mpf_shift(gap, -1), prec, round_nearest)
+        before_last, last = last, size
+        fc = f(mp.make_mpf(c))._mpf_
+        if fc == fzero:
+            return mp.make_mpf(c)
+        if mpf_sign(fc) != mpf_sign(fb):
+            a, fa = b, fb
+        else:
+            scale = mpf_sub(fone, mpf_div(fc, fb, prec, round_nearest), prec, round_nearest)
+            fa = mpf_mul(fa, scale if mpf_sign(scale) > 0 else fhalf, prec, round_nearest)
+        b, fb = c, fc
+    return mp.make_mpf(b)
 
 
 def _solve_levelling(problem, ref):
@@ -355,7 +430,10 @@ def _locate_extrema(problem, coeffs, ref):
                 "residual does not alternate on the reference",
                 diagnostics={"reference": ref, "values": r_ref},
             )
-        roots.append(bracketed_root(residual, ref[i], ref[i + 1], r_ref[i], r_ref[i + 1]))
+        roots.append(bracketed_root(
+            residual, ref[i], ref[i + 1], r_ref[i], r_ref[i + 1],
+            xtol=mp.ldexp(ref[i + 1] - ref[i], -_ROOT_TOL_BITS),
+        ))
 
     bounds = [lo] + roots + [hi]
     slopes = [slope(y) for y in bounds]
@@ -364,7 +442,10 @@ def _locate_extrema(problem, coeffs, ref):
     for i in range(len(bounds) - 1):
         a, b = bounds[i], bounds[i + 1]
         if slopes[i] * slopes[i + 1] < 0:
-            x = bracketed_root(slope, a, b, slopes[i], slopes[i + 1])
+            x = bracketed_root(
+                slope, a, b, slopes[i], slopes[i + 1],
+                xtol=mp.ldexp(b - a, -(mp.prec // 2 + _EXTREMUM_TOL_BITS)),
+            )
             v = residual(x)
         else:
             x, v = max(((a, residual(a)), (b, residual(b))), key=lambda xv: abs(xv[1]))

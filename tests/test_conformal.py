@@ -142,6 +142,21 @@ def test_phase_density_range_and_limit(cfg256):
             assert abs(cf.phase_density(k, mp.mpf(10) ** 4, cfg256) - hi) < mp.mpf("0.01")
 
 
+@pytest.mark.parametrize("bits", [96, 256])
+def test_phase_density_is_the_argument_of_the_boundary_map(bits):
+    # One atan2 of the transform against the imaginary part of the boundary
+    # map, whose complex logs it replaces.  The density lies in
+    # (k - 1/2, k + 1/2) and is a sum with k - 1/2, so ulps are of k + 1/2.
+    cfg = PrecisionConfig(mantissa_bits=bits)
+    with cfg.workprec():
+        ts = [mp.mpf(10) ** (-4 + j * mp.log10(6e5) / 24) for j in range(25)]
+        for k in range(4):
+            ulp = mp.ldexp(k + mp.mpf(1) / 2, -mp.prec)
+            for t in ts:
+                want = mp.im(cf.slit_map_boundary(k, t, cfg).value) / mp.pi
+                assert abs(cf.phase_density(k, t, cfg) - want) <= 8 * ulp
+
+
 def test_zero_location_is_a_zero(cfg256):
     with cfg256.workprec():
         for k in (1, 2):

@@ -1,7 +1,7 @@
 """Exchange solver: closed-form oracles, optimality certificates, invariants."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -269,13 +269,66 @@ def test_fixed_point_clenshaw_matches_clenshaw(coeffs, scale, bits, lo, width, u
             assert abs(got - want) <= bound
 
 
+# Increasing functions with h(0) = 0, so h(s (y - r)) has its one root at r
+# and its sign there is exact at any precision.
+_MONOTONE = {"cubic": lambda u: u**3 + u, "expm1": mp.expm1, "atan": mp.atan, "sinh": mp.sinh}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from(sorted(_MONOTONE)),
+    root_exp=st.floats(-8, 3),
+    negative=st.booleans(),
+    left_exp=st.floats(-6, 1),
+    right_exp=st.floats(-6, 1),
+    scale_exp=st.floats(-2, 2),
+    rising=st.booleans(),
+    bits=st.sampled_from([64, 256, 1024]),
+    tol_bits=st.one_of(st.none(), st.integers(1, 200)),
+)
+# A secant step shorter than xtol, taken as the stop, ends the first search
+# 1.4 xtol from the root; in the second the regula falsi keeps to the flat end
+# of e^(-10 y), and mpmath's findroot stopped at its 30-step cap 8e-3 away.
+@example("atan", 0.0, False, 0.0, 1.0, 1.0, False, 64, 4)
+@example("expm1", 0.0, False, 0.0, 0.0, 1.0, False, 64, None)
+def test_bracketed_root_finds_known_roots(
+    shape, root_exp, negative, left_exp, right_exp, scale_exp, rising, bits, tol_bits
+):
+    # Roots of size 1e-8 to 1e3 at both ends of brackets 1e-6 to 10 wide on
+    # either side, slopes spread over four decades, and expm1, whose two ends
+    # differ by up to e^1000.  With xtol the result must be within xtol of
+    # the root, by default within 4 ulps; f never runs at or beyond an end.
+    with mp.workprec(bits):
+        root = mp.mpf(10**root_exp) * (-1 if negative else 1)
+        lo = root - mp.mpf(10**left_exp)
+        hi = root + mp.mpf(10**right_exp)
+        scale = mp.mpf(10**scale_exp) * (1 if rising else -1)
+        seen = []
+
+        def f(y):
+            seen.append(y)
+            return _MONOTONE[shape](scale * (y - root))
+
+        f_lo, f_hi = f(lo), f(hi)
+        seen.clear()
+        xtol = None
+        if tol_bits is not None:
+            xtol = mp.ldexp(hi - lo, -min(tol_bits, bits // 2))
+        got = bracketed_root(f, lo, hi, f_lo, f_hi, xtol)
+        assert all(lo < y < hi for y in seen)
+        if xtol is None:
+            assert abs(got - root) <= mp.ldexp(abs(root), 2 - bits)
+        else:
+            assert abs(got - root) <= xtol
+
+
 @pytest.fixture
 def recorded_searches(monkeypatch):
     """Route every bracketed_root call through a recorder of f's arguments;
     collects (f's name, lo, hi, points f was evaluated at) per search."""
     searches = []
 
-    def recording_root(f, lo, hi, f_lo, f_hi):
+    def recording_root(f, lo, hi, f_lo, f_hi, xtol=None):
         seen = []
 
         def recorder(y):
@@ -283,7 +336,7 @@ def recorded_searches(monkeypatch):
             return f(y)
 
         searches.append((f.__name__, lo, hi, seen))
-        return bracketed_root(recorder, lo, hi, f_lo, f_hi)
+        return bracketed_root(recorder, lo, hi, f_lo, f_hi, xtol)
 
     monkeypatch.setattr(remez, "bracketed_root", recording_root)
     monkeypatch.setattr(conformal, "bracketed_root", recording_root)
@@ -302,7 +355,7 @@ def test_exchange_never_reevaluates_bracket_ends(recorded_searches, monkeypatch,
         assert lo not in seen and hi not in seen
 
 
-@pytest.mark.parametrize(
+_BUDGET_PROBLEMS = pytest.mark.parametrize(
     "kind, params",
     [
         (ProblemKind.POWER, {"p": "1.5", "a": "0.5"}),
@@ -310,14 +363,35 @@ def test_exchange_never_reevaluates_bracket_ends(recorded_searches, monkeypatch,
         (ProblemKind.AKHIEZER, {"s": "1.5", "b": "2"}),
     ],
 )
-def test_extremum_searches_stay_within_evaluation_budget(recorded_searches, kind, params, cfg256):
-    # findroot stops on |f| < 2^10 eps at 20 bits above the working
-    # precision; if the residual's noise floor sits above that, each search
-    # runs on toward findroot's 30-step cap instead of stopping at 7-10.
+
+
+def _evaluations_per_search(searches, name):
+    counts = [len(seen) for f_name, *_, seen in searches if f_name == name]
+    assert counts
+    return sum(counts) / len(counts), max(counts)
+
+
+@_BUDGET_PROBLEMS
+def test_residual_root_searches_stay_within_evaluation_budget(recorded_searches, kind, params, cfg256):
+    # A residual root only bounds a segment, so its search stops at 2^-24 of
+    # the gap between its reference points: 6.0 evaluations on average and at
+    # most 8 at m = 8, where searches to full precision take 8.1 and 11.
     solve(build_problem(kind, params, 8), cfg256)
-    counts = [len(seen) for *_, seen in recorded_searches]
-    assert sum(counts) / len(counts) <= 10
-    assert max(counts) <= 20
+    mean, most = _evaluations_per_search(recorded_searches, "residual")
+    assert mean <= 7
+    assert most <= 14
+
+
+@_BUDGET_PROBLEMS
+def test_extremum_searches_stay_within_evaluation_budget(recorded_searches, kind, params, cfg256):
+    # An extremum is located to 2^-(prec/2 + 16) of its segment, as the
+    # residual is stationary there: 8.6-9.0 evaluations on average and at
+    # most 12 at m = 8.  A search that runs into the slope's noise floor, or
+    # toward the step cap, takes far more.
+    solve(build_problem(kind, params, 8), cfg256)
+    mean, most = _evaluations_per_search(recorded_searches, "slope")
+    assert mean <= 10
+    assert most <= 14
 
 
 def test_zero_search_never_reevaluates_bracket_ends(recorded_searches, monkeypatch, cfg256):

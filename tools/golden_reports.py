@@ -30,6 +30,7 @@ COMMANDS = {
     "solve_absxp_m8": ["solve", *_POWER, "--m", "8"],
     "solve_absxp_m8_csv": ["solve", *_POWER, "--m", "8", *_CSV],
     "solve_absxp_m20": ["solve", *_POWER, "--m", "20"],
+    "solve_absxp_m40": ["solve", *_POWER, "--m", "40"],
     "solve_sgn_k1_m8": ["solve", *_SGN, "--m", "8"],
     "solve_sgn_k3_m6": ["solve", "--family", "sgn-laurent", "--k", "3", "--a", "0.3", "--m", "6"],
     "solve_akhiezer_b2_m8": ["solve", *_AKHIEZER, "--m", "8"],
@@ -37,6 +38,8 @@ COMMANDS = {
         "solve", "--family", "akhiezer", "--s", "1.5", "--a", "0.5", "--m", "8",
     ],
     "sweep_absxp": ["sweep", *_POWER, "--m", "5..15..5", "--predict", "--jobs", "2"],
+    # The benchmark's sweep (perfbench minimax, op4_s).
+    "sweep_absxp_bench": ["sweep", *_POWER, "--m", "2..6..2", "--predict", "--jobs", "2"],
     "sweep_absxp_csv": ["sweep", *_POWER, "--m", "5..15..5", "--predict", "--jobs", "2", *_CSV],
     "sweep_sgn": ["sweep", *_SGN, "--m", "4..12..4", "--predict"],
     "sweep_akhiezer": ["sweep", *_AKHIEZER, "--m", "4..12..4", "--predict"],

@@ -25,24 +25,40 @@ only bounds a segment, and a few correct bits keep the slope's sign right at
 the segment's end, so it is found to 2^-24 of the gap between its reference
 points.  An extremum is found to 2^-(prec/2 + 16) of its segment: the
 residual is stationary there, so a location error d moves the extremum's
-value, and the next levelling, by O(d^2) (Powell 1981, ch. 9).
+value, and the next levelling, by O(d^2) (Powell 1981, ch. 9).  At the
+reduced-precision steps that tolerance is capped at the slope's noise floor,
+about 2^-(prec - decay_bits) of the segment, below which a search only
+chases rounding.
 
+The exchange step makes no mpf object per evaluation.  Each family's
+target, weight, residual and slope are written once, on raw mpf tuples, by
+_deviation, which converts the family's constants once per step;
+MinimaxProblem.target, weight and deviation_slope are mpf wrappers over it.
 The searches evaluate P and P' with a fixed-point Clenshaw kernel rather than
 clenshaw, which stays for complex and off-interval points.  Once per exchange
-step the coefficients become Python ints scaled by 2^F, F = working bits +
-guard - mag(max|c|); each evaluation runs the recurrence on ints and makes one
-mpf.
+step the coefficients become Python ints scaled by 2^F, F = W - mag(max|c|)
+with W = working bits + guard; each evaluation runs the recurrence on ints
+and rounds one raw result.
 
 Levelling is barycentric and needs no linear solve.  The level h on a
 reference is a ratio of two divided differences; P is then known at the
 reference points, is carried to the Chebyshev extreme points by the
 barycentric formula and turned into coefficients by a DCT-I, all in O(n^2).
+It runs in block floating point on Python ints at the kernel's W bits: t
+and the cosines as ints scaled by 2^W, each barycentric weight as a product
+kept to a W-bit mantissa and an exponent and then put on one shared scale,
+the samples by integer division, and the DCT-I as integer dots.  Its
+absolute error is that of an mpf levelling at W bits, a few ulps of max|c|
+at the working precision; the mpf levelling stays in the tests as the
+oracle.
 
 Precision ramps up within one solve.  The early exchange steps run at the
 precision budget's own figure, max(mantissa_bits/4, decay_bits + 48) plus
 guard bits; once the levelling ratio is within 10^-(digits/16) of 1, two
 quadratic steps short of the stop, every step runs at the full working
-precision, and the solve returns only after at least two such steps.
+precision, and the solve returns only after at least two such steps.  Each
+step first rounds its reference to its own precision, as y^e with y stored
+at more bits than that can go wrong in mpmath 1.3.0 (see solve).
 """
 
 from __future__ import annotations
@@ -56,16 +72,20 @@ from mpmath.libmp import (
     fhalf,
     finf,
     fone,
+    from_int,
     from_man_exp,
+    from_rational,
     fzero,
     mpf_abs,
     mpf_add,
+    mpf_cos_pi,
     mpf_div,
     mpf_gt,
     mpf_le,
     mpf_lt,
     mpf_mul,
     mpf_neg,
+    mpf_pow,
     mpf_shift,
     mpf_sign,
     mpf_sub,
@@ -95,6 +115,10 @@ _MAX_ROOT_STEPS = 100
 # reference points, extrema to 2^-(prec/2 + 16) of their segment.
 _ROOT_TOL_BITS = 24
 _EXTREMUM_TOL_BITS = 16
+
+# Bits by which a reduced step's extremum tolerance stays coarser than the
+# slope's noise floor, 2^-(prec - decay_bits) of the segment.
+_NOISE_MARGIN_BITS = 8
 
 
 class ProblemKind(enum.Enum):
@@ -127,25 +151,16 @@ class MinimaxProblem:
         return a * a, mp.mpf(1)
 
     def target(self, y):
-        if self.kind is ProblemKind.POWER:
-            return y ** (mp.mpf(self.p) / 2)
-        if self.kind is ProblemKind.SGN_LAURENT:
-            return y ** (mp.mpf(self.k) - mp.mpf(1) / 2)
-        return (mp.mpf(self.b) + y) ** (-mp.mpf(self.s))
+        return mp.make_mpf(_deviation(self)[0](mp.mpf(y)._mpf_))
 
     def weight(self, y):
-        if self.kind is ProblemKind.SGN_LAURENT:
-            return y ** (mp.mpf(1) / 2 - mp.mpf(self.k))
-        return mp.mpf(1)
+        return mp.make_mpf(_deviation(self)[1](mp.mpf(y)._mpf_))
 
     def deviation_slope(self, y, poly, dpoly):
         """d/dy of weight(y) * (target(y) - P(y)), given P(y) and P'(y)."""
-        if self.kind is ProblemKind.POWER:
-            return mp.mpf(self.p) / 2 * self.target(y) / y - dpoly
-        if self.kind is ProblemKind.SGN_LAURENT:
-            # weight * target is 1, so only the weight's slope meets P.
-            return -self.weight(y) * ((mp.mpf(1) / 2 - self.k) * poly / y + dpoly)
-        return -mp.mpf(self.s) * self.target(y) / (mp.mpf(self.b) + y) - dpoly
+        poly, dpoly = mp.mpf(poly)._mpf_, mp.mpf(dpoly)._mpf_
+        slope = _deviation(self, lambda _: poly, lambda _: dpoly)[3]
+        return mp.make_mpf(slope(mp.mpf(y)._mpf_))
 
     def decay_bits(self) -> float:
         """Rough size of -log2(E), used for the precision budget check."""
@@ -215,6 +230,74 @@ def build_problem(kind, params: dict, m: int) -> MinimaxProblem:
     return build_akhiezer_problem(params["s"], params["b"], m)
 
 
+def _unit_weight(y):
+    return fone
+
+
+def _deviation(problem, poly=None, dpoly=None):
+    """The family's formulas on raw mpf tuples, rounded at mp.prec:
+    (target, weight, residual, slope), each a function of y, with
+    residual(y) = w(y) (f(y) - P(y)) and slope(y) its derivative in y.
+
+    poly and dpoly map y to P(y) and P'(y); residual reads P, slope reads P'
+    and, for the sgn family only, P.  The family's constants are converted
+    here, once.
+    """
+    prec, rnd = mp.prec, round_nearest
+    if problem.kind is ProblemKind.POWER:
+        half_p = mpf_shift(mp.mpf(problem.p)._mpf_, -1)
+        slope_exp = mpf_sub(half_p, fone, prec, rnd)
+
+        def target(y):
+            return mpf_pow(y, half_p, prec, rnd)
+
+        def residual(y):
+            return mpf_sub(target(y), poly(y), prec, rnd)
+
+        def slope(y):
+            rise = mpf_mul(half_p, mpf_pow(y, slope_exp, prec, rnd), prec, rnd)
+            return mpf_sub(rise, dpoly(y), prec, rnd)
+
+        return target, _unit_weight, residual, slope
+
+    if problem.kind is ProblemKind.SGN_LAURENT:
+        rise_exp = from_man_exp(2 * problem.k - 1, -1)  # k - 1/2
+        weight_exp = mpf_neg(rise_exp)
+
+        def target(y):
+            return mpf_pow(y, rise_exp, prec, rnd)
+
+        def weight(y):
+            return mpf_pow(y, weight_exp, prec, rnd)
+
+        def residual(y):
+            # weight * target is 1.
+            return mpf_sub(fone, mpf_mul(weight(y), poly(y), prec, rnd), prec, rnd)
+
+        def slope(y):
+            # Only the weight's slope meets P.
+            inner = mpf_add(mpf_div(mpf_mul(weight_exp, poly(y)), y, prec, rnd), dpoly(y), prec, rnd)
+            return mpf_neg(mpf_mul(weight(y), inner, prec, rnd))
+
+        return target, weight, residual, slope
+
+    b = mp.mpf(problem.b)._mpf_
+    neg_s = mpf_neg(mp.mpf(problem.s)._mpf_)
+    slope_exp = mpf_sub(neg_s, fone, prec, rnd)
+
+    def target(y):
+        return mpf_pow(mpf_add(b, y, prec, rnd), neg_s, prec, rnd)
+
+    def residual(y):
+        return mpf_sub(target(y), poly(y), prec, rnd)
+
+    def slope(y):
+        fall = mpf_mul(neg_s, mpf_pow(mpf_add(b, y, prec, rnd), slope_exp, prec, rnd), prec, rnd)
+        return mpf_sub(fall, dpoly(y), prec, rnd)
+
+    return target, _unit_weight, residual, slope
+
+
 @dataclass(frozen=True)
 class MinimaxSolution:
     """Chebyshev-basis coefficients plus the equioscillation certificate."""
@@ -247,16 +330,18 @@ def clenshaw(coeffs, interval, y):
 
 def _fixed_point_clenshaw(coeffs, interval):
     """Evaluator of y -> clenshaw(coeffs, interval, y) for mpf coefficients
-    and real mpf y, in integers.
+    and real y, on raw mpf tuples and integers.
 
     Block floating point: the coefficients become Python ints scaled by 2^F,
     F = W - mag(max|c|) with W = mp.prec + _KERNEL_GUARD_BITS, so the
     absolute error is that of the mpf recurrence for coefficients of any
-    size; t is an int scaled by 2^W.  Each call maps y to t once, runs the
-    recurrence on ints and rounds the one result at the call's mp.prec.
+    size; t is an int scaled by 2^W.  Each call maps the raw y to t once,
+    runs the recurrence on ints and rounds the one raw result at the mp.prec
+    the evaluator was made at.
     """
     lo, hi = interval
-    wbits = mp.prec + _KERNEL_GUARD_BITS
+    prec = mp.prec
+    wbits = prec + _KERNEL_GUARD_BITS
     top = max(abs(c) for c in coeffs)
     fbits = wbits - (mp.mag(top) if top else 0)
     fixed = [to_fixed(c._mpf_, fbits) for c in coeffs]
@@ -268,13 +353,13 @@ def _fixed_point_clenshaw(coeffs, interval):
         beta = to_fixed((-(lo + hi) / (hi - lo))._mpf_, wbits)
 
     def evaluate(y):
-        t = ((alpha * to_fixed(y._mpf_, wbits)) >> wbits) + beta
+        t = ((alpha * to_fixed(y, wbits)) >> wbits) + beta
         b1 = b2 = 0
         for c in tail:
             # (2t b1) >> W, as t b1 >> (W - 1).
             b1, b2 = ((t * b1) >> (wbits - 1)) - b2 + c, b1
         value = ((t * b1) >> wbits) - b2 + head
-        return mp.make_mpf(from_man_exp(value, -fbits, mp.prec, round_nearest))
+        return from_man_exp(value, -fbits, prec, round_nearest)
 
     return evaluate
 
@@ -315,13 +400,23 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, xtol=None):
     search at one end.  xtol is never less than two ulps of the larger end,
     which is also its default.
 
-    f runs at interior points only: f_lo and f_hi stand for the ends.  The
-    loop's own arithmetic is on raw mpf tuples; on mpf objects it cost about
-    as much as an evaluation of the exchange's residual.
+    f runs at interior points only: f_lo and f_hi stand for the ends.  This
+    is the mpf face of _bracket_search, whose loop, like the exchange's f,
+    runs on raw mpf tuples.
     """
+    root = _bracket_search(
+        lambda y: f(mp.make_mpf(y))._mpf_,
+        lo._mpf_, hi._mpf_, f_lo._mpf_, f_hi._mpf_,
+        fzero if xtol is None else xtol._mpf_,
+    )
+    return mp.make_mpf(root)
+
+
+def _bracket_search(f, a, b, fa, fb, xtol):
+    """bracketed_root on raw mpf tuples at mp.prec: f maps a raw y to a raw
+    value, and xtol is raw, fzero for the default."""
     prec = mp.prec
-    a, fa, b, fb = lo._mpf_, f_lo._mpf_, hi._mpf_, f_hi._mpf_
-    half_tol = fzero if xtol is None else mpf_shift(xtol._mpf_, -1)
+    half_tol = mpf_shift(xtol, -1)
     before_last = last = finf  # lengths of the last two steps
     for _ in range(_MAX_ROOT_STEPS):
         gap = mpf_sub(a, b, prec, round_nearest)
@@ -332,7 +427,7 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, xtol=None):
         half = half_tol if mpf_gt(half_tol, ulp) else ulp
         width = mpf_abs(gap)
         if mpf_le(width, mpf_shift(half, 1)):
-            return mp.make_mpf(mpf_add(b, step, prec, round_nearest))
+            return mpf_add(b, step, prec, round_nearest)
         inward = half if mpf_sign(gap) > 0 else mpf_neg(half)
         size = mpf_abs(step)
         far = mpf_sub(width, half)  # exact, so a secant step past it stays off a
@@ -346,16 +441,33 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, xtol=None):
             size = mpf_shift(width, -1)
             c = mpf_add(b, mpf_shift(gap, -1), prec, round_nearest)
         before_last, last = last, size
-        fc = f(mp.make_mpf(c))._mpf_
+        fc = f(c)
         if fc == fzero:
-            return mp.make_mpf(c)
+            return c
         if mpf_sign(fc) != mpf_sign(fb):
             a, fa = b, fb
         else:
             scale = mpf_sub(fone, mpf_div(fc, fb, prec, round_nearest), prec, round_nearest)
             fa = mpf_mul(fa, scale if mpf_sign(scale) > 0 else fhalf, prec, round_nearest)
         b, fb = c, fc
-    return mp.make_mpf(b)
+    return b
+
+
+def _shift(x, bits):
+    """x * 2^bits for an int x, floored."""
+    return x << bits if bits >= 0 else x >> -bits
+
+
+def _cos_table(n, wbits):
+    """cos(pi k/n) for k = 0 .. 2n-1 as ints scaled by 2^wbits: the first
+    quarter period computed, the rest by symmetry, so 0 and +-1 are exact."""
+    quarter = [to_fixed(mpf_cos_pi(from_rational(k, n, wbits + 8), wbits, round_nearest), wbits)
+               for k in range(n // 2 + 1)]
+    table = []
+    for k in range(2 * n):
+        r = min(k, 2 * n - k)
+        table.append(quarter[r] if 2 * r <= n else -quarter[n - r])
+    return table
 
 
 def _solve_levelling(problem, ref):
@@ -367,90 +479,132 @@ def _solve_levelling(problem, ref):
     P is then known at the reference points; its values at the Chebyshev
     extreme points cos(pi k/n) come from the barycentric formula through all
     reference points but one interior one, and a DCT-I turns them into
-    coefficients.  O(n^2) throughout.
+    coefficients.  O(n^2) throughout, in block floating point on ints at
+    W = mp.prec + _KERNEL_GUARD_BITS bits (see the module docstring); only
+    h and the coefficients are rounded, at mp.prec.
     """
-    lo, hi = problem.interval_mp()
+    prec, rnd = mp.prec, round_nearest
+    wbits = prec + _KERNEL_GUARD_BITS
     n = problem.degree
-    t = [(2 * y - (lo + hi)) / (hi - lo) for y in ref]
-    lam = [1 / mp.fprod(ti - tj for j, tj in enumerate(t) if j != i) for i, ti in enumerate(t)]
-    f = [problem.target(y) for y in ref]
-    sigma_w = [(1 if i % 2 == 0 else -1) / problem.weight(y) for i, y in enumerate(ref)]
-    h = mp.fdot(lam, f) / mp.fdot(lam, sigma_w)
-    # Dropping node d from the interpolation set multiplies lam_i by t_i - t_d.
+    lo, hi = (x._mpf_ for x in problem.interval_mp())
+    target, weight, _, _ = _deviation(problem)
+    ref = [y._mpf_ for y in ref]
+    # t at W bits, exactly -1 and 1 at the interval's ends.
+    mid, span = mpf_add(lo, hi), mpf_sub(hi, lo)
+    t = [to_fixed(mpf_div(mpf_sub(mpf_shift(y, 1), mid), span, wbits, rnd), wbits) for y in ref]
+    # lam_i as the product of its differences, kept to a W-bit mantissa with
+    # exponent e, inverted to 2^(2W) // mantissa at exponent -e - 2W (the
+    # differences' own 2^-W scales are common to all i), then on one scale.
+    lam = []
+    for i, ti in enumerate(t):
+        man, exp = 1, 0
+        for j, tj in enumerate(t):
+            if j != i:
+                man *= ti - tj
+                extra = man.bit_length() - wbits
+                if extra > 0:
+                    man >>= extra
+                    exp += extra
+        lam.append(((1 << 2 * wbits) // man, -exp - 2 * wbits))
+    top = max(m.bit_length() + e for m, e in lam)
+    lam = [_shift(m, e - top + wbits) for m, e in lam]
+    # f and the signed 1/w, each as ints on its own scale.
+    f = [target(y) for y in ref]
+    inv_w = [mpf_div(fone, weight(y), prec, rnd) for y in ref]
+    fbits = wbits - max(v[2] + v[3] for v in f if v[1])
+    wsbits = wbits - max(v[2] + v[3] for v in inv_w)
+    f = [to_fixed(v, fbits) for v in f]
+    sigma_w = [(-1) ** i * to_fixed(v, wsbits) for i, v in enumerate(inv_w)]
+    # h = num/den 2^(wsbits - fbits), kept as H 2^-(shift + fbits - wsbits)
+    # with H about W bits long.
+    num = sum(li * fi for li, fi in zip(lam, f))
+    den = sum(li * si for li, si in zip(lam, sigma_w))
+    shift = wbits - num.bit_length() + den.bit_length()
+    big_h = _shift(num, shift) // den
+    h = from_man_exp(big_h, -(shift + fbits - wsbits), prec, rnd)
+    # Dropping node d from the interpolation set multiplies lam_i by t_i - t_d;
+    # the values f_i - h sigma_i / w_i are on f's scale.
     d = (n + 1) // 2
-    nodes = [(ti, li * (ti - t[d]), fi - h * si)
+    nodes = [(ti, (li * (ti - t[d])) >> wbits, fi - _shift(big_h * si, -shift))
              for i, (ti, li, fi, si) in enumerate(zip(t, lam, f, sigma_w)) if i != d]
-    cos_table = [mp.cospi(mp.mpf(j) / n) for j in range(2 * n)]
+    table = _cos_table(n, wbits)
     samples = []
-    for x in cos_table[: n + 1]:
+    for x in table[: n + 1]:
         hit = [v for ti, _, v in nodes if ti == x]
         if hit:
             samples.append(hit[0])
             continue
-        q = [mu / (x - ti) for ti, mu, _ in nodes]
-        samples.append(mp.fdot(q, [v for *_, v in nodes]) / mp.fsum(q))
-    samples[0] /= 2
-    samples[n] /= 2
-    coeffs = [
-        2 * mp.fdot(samples, [cos_table[j * k % (2 * n)] for k in range(n + 1)]) / n
-        for j in range(n + 1)
-    ]
-    coeffs[0] /= 2
-    coeffs[n] /= 2
-    return coeffs, h
+        q = [(mu << wbits) // (x - ti) for ti, mu, _ in nodes]
+        samples.append(sum(qi * v for qi, (*_, v) in zip(q, nodes)) // sum(q))
+    # DCT-I with the end samples halved, as twice the sum with the rest doubled.
+    doubled = [s if k in (0, n) else 2 * s for k, s in enumerate(samples)]
+    n_raw = from_int(n)
+    coeffs = []
+    for j in range(n + 1):
+        dot = sum(s * table[j * k % (2 * n)] for k, s in enumerate(doubled))
+        coeffs.append(mpf_div(from_man_exp(dot, -(fbits + wbits)), n_raw, prec, rnd))
+    coeffs[0] = mpf_shift(coeffs[0], -1)
+    coeffs[n] = mpf_shift(coeffs[n], -1)
+    return [mp.make_mpf(c) for c in coeffs], mp.make_mpf(h)
 
 
-def _locate_extrema(problem, coeffs, ref):
+def _locate_extrema(problem, coeffs, ref, extremum_bits):
     """Roots of the residual between reference points, then one extremum
-    per root-bounded segment.
+    per root-bounded segment, found to 2^-extremum_bits of the segment.
 
-    Both searches are bracketed_root: on the residual for the roots, and on
+    Both searches are _bracket_search: on the residual for the roots, and on
     its closed-form slope for an extremum inside a segment whose slope
     changes sign.  A segment whose slope keeps one sign peaks at an end.
+    Everything between the mpf reference in and the mpf extrema out runs on
+    raw tuples.
     """
-    lo, hi = problem.interval_mp()
-    poly = _fixed_point_clenshaw(coeffs, (lo, hi))
-    dpoly = _fixed_point_clenshaw(chebyshev_derivative(coeffs, (lo, hi)), (lo, hi))
-
-    def residual(y):
-        return problem.weight(y) * (problem.target(y) - poly(y))
-
-    def slope(y):
-        return problem.deviation_slope(y, poly(y), dpoly(y))
-
+    prec, rnd = mp.prec, round_nearest
+    interval = problem.interval_mp()
+    _, _, residual, slope = _deviation(
+        problem,
+        _fixed_point_clenshaw(coeffs, interval),
+        _fixed_point_clenshaw(chebyshev_derivative(coeffs, interval), interval),
+    )
+    ref = [y._mpf_ for y in ref]
     r_ref = [residual(y) for y in ref]
     roots = []
     for i in range(len(ref) - 1):
-        if r_ref[i] == 0:
+        if r_ref[i] == fzero:
             roots.append(ref[i])
             continue
-        if mp.sign(r_ref[i]) == mp.sign(r_ref[i + 1]):
+        if mpf_sign(r_ref[i]) == mpf_sign(r_ref[i + 1]):
             # Levelling degenerated; let the caller diagnose it.
             raise NonConvergenceError(
                 "residual does not alternate on the reference",
-                diagnostics={"reference": ref, "values": r_ref},
+                diagnostics={
+                    "reference": [mp.make_mpf(y) for y in ref],
+                    "values": [mp.make_mpf(v) for v in r_ref],
+                },
             )
-        roots.append(bracketed_root(
+        roots.append(_bracket_search(
             residual, ref[i], ref[i + 1], r_ref[i], r_ref[i + 1],
-            xtol=mp.ldexp(ref[i + 1] - ref[i], -_ROOT_TOL_BITS),
+            mpf_shift(mpf_sub(ref[i + 1], ref[i], prec, rnd), -_ROOT_TOL_BITS),
         ))
 
-    bounds = [lo] + roots + [hi]
+    bounds = [interval[0]._mpf_] + roots + [interval[1]._mpf_]
     slopes = [slope(y) for y in bounds]
     points = []
     values = []
     for i in range(len(bounds) - 1):
         a, b = bounds[i], bounds[i + 1]
-        if slopes[i] * slopes[i + 1] < 0:
-            x = bracketed_root(
+        if mpf_sign(slopes[i]) * mpf_sign(slopes[i + 1]) < 0:
+            x = _bracket_search(
                 slope, a, b, slopes[i], slopes[i + 1],
-                xtol=mp.ldexp(b - a, -(mp.prec // 2 + _EXTREMUM_TOL_BITS)),
+                mpf_shift(mpf_sub(b, a, prec, rnd), -extremum_bits),
             )
             v = residual(x)
         else:
-            x, v = max(((a, residual(a)), (b, residual(b))), key=lambda xv: abs(xv[1]))
-        points.append(x)
-        values.append(v)
+            x, v = a, residual(a)
+            v_b = residual(b)
+            if mpf_gt(mpf_abs(v_b), mpf_abs(v)):
+                x, v = b, v_b
+        points.append(mp.make_mpf(x))
+        values.append(mp.make_mpf(v))
     return points, values
 
 
@@ -469,7 +623,8 @@ def solve(
     the expected E would drown in roundoff.
     """
     cfg = cfg or DEFAULT_CONFIG
-    needed = problem.decay_bits() + 48
+    decay = problem.decay_bits()
+    needed = decay + 48
     if cfg.mantissa_bits < needed:
         raise PrecisionBudgetError(
             f"predicted deviation needs about {needed:.0f} mantissa bits, "
@@ -509,6 +664,11 @@ def solve(
         for iteration in range(1, _MAX_ITERATIONS + 1):
             full = bits == cfg.mantissa_bits
             with mp.workprec(bits + GUARD_BITS):
+                # mpmath 1.3.0's mpf_log, which y^e runs through, returns
+                # about d rather than -log 4 for y = (1 + d)/4 stored with
+                # more bits than the precision; a reference point from the
+                # caller or the Chebyshev start has them.
+                ref = [+y for y in ref]
                 coeffs, e_signed = _solve_levelling(problem, ref)
                 scale = max(abs(problem.target(y)) for y in ref)
                 if abs(e_signed) <= mp.mpf(2) ** (16 - mp.prec) * scale:
@@ -526,7 +686,12 @@ def solve(
                         levelling_ratio=mp.mpf(1),
                         interval=(lo, hi),
                     )
-                points, values = _locate_extrema(problem, coeffs, ref)
+                extremum_bits = mp.prec // 2 + _EXTREMUM_TOL_BITS
+                if not full:
+                    extremum_bits = min(
+                        extremum_bits, mp.prec - math.ceil(decay) - _NOISE_MARGIN_BITS
+                    )
+                points, values = _locate_extrema(problem, coeffs, ref, extremum_bits)
             abs_vals = [abs(v) for v in values]
             ratio = min(abs_vals) / max(abs_vals)
             signs = [mp.sign(v) for v in values]

@@ -182,6 +182,32 @@ def test_far_offset_routes_agree(cfg256):
         assert abs(closed - integral) < mp.mpf("1e-8")
 
 
+def test_integral_route_rounds_its_points_to_its_precision(monkeypatch, cfg256):
+    # mpmath 1.3.0's mpf_log returns about d, not -log 4, for y = (1 + d)/4
+    # stored with more bits than its precision (remez.solve rounds its
+    # reference for this).  The integral route works at
+    # _INTEGRAL_ROUTE_BITS inside a finer caller; every point it hands to
+    # the phase density and to the map must carry no more bits than that.
+    with PrecisionConfig(mantissa_bits=cf._INTEGRAL_ROUTE_BITS).workprec():
+        route_prec = mp.prec
+    bits = []
+    phase_density, slit_map = cf.phase_density, cf.slit_map
+
+    def recording_density(k, t, cfg=None):
+        bits.append(t._mpf_[3])
+        return phase_density(k, t, cfg)
+
+    def recording_map(k, zeta, cfg=None):
+        bits.append(zeta._mpf_[3])
+        return slit_map(k, zeta, cfg)
+
+    monkeypatch.setattr(cf, "phase_density", recording_density)
+    monkeypatch.setattr(cf, "slit_map", recording_map)
+    cf.far_offset_integral(1, cfg256)
+    assert bits
+    assert max(bits) <= route_prec
+
+
 def test_limit_constants_p_one(cfg256):
     with cfg256.workprec():
         consts = cf.limit_constants(1, cfg256)

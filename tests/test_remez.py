@@ -203,6 +203,85 @@ def test_levelling_matches_dense_solve(kind, params, m, cfg256):
         assert max(abs(c - dense[j]) for j, c in enumerate(coeffs)) <= mp.mpf("1e-60") * scale
 
 
+def _mpf_levelling(problem, ref):
+    """The levelling of _solve_levelling in mpf arithmetic: barycentric
+    weights by fprod, h as a ratio of fdots, samples at the Chebyshev extreme
+    points by the barycentric formula without node (n+1)//2, and a DCT-I."""
+    lo, hi = problem.interval_mp()
+    n = problem.degree
+    t = [(2 * y - (lo + hi)) / (hi - lo) for y in ref]
+    lam = [1 / mp.fprod(ti - tj for j, tj in enumerate(t) if j != i) for i, ti in enumerate(t)]
+    f = [problem.target(y) for y in ref]
+    sigma_w = [(1 if i % 2 == 0 else -1) / problem.weight(y) for i, y in enumerate(ref)]
+    h = mp.fdot(lam, f) / mp.fdot(lam, sigma_w)
+    d = (n + 1) // 2
+    nodes = [(ti, li * (ti - t[d]), fi - h * si)
+             for i, (ti, li, fi, si) in enumerate(zip(t, lam, f, sigma_w)) if i != d]
+    cos_table = [mp.cospi(mp.mpf(j) / n) for j in range(2 * n)]
+    samples = []
+    for x in cos_table[: n + 1]:
+        hit = [v for ti, _, v in nodes if ti == x]
+        if hit:
+            samples.append(hit[0])
+            continue
+        q = [mu / (x - ti) for ti, mu, _ in nodes]
+        samples.append(mp.fdot(q, [v for *_, v in nodes]) / mp.fsum(q))
+    samples[0] /= 2
+    samples[n] /= 2
+    coeffs = [
+        2 * mp.fdot(samples, [cos_table[j * k % (2 * n)] for k in range(n + 1)]) / n
+        for j in range(n + 1)
+    ]
+    coeffs[0] /= 2
+    coeffs[n] /= 2
+    return coeffs, h
+
+
+_LEVELLING_FAMILIES = [
+    ("power", {"p": "1.5", "a": "0.5"}),
+    ("sgn_laurent", {"k": 2, "a": "0.3"}),
+    ("akhiezer", {"s": "2.5", "b": "1.2"}),
+]
+
+
+@pytest.fixture(scope="module")
+def converged_reference(cfg256):
+    """The alternation set of a 256-bit solve, once per (family, m)."""
+    cache = {}
+
+    def get(kind, params, m):
+        if (kind, m) not in cache:
+            cache[kind, m] = solve(build_problem(kind, params, m), cfg256).alternation
+        return cache[kind, m]
+
+    return get
+
+
+@pytest.mark.parametrize("start", ["chebyshev", "converged"])
+@pytest.mark.parametrize("bits", [96, 288])
+@pytest.mark.parametrize("m", [1, 2, 8, 40])
+@pytest.mark.parametrize("kind, params", _LEVELLING_FAMILIES)
+def test_integer_levelling_matches_mpf_levelling(kind, params, m, bits, start, converged_reference):
+    # The block floating point levelling runs at bits + 40 and the mpf oracle
+    # at bits, so they differ by the oracle's own rounding: at most 20 ulps
+    # of max|c| on these cases, checked against 64.  96 and 288 are the
+    # reduced and the full precision of a 256-bit solve at m = 8.
+    problem = build_problem(kind, params, m)
+    with mp.workprec(bits):
+        lo, hi = problem.interval_mp()
+        n = problem.degree
+        if start == "chebyshev":
+            ref = [(lo + hi) / 2 - (hi - lo) / 2 * mp.cospi(mp.mpf(i) / (n + 1)) for i in range(n + 2)]
+        else:
+            ref = [+y for y in converged_reference(kind, params, m)]
+        coeffs, h = remez._solve_levelling(problem, ref)
+        want, want_h = _mpf_levelling(problem, ref)
+        bound = 64 * mp.ldexp(1, mp.mag(max(abs(c) for c in want)) - bits)
+        assert len(coeffs) == n + 1
+        assert abs(h - want_h) <= bound
+        assert max(abs(c - w) for c, w in zip(coeffs, want)) <= bound
+
+
 def test_early_iterations_run_at_reduced_precision(monkeypatch, cfg256):
     # The precision ramp: the first exchange steps search for extrema below
     # the working precision, and the last two at the full working precision.
@@ -257,9 +336,9 @@ def test_fixed_point_clenshaw_matches_clenshaw(coeffs, scale, bits, lo, width, u
         cs = [mp.ldexp(mp.mpf(c), scale) for c in coeffs]
         y = interval[0] + mp.mpf(width) * mp.mpf(u)
         evaluate = remez._fixed_point_clenshaw(cs, interval)
-        got = evaluate(y)
-        assert evaluate(y) == got
-        assert remez._fixed_point_clenshaw(cs, interval)(y) == got
+        got = mp.make_mpf(evaluate(y._mpf_))
+        assert mp.make_mpf(evaluate(y._mpf_)) == got
+        assert mp.make_mpf(remez._fixed_point_clenshaw(cs, interval)(y._mpf_)) == got
         with mp.workprec(2 * bits + 64):
             want = clenshaw(cs, interval, y)
             t = abs(2 * y - (interval[0] + interval[1])) / mp.mpf(width)
@@ -324,22 +403,23 @@ def test_bracketed_root_finds_known_roots(
 
 @pytest.fixture
 def recorded_searches(monkeypatch):
-    """Route every bracketed_root call through a recorder of f's arguments;
-    collects (f's name, lo, hi, points f was evaluated at) per search."""
+    """Route every root search, the exchange's and bracketed_root's, through
+    a recorder of f's arguments; collects (f's name, lo, hi, points f was
+    evaluated at) per search, as mpf."""
     searches = []
+    search = remez._bracket_search
 
-    def recording_root(f, lo, hi, f_lo, f_hi, xtol=None):
+    def recording_search(f, lo, hi, f_lo, f_hi, xtol):
         seen = []
 
         def recorder(y):
-            seen.append(y)
+            seen.append(mp.make_mpf(y))
             return f(y)
 
-        searches.append((f.__name__, lo, hi, seen))
-        return bracketed_root(recorder, lo, hi, f_lo, f_hi, xtol)
+        searches.append((f.__name__, mp.make_mpf(lo), mp.make_mpf(hi), seen))
+        return search(recorder, lo, hi, f_lo, f_hi, xtol)
 
-    monkeypatch.setattr(remez, "bracketed_root", recording_root)
-    monkeypatch.setattr(conformal, "bracketed_root", recording_root)
+    monkeypatch.setattr(remez, "_bracket_search", recording_search)
     return searches
 
 
@@ -394,6 +474,34 @@ def test_extremum_searches_stay_within_evaluation_budget(recorded_searches, kind
     assert most <= 14
 
 
+def test_reduced_steps_search_extrema_no_longer_than_full_steps(monkeypatch, cfg256):
+    # At the reduced steps of this solve (156 bits) the slope's noise floor,
+    # about 2^-(prec - decay_bits) = 2^-80 of a segment, lies above
+    # 2^-(prec/2 + 16), so without the cap the extremum searches chased
+    # rounding: 9.38 evaluations on average there against 8.98 at 288 bits.
+    counts = {}
+    search = remez._bracket_search
+
+    def counting_search(f, *args):
+        seen = []
+
+        def counter(y):
+            seen.append(y)
+            return f(y)
+
+        root = search(counter, *args)
+        if f.__name__ == "slope":
+            counts.setdefault(mp.prec, []).append(len(seen))
+        return root
+
+    monkeypatch.setattr(remez, "_bracket_search", counting_search)
+    solve(build_akhiezer_problem("1.5", "2", 40), cfg256)
+    full = counts.pop(cfg256.mantissa_bits + GUARD_BITS)
+    reduced = [count for per_prec in counts.values() for count in per_prec]
+    assert reduced
+    assert sum(reduced) / len(reduced) <= sum(full) / len(full)
+
+
 def test_zero_search_never_reevaluates_bracket_ends(recorded_searches, monkeypatch, cfg256):
     # slit_map_zero's sign check evaluates each end once; the search never again.
     offsets = []
@@ -446,6 +554,21 @@ def test_error_decreases_as_gap_widens(cfg256):
             for a in ("0.3", "0.5", "0.7")
         ]
         assert errors[0] > errors[1] > errors[2] > 0
+
+
+def test_reference_rounded_to_each_steps_precision(cfg256):
+    # mpmath 1.3.0's mpf_log returns about d, not -log 4, for y = (1 + d)/4
+    # stored with more bits than its precision, and y^(3/4) runs through it.
+    # A reference point 2^-270 above a^2 = 1/4 carries 269 bits into the
+    # first, 96-bit, step, where its target came out as 1, not 4^(-3/4), and
+    # the exchange stopped with non-alternating extrema.
+    problem = build_power_problem("1.5", "0.5", 8)
+    base = solve(problem, cfg256)
+    with cfg256.workprec():
+        start = list(base.alternation)
+        start[0] = mp.mpf(1) / 4 + mp.ldexp(1, -270)
+        sol = solve(problem, cfg256, initial_reference=start)
+        assert abs(sol.error - base.error) / base.error < mp.mpf("1e-15")
 
 
 def test_solution_independent_of_starting_reference(cfg256):

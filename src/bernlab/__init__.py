@@ -19,7 +19,9 @@ Layers, bottom up:
   functional-equation residual, coefficient sign-pattern checks, and
   profile-convergence measurements.
 * conjecture: exploratory double-precision solver for the whole-line
-  phase equation; reports residuals only.
+  phase equation; reports residuals only.  It loads, and numpy with it,
+  on first use: in the conjecture subcommand, or when one of its names
+  is first looked up on this package.
 """
 
 from .errors import (
@@ -93,12 +95,6 @@ from .curveverify import (
     reconstruct_phase,
     sign_pattern_check,
 )
-from .conjecture import (
-    ConjectureState,
-    phase_residual,
-    refinement_ratio,
-    solve_phase_equation,
-)
 
 __version__ = "0.1.0"
 
@@ -169,3 +165,19 @@ __all__ = [
     "solve_phase_equation",
     "__version__",
 ]
+
+_CONJECTURE_NAMES = (
+    "ConjectureState",
+    "phase_residual",
+    "refinement_ratio",
+    "solve_phase_equation",
+)
+
+
+def __getattr__(name):
+    if name == "conjecture" or name in _CONJECTURE_NAMES:
+        import importlib
+
+        module = importlib.import_module(f"{__name__}.conjecture")
+        return module if name == "conjecture" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

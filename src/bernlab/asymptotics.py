@@ -10,7 +10,6 @@ through L = 1/cosh(B).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from mpmath import mp
@@ -200,6 +199,9 @@ def compare(
     tasks = [(family, parameters, m, cfg.mantissa_bits) for m in degrees]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here: it loads multiprocessing, which a serial sweep does not need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = dict(pool.map(_solve_one, tasks))
     else:

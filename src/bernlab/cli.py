@@ -21,7 +21,7 @@ import sys
 
 from mpmath import mp, mpc, mpf
 
-from . import asymptotics, conformal, conjecture, curveverify, remez
+from . import asymptotics, conformal, curveverify, remez
 from .errors import InvalidProblemError
 from .precision import PrecisionConfig
 from .remez import ProblemKind
@@ -421,6 +421,9 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
 
 
 def _cmd_conjecture(ns: argparse.Namespace, cfg: PrecisionConfig):
+    # Imported here: it loads numpy, which most subcommands never need.
+    from . import conjecture
+
     state = conjecture.solve_phase_equation(ns.p, ns.x_max, ns.nodes, tol=ns.tol)
     payload = {
         "p": state.p,

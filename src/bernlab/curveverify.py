@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp
-from numpy.polynomial import chebyshev, polynomial
 
 from .conformal import power_limit_profile, sgn_limit_profile
 from .errors import BranchTrackingError, InvalidProblemError, PrecisionBudgetError
@@ -220,6 +218,9 @@ def _monomial_coefficients(coeffs, interval):
     the conversion's conditioning grows exponentially with the degree,
     hence its degree cap.
     """
+    import numpy as np
+    from numpy.polynomial import chebyshev, polynomial
+
     a, b = interval
     s_to_y = [-(b + a) / (b - a), 2 / (b - a)]
     in_s = chebyshev.cheb2poly(np.array(coeffs, dtype=object))

@@ -471,8 +471,9 @@ def _cos_table(n, wbits):
 
 
 def _solve_levelling(problem, ref):
-    """Chebyshev coefficients of P and the signed level h with
-    w(y_i) (f(y_i) - P(y_i)) = (-1)^i h on the n + 2 reference points.
+    """Chebyshev coefficients of P, the signed level h with
+    w(y_i) (f(y_i) - P(y_i)) = (-1)^i h on the n + 2 reference points, and
+    max|f(y_i)|, the scale against which the caller judges h.
 
     The (n+1)-th divided difference of P vanishes, so h is a ratio of two
     divided differences, with barycentric weights lam_i = 1/prod_j(t_i - t_j).
@@ -510,6 +511,7 @@ def _solve_levelling(problem, ref):
     lam = [_shift(m, e - top + wbits) for m, e in lam]
     # f and the signed 1/w, each as ints on its own scale.
     f = [target(y) for y in ref]
+    f_max = max(abs(mp.make_mpf(v)) for v in f)
     inv_w = [mpf_div(fone, weight(y), prec, rnd) for y in ref]
     fbits = wbits - max(v[2] + v[3] for v in f if v[1])
     wsbits = wbits - max(v[2] + v[3] for v in inv_w)
@@ -545,7 +547,7 @@ def _solve_levelling(problem, ref):
         coeffs.append(mpf_div(from_man_exp(dot, -(fbits + wbits)), n_raw, prec, rnd))
     coeffs[0] = mpf_shift(coeffs[0], -1)
     coeffs[n] = mpf_shift(coeffs[n], -1)
-    return [mp.make_mpf(c) for c in coeffs], mp.make_mpf(h)
+    return [mp.make_mpf(c) for c in coeffs], mp.make_mpf(h), f_max
 
 
 def _locate_extrema(problem, coeffs, ref, extremum_bits):
@@ -669,8 +671,7 @@ def solve(
                 # more bits than the precision; a reference point from the
                 # caller or the Chebyshev start has them.
                 ref = [+y for y in ref]
-                coeffs, e_signed = _solve_levelling(problem, ref)
-                scale = max(abs(problem.target(y)) for y in ref)
+                coeffs, e_signed, scale = _solve_levelling(problem, ref)
                 if abs(e_signed) <= mp.mpf(2) ** (16 - mp.prec) * scale:
                     # Target already in the approximation space; its
                     # coefficients come from a full-precision levelling.

@@ -13,12 +13,11 @@ That sum is a convolution, evaluated by a zero-padded real FFT of size 2n
 (see hilbert_operator).  Samples beyond the grid edge are treated as zero;
 the caller controls the truncation error through the grid half-width.
 Double precision is used throughout: the transform feeds the exploratory
-curve solver, whose targets sit far above 1e-12.
+curve solver, whose targets sit far above 1e-12.  numpy is imported inside
+the functions, so importing bernlab does not load it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def hilbert_grid(values, grid=None):
@@ -28,6 +27,8 @@ def hilbert_grid(values, grid=None):
     validate uniform spacing and symmetry about 0 (the transform itself is
     dilation invariant, so the step size drops out).
     """
+    import numpy as np
+
     rho = np.asarray(values, dtype=float)
     if rho.ndim != 1 or rho.size < 4:
         raise ValueError("expected a 1-D array of at least 4 samples")
@@ -57,6 +58,8 @@ def hilbert_operator(n: int):
     outputs exact, and 2n is a well-factored FFT length where 3n-2
     often is not.
     """
+    import numpy as np
+
     size = 2 * n
     offsets = np.arange(-(n - 1), n)
     kernel = np.zeros(2 * n - 1)

@@ -1,5 +1,7 @@
 """Error predictors, the exact two-interval conversion, and solver sweeps."""
 
+import concurrent.futures
+
 import pytest
 from mpmath import mp
 
@@ -171,7 +173,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     return sizes
 
 

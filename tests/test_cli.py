@@ -140,16 +140,43 @@ def test_profiles_grid_is_built_at_working_precision(tmp_path):
         assert abs(got - nearest) < mp.mpf(2) ** -250
 
 
-def test_cli_import_does_not_load_scipy():
+@pytest.mark.parametrize("module", ["scipy", "numpy", "multiprocessing"])
+def test_cli_import_does_not_load(module):
     src = str(Path(bernlab.cli.__file__).parents[1])
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import bernlab.cli; "
-        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        f"print(any(m.split('.')[0] == {module!r} for m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_only_the_conjecture_subcommand_loads_numpy(tmp_path):
+    # One fresh interpreter: four subcommands that never touch numpy, then
+    # the one that does.
+    src = str(Path(bernlab.cli.__file__).parents[1])
+    out = str(tmp_path / "report.json")
+    probe = f"""
+import sys
+sys.path.insert(0, {src!r})
+from bernlab.cli import main
+for args in (
+    ["solve", "--family", "absxp", "--p", "1.5", "--a", "0.5", "--m", "2", "--bits", "64"],
+    ["sweep", "--family", "absxp", "--p", "1", "--a", "0.5", "--m", "2,3", "--bits", "64",
+     "--jobs", "1"],
+    ["convert", "--s", "1", "--a", "0.5"],
+    ["conformal", "--k", "1", "--task", "offsets", "--bits", "64"],
+):
+    assert main(args + ["--output", {out!r}]) == 0, args
+    assert "numpy" not in sys.modules, args
+print(main(["conjecture", "--nodes", "512", "--output", {out!r}]))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "0"
 
 
 def test_convert_report(tmp_path):

@@ -235,6 +235,15 @@ def test_newton_alone_converges_from_the_gaussian_start(nodes, x_max):
     assert max(Counter(row[0] for row in state.history).values()) <= 12
 
 
+def test_package_exports_the_conjecture_layer_lazily():
+    namespace = {}
+    exec("from bernlab import *", namespace)
+    assert set(bernlab.__all__) <= set(namespace)
+    assert bernlab.solve_phase_equation is bernlab.conjecture.solve_phase_equation
+    with pytest.raises(AttributeError):
+        bernlab.no_such_name
+
+
 def test_report_does_not_depend_on_blas_threads():
     src = str(Path(bernlab.__file__).parents[1])
     reports = []

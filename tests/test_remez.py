@@ -196,7 +196,7 @@ def test_levelling_matches_dense_solve(kind, params, m, cfg256):
             t = (2 * y - (lo + hi)) / (hi - lo)
             rows.append([mp.chebyt(j, t) for j in range(n + 1)] + [(-1) ** i / problem.weight(y)])
         dense = mp.lu_solve(mp.matrix(rows), mp.matrix([problem.target(y) for y in ref]))
-        coeffs, h = remez._solve_levelling(problem, ref)
+        coeffs, h, _ = remez._solve_levelling(problem, ref)
         assert abs(h - dense[n + 1]) <= mp.mpf("1e-60") * abs(dense[n + 1])
         scale = max(abs(dense[j]) for j in range(n + 1))
         assert len(coeffs) == n + 1
@@ -274,12 +274,25 @@ def test_integer_levelling_matches_mpf_levelling(kind, params, m, bits, start, c
             ref = [(lo + hi) / 2 - (hi - lo) / 2 * mp.cospi(mp.mpf(i) / (n + 1)) for i in range(n + 2)]
         else:
             ref = [+y for y in converged_reference(kind, params, m)]
-        coeffs, h = remez._solve_levelling(problem, ref)
+        coeffs, h, _ = remez._solve_levelling(problem, ref)
         want, want_h = _mpf_levelling(problem, ref)
         bound = 64 * mp.ldexp(1, mp.mag(max(abs(c) for c in want)) - bits)
         assert len(coeffs) == n + 1
         assert abs(h - want_h) <= bound
         assert max(abs(c - w) for c, w in zip(coeffs, want)) <= bound
+
+
+@pytest.mark.parametrize("m", [1, 8])
+@pytest.mark.parametrize("kind, params", _LEVELLING_FAMILIES)
+def test_levelling_returns_the_targets_max(kind, params, m):
+    # solve judges h against max|f(y_i)|.  The levelling takes it from its
+    # own f values, which must be those of the mpf wrapper, bit for bit.
+    problem = build_problem(kind, params, m)
+    with mp.workprec(96):
+        lo, hi = problem.interval_mp()
+        ref = [(lo + hi) / 2 - (hi - lo) / 2 * mp.cospi(mp.mpf(i) / (m + 1)) for i in range(m + 2)]
+        *_, f_max = remez._solve_levelling(problem, ref)
+        assert f_max == max(abs(problem.target(y)) for y in ref)
 
 
 def test_early_iterations_run_at_reduced_precision(monkeypatch, cfg256):

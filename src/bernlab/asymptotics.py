@@ -196,7 +196,8 @@ def compare(
     degrees = check_degrees(degrees)
     if jobs < 1:
         raise InvalidProblemError("jobs must be a positive integer")
-    tasks = [(family, parameters, m, cfg.mantissa_bits) for m in degrees]
+    # Largest degree first: on a pool the longest solve then starts first.
+    tasks = [(family, parameters, m, cfg.mantissa_bits) for m in reversed(degrees)]
     workers = min(jobs, len(tasks))
     if workers > 1:
         # Imported here: it loads multiprocessing, which a serial sweep does not need.

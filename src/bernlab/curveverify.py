@@ -6,7 +6,12 @@ its conformal-map structure:
 * the phase arccos((-1)^[p/2] (P(z) - z^p)/E) continues to a curve in the
   half-strip u in (0, (m+1) pi), v > 0 along z = iy, and on that curve
   E sin(u) sinh(v) equals |sin(pi p/2)| y^p identically, so the residual
-  measures nothing but numerical error;
+  measures nothing but numerical error.  The continuation accepts a step
+  when the phase moves by at most 1/2, picking between two candidates
+  (the preimage nearest the previous point for each sign of arccos);
+  it bisects a rejected step geometrically, and sizes its steps ahead
+  from the last accepted rate of change in log y, so that a predicted
+  step moves the phase by 0.4 and is rarely rejected;
 * the coefficient sequence of P(x) - x^p - tE, ordered by exponent, shows
   exactly m+1 sign changes (a total-positivity fact), with prescribed
   endpoint signs (numpy's cheb2poly on mpf objects gives P's monomials);
@@ -34,6 +39,9 @@ from .remez import (
 )
 
 _MAX_REFINE = 48
+# The phase move a predicted stride aims at: below the acceptance bound 1/2
+# with room for the rate to grow along the step.
+_STRIDE = 0.4
 
 
 @dataclass(frozen=True)
@@ -86,15 +94,21 @@ def _phase_samples(sol: MinimaxSolution, problem: MinimaxProblem):
     return g
 
 
-def _branch_candidates(base, prev):
-    """All arccos preimages near prev: +/-base + 2 pi n with encodings."""
+def _nearest_branch(base, prev):
+    """(phi, winding code, |phi - prev|) for the arccos preimage phi of
+    base nearest prev.
+
+    The preimages are s base + 2 pi n for s = +/-1.  For each s only the
+    real part depends on n, so n = round((Re prev - s Re base) / 2 pi)
+    gives the nearest; the nearer of the two wins, s = +1 on an exact tie.
+    """
     two_pi = 2 * mp.pi
-    center = int(mp.floor(mp.re(prev) / two_pi + mp.mpf(1) / 2))
-    out = []
-    for n in range(center - 2, center + 3):
-        out.append((base + two_pi * n, 2 * n))
-        out.append((-base + two_pi * n, 2 * n + 1))
-    return out
+    cands = []
+    for s, parity in ((1, 0), (-1, 1)):
+        n = int(mp.nint((mp.re(prev) - s * mp.re(base)) / two_pi))
+        phi = s * base + two_pi * n
+        cands.append((phi, 2 * n + parity, abs(phi - prev)))
+    return min(cands, key=lambda c: c[2])
 
 
 def reconstruct_phase(
@@ -106,9 +120,14 @@ def reconstruct_phase(
     """Continue the phase along z = iy over an increasing grid.
 
     The branch is seeded at the smallest y by the boundary correspondence
-    (phi climbs the left edge u = 0 as z runs down (0, a)), then each
-    step keeps the preimage closest to the previous point, bisecting the
-    gap in y whenever the phase moves by more than 1/2.
+    (phi climbs the left edge u = 0 as z runs down (0, a)).  Each step
+    keeps the preimage +/-acos(g) + 2 pi n closest to the previous point,
+    one candidate per sign (`_nearest_branch`), and is accepted when the
+    phase moves by at most 1/2; otherwise the gap in y is bisected
+    geometrically, at most _MAX_REFINE times per grid point.  Before a
+    point is tried, the last accepted step's |d phi| per unit of log y
+    predicts the move; when it would exceed _STRIDE, an intermediate
+    point where it equals _STRIDE is tried first.
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
@@ -132,32 +151,35 @@ def reconstruct_phase(
         winding0 = 0 if mp.im(base) > 0 else 1
         windings = [winding0]
 
+        half = mp.mpf(1) / 2
+        rate = 0  # |d phi| / d log y over the last accepted step
         prev_y, prev_phi = ys[0], first
         out_u, out_v = [mp.re(first)], [mp.im(first)]
         for y_target in ys[1:]:
-            y = y_target
-            pending = []
+            pending = [y_target]  # points still to reach; the last is next
             refines = 0
-            while True:
-                base = principal(y)
-                cands = _branch_candidates(base, prev_phi)
-                phi, code = min(cands, key=lambda c: abs(c[0] - prev_phi))
-                if abs(phi - prev_phi) <= mp.mpf(1) / 2:
+            while pending:
+                y = pending[-1]
+                dlog = mp.log(y / prev_y)
+                if rate * dlog > _STRIDE:
+                    dlog = _STRIDE / rate
+                    y = prev_y * mp.exp(dlog)
+                    pending.append(y)
+                phi, code, step = _nearest_branch(principal(y), prev_phi)
+                if step <= half:
+                    rate = step / dlog
                     prev_y, prev_phi = y, phi
-                    if not pending:
-                        out_u.append(mp.re(phi))
-                        out_v.append(mp.im(phi))
-                        windings.append(code)
-                        break
-                    y = pending.pop()
+                    pending.pop()
                 else:
                     refines += 1
                     if refines > _MAX_REFINE:
                         raise BranchTrackingError(
                             f"phase continuation stalled near y = {mp.nstr(y, 8)}"
                         )
-                    pending.append(y)
-                    y = mp.sqrt(prev_y * y)  # geometric midpoint
+                    pending.append(mp.sqrt(prev_y * y))  # geometric midpoint
+            out_u.append(mp.re(phi))
+            out_v.append(mp.im(phi))
+            windings.append(code)
         return PhaseTrace(
             y_grid=tuple(ys),
             u=tuple(out_u),

@@ -1,6 +1,7 @@
 """Error predictors, the exact two-interval conversion, and solver sweeps."""
 
 import concurrent.futures
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp
@@ -155,14 +156,15 @@ def test_parallel_sweep_matches_serial(cfg192):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool by a recorder of the sizes asked for that
-    maps in this process, so no worker is ever started."""
-    sizes = []
+def pool(monkeypatch):
+    """Replace the process pool by a recorder of the sizes asked for and the
+    degrees handed over, in order, that maps in this process, so no worker
+    is ever started."""
+    record = SimpleNamespace(sizes=[], degrees=[])
 
     class Recorder:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            record.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -171,32 +173,41 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, tasks):
+            tasks = list(tasks)
+            record.degrees.append([task[2] for task in tasks])
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-    return sizes
+    return record
 
 
-def test_sweep_pool_is_capped_at_one_worker_per_degree(pool_sizes):
+def test_sweep_pool_is_capped_at_one_worker_per_degree(pool):
     report = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [2, 3], jobs=500)
-    assert pool_sizes == [2]
+    assert pool.sizes == [2]
     assert [row[0] for row in report.rows] == [2, 3]
     # One degree needs no pool at all.
     compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [2], jobs=500)
-    assert pool_sizes == [2]
+    assert pool.sizes == [2]
+
+
+def test_sweep_pool_takes_the_largest_degree_first(pool):
+    # The longest solve starts first; the rows stay in degree order.
+    report = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [4, 2, 6], jobs=2)
+    assert pool.degrees == [[6, 4, 2]]
+    assert [row[0] for row in report.rows] == [2, 4, 6]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
-def test_sweep_rejects_non_positive_jobs(jobs, pool_sizes):
+def test_sweep_rejects_non_positive_jobs(jobs, pool):
     with pytest.raises(InvalidProblemError):
         compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [2, 3], jobs=jobs)
-    assert pool_sizes == []
+    assert pool.sizes == []
 
 
-def test_sweep_rejects_repeated_degrees(pool_sizes):
+def test_sweep_rejects_repeated_degrees(pool):
     with pytest.raises(InvalidProblemError):
         compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [3, 2, 3], jobs=2)
-    assert pool_sizes == []
+    assert pool.sizes == []
 
 
 def test_predictor_validation():

@@ -1,7 +1,7 @@
 """Cauchy transforms off and on the positive half-line."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -125,6 +125,75 @@ def test_closed_boundary_rejects_integer_exponent(cfg256):
         gamma_cauchy_boundary(1, 2, cfg256)
 
 
+def _incomplete_gamma_route(alpha, xi, bits):
+    """Gamma(alpha+1) w^alpha e^w Gamma(-alpha, w) at w = -xi (DLMF 8.6) at
+    2*bits + 100 bits."""
+    with mp.workprec(2 * bits + 100):
+        w = -xi
+        return mp.gamma(alpha + 1) * w**alpha * mp.exp(w) * mp.gammainc(-alpha, w)
+
+
+def _tiny_alpha_route(alpha, xi, bits):
+    """The same product for 0 < alpha < 2^-64 and xi <= 1, by the series of
+    the lower incomplete gamma:
+
+        e^w [(Gamma(1+alpha) - pi alpha w^alpha / sin(pi alpha)) / alpha
+             - Gamma(1+alpha) sum_{k>=1} xi^k / (k! (k - alpha))].
+
+    The first bracket loses -log2(alpha) bits to cancellation, so it runs
+    that much (plus 20 bits) above 2*bits + 100.  Gamma(1+alpha) comes from
+    the Maclaurin series -euler alpha + sum_{k>=2} zeta(k) (-alpha)^k / k of
+    its logarithm: mp.gamma first builds a cache at that precision, which
+    takes seconds."""
+    with mp.workprec(2 * bits + 100 + (1 - mp.mag(alpha)) + 20):
+        log_gamma1, k = -mp.euler * alpha, 1
+        while True:
+            k += 1
+            piece = mp.zeta(k) * (-alpha) ** k / k
+            log_gamma1 += piece
+            if abs(piece) <= mp.eps * abs(log_gamma1):
+                break
+        gamma1 = mp.exp(log_gamma1)
+        term, total, k = mp.mpf(1), mp.mpf(0), 0
+        while True:
+            k += 1
+            term *= xi / k
+            piece = term / (k - alpha)
+            total += piece
+            if piece <= mp.eps * total:
+                break
+        w = -xi
+        head = (gamma1 - mp.pi * alpha * w**alpha / mp.sinpi(alpha)) / alpha
+        return mp.exp(w) * (head - gamma1 * total)
+
+
+def _kummer_reference(alpha, xi, bits):
+    """conj(Gamma(alpha+1) w^alpha e^w Gamma(-alpha, w)) / pi at w = -xi, to
+    2*bits + 100 bits.  mpmath's gammainc needs thousands of bits and
+    seconds at alpha ~ 1e-324, so alpha < 2^-64 with xi <= 1 takes the
+    series instead."""
+    if 0 < alpha < mp.mpf(2) ** -64 and xi <= 1:
+        value = _tiny_alpha_route(alpha, xi, bits)
+    else:
+        value = _incomplete_gamma_route(alpha, xi, bits)
+    with mp.workprec(2 * bits + 100):
+        return mp.conj(value / mp.pi)
+
+
+def test_tiny_alpha_series_matches_incomplete_gamma():
+    # The two reference routes at a tiny alpha where gammainc is still cheap.
+    alpha, xi, bits = mp.mpf("5e-31"), mp.mpf("1e-6"), 64
+    series = _tiny_alpha_route(alpha, xi, bits)
+    direct = _incomplete_gamma_route(alpha, xi, bits)
+    with mp.workprec(2 * bits + 100):
+        assert abs(series - direct) <= mp.mpf(2) ** (mp.mag(direct) - 2 * bits - 100 + 5)
+
+
+# The seed is the one derandomize drew from this test's body before the
+# tiny-alpha series route, so the examples are drawn as before.  Hypothesis
+# also draws on the literal constants of the loaded local modules, so a few
+# examples still move when those change.
+@seed(0x2ED56E09917C8C40A9EF671CB0265003301C721690AF9A74953109B5E3D8E0010E766ACB34D0BBCD56CCF4ECBACBC2D4)
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     alpha=st.one_of(
@@ -138,17 +207,15 @@ def test_closed_boundary_rejects_integer_exponent(cfg256):
 )
 def test_boundary_kummer_form_matches_incomplete_gamma(alpha, log10_xi, bits):
     # The Kummer form on the cut against the DLMF 8.6 incomplete-gamma route
-    # at 2*bits + 100: within 32 units in the last place of the working
+    # at 2*bits + 100 (the series of _tiny_alpha_route for alpha < 2^-64
+    # and xi <= 1): within 32 units in the last place of the working
     # precision.  p/2 for non-integer p reaches integer alpha as closely as
     # a double allows, where both Kummer terms have a pole.
     cfg = PrecisionConfig(mantissa_bits=bits)
     xi = mp.mpf(10.0**log10_xi)
     got = gamma_cauchy_boundary(alpha, xi, cfg)
+    ref = _kummer_reference(alpha, xi, bits)
     with mp.workprec(2 * bits + 100):
-        w = -xi
-        ref = mp.conj(
-            mp.gamma(alpha + 1) * w**alpha * mp.exp(w) * mp.gammainc(-alpha, w) / mp.pi
-        )
         ulp = mp.mpf(2) ** (mp.mag(ref) - bits - GUARD_BITS)
         assert abs(got - ref) <= 32 * ulp
     if 2 * alpha == int(2 * alpha):

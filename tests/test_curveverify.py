@@ -12,10 +12,12 @@ from bernlab.curveverify import (
     sign_pattern_check,
 )
 from bernlab.errors import (
+    BernlabError,
     BranchTrackingError,
     InvalidProblemError,
     PrecisionBudgetError,
 )
+from bernlab.precision import PrecisionConfig
 from bernlab.remez import (
     ProblemKind,
     build_power_problem,
@@ -28,6 +30,50 @@ from bernlab.remez import (
 def _log_grid(lo, hi, count):
     lo, hi = mp.mpf(lo), mp.mpf(hi)
     return [lo * (hi / lo) ** (mp.mpf(i) / (count - 1)) for i in range(count)]
+
+
+def _ten_candidate_phase(sol, problem, y_grid, cfg):
+    """Reference continuation: ten preimages +/-acos(g) + 2 pi n per step,
+    n within 2 of the previous winding, and bisection as the only step
+    control.  Returns (u, v, windings)."""
+    two_pi = 2 * mp.pi
+    with cfg.workprec():
+        ys = [mp.mpf(y) for y in y_grid]
+        g = curveverify._phase_samples(sol, problem)
+        base = mp.acos(g(ys[0]))
+        first = base if mp.im(base) > 0 else -base
+        if abs(mp.re(first)) > mp.pi / 2:
+            raise BranchTrackingError("seed phase unexpectedly far from the u = 0 edge")
+        windings = [0 if mp.im(base) > 0 else 1]
+        prev_y, prev_phi = ys[0], first
+        out_u, out_v = [mp.re(first)], [mp.im(first)]
+        for y_target in ys[1:]:
+            y = y_target
+            pending = []
+            refines = 0
+            while True:
+                base = mp.acos(g(y))
+                center = int(mp.floor(mp.re(prev_phi) / two_pi + mp.mpf(1) / 2))
+                cands = []
+                for n in range(center - 2, center + 3):
+                    cands.append((base + two_pi * n, 2 * n))
+                    cands.append((-base + two_pi * n, 2 * n + 1))
+                phi, code = min(cands, key=lambda c: abs(c[0] - prev_phi))
+                if abs(phi - prev_phi) <= mp.mpf(1) / 2:
+                    prev_y, prev_phi = y, phi
+                    if not pending:
+                        out_u.append(mp.re(phi))
+                        out_v.append(mp.im(phi))
+                        windings.append(code)
+                        break
+                    y = pending.pop()
+                else:
+                    refines += 1
+                    if refines > curveverify._MAX_REFINE:
+                        raise BranchTrackingError("phase continuation stalled")
+                    pending.append(y)
+                    y = mp.sqrt(prev_y * y)
+        return tuple(out_u), tuple(out_v), tuple(windings)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +138,93 @@ def test_seed_too_far_from_edge_is_refused(cfg256):
         sol = solve(problem, cfg256)
         with pytest.raises(BranchTrackingError):
             reconstruct_phase(sol, problem, [mp.mpf("2.4"), mp.mpf(3)], cfg256)
+
+
+def _outcome(run):
+    """(u, v, windings) of a continuation, or the type of the error it raised."""
+    try:
+        result = run()
+    except BernlabError as exc:
+        return type(exc)
+    if isinstance(result, PhaseTrace):
+        return result.u, result.v, result.branch_windings
+    return result
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("p", ["1", "1.5", "3"])
+def test_continuation_matches_the_ten_candidate_oracle(p, bits):
+    # The two-candidate pick and the predicted stride give exactly the
+    # values, windings and errors of the ten-candidate bisection-only
+    # continuation on this file's grids.
+    cfg = PrecisionConfig(mantissa_bits=bits)
+    for m in (5, 8):
+        problem = build_power_problem(p, "0.5", m)
+        sol = solve(problem, cfg)
+        with cfg.workprec():
+            grids = [_log_grid("0.01", "3", n) for n in (25, 9, 17)]
+            grids.append([mp.mpf("2.4"), mp.mpf(3)])
+        for ys in grids:
+            expected = _outcome(lambda: _ten_candidate_phase(sol, problem, ys, cfg))
+            got = _outcome(lambda: reconstruct_phase(sol, problem, ys, cfg))
+            assert got == expected, (p, bits, m, len(ys))
+
+
+def test_benchmark_grid_takes_at_most_70_phase_evaluations(monkeypatch, cfg256):
+    # verify-curve's default grid for p = 1.5, a = 0.5, m = 8: v climbs from
+    # 12 to 33, which bisection alone covers in 119 evaluations.
+    problem = build_power_problem("1.5", "0.5", 8)
+    sol = solve(problem, cfg256)
+    calls = []
+    samples = curveverify._phase_samples
+
+    def counted(sol, problem):
+        g = samples(sol, problem)
+
+        def g_counted(y):
+            calls.append(y)
+            return g(y)
+
+        return g_counted
+
+    monkeypatch.setattr(curveverify, "_phase_samples", counted)
+    with cfg256.workprec():
+        reconstruct_phase(sol, problem, _log_grid("0.05", "3", 25), cfg256)
+    assert len(calls) <= 70
+
+
+def test_coarse_grid_step_is_continued_not_stalled(cfg192):
+    # Each step of this grid moves v by up to 17, more sub-steps than the
+    # refinement budget allows bisection alone; the predicted stride covers
+    # it and lands on the fine-grid oracle's values.
+    problem = build_power_problem("0.5", "0.5", 8)
+    sol = solve(problem, cfg192)
+    with cfg192.workprec():
+        fine = _log_grid("0.05", "5", 33)
+        coarse = fine[::8]
+        with pytest.raises(BranchTrackingError):
+            _ten_candidate_phase(sol, problem, coarse, cfg192)
+        trace = reconstruct_phase(sol, problem, coarse, cfg192)
+    u, v, windings = _ten_candidate_phase(sol, problem, fine, cfg192)
+    assert trace.u == u[::8]
+    assert trace.v == v[::8]
+    assert trace.branch_windings == windings[::8]
+
+
+def test_phase_jump_stalls_the_continuation(monkeypatch, cfg128):
+    # A synthetic arccos argument whose phase jumps by 2 in u at y = 1/2:
+    # no preimage lies within 1/2 of the last point below the jump, so the
+    # bisection runs out of refinements there.
+    def jumping(sol, problem):
+        def g(y):
+            u = mp.mpf("0.1") if y < mp.mpf("0.5") else mp.mpf("2.1")
+            return mp.cos(mp.mpc(u, 1 + y))
+
+        return g
+
+    monkeypatch.setattr(curveverify, "_phase_samples", jumping)
+    with pytest.raises(BranchTrackingError, match="phase continuation stalled near y = 0.5"):
+        reconstruct_phase(None, None, ["0.01", "1", "2"], cfg128)
 
 
 def test_trace_validation():

@@ -5,7 +5,8 @@ Conventions: the |x|^p problem uses polynomials of degree n = 2m on
 [-1,-a] u [a,1]; the sgn problem uses Laurent polynomials of degree
 (2k-1, 2m-1); the shifted-power problem approximates (b+x)^(-s) on [-1,1]
 by polynomials of degree l.  The sgn error L relates to a slit height B
-through L = 1/cosh(B).
+through L = 1/cosh(B).  Each predictor takes the parameters that the
+solver's builder for its family accepts, and rejects the rest through it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from mpmath import mp
 from .conformal import far_offset_closed
 from .errors import InvalidProblemError
 from .precision import DEFAULT_CONFIG, PrecisionConfig, check_degrees, check_exponent, check_gap
-from .remez import ProblemKind, build_problem, solve
+from .remez import (
+    ProblemKind,
+    build_akhiezer_problem,
+    build_power_problem,
+    build_problem,
+    build_sgn_problem,
+    solve,
+)
 from .specialfn import log_gamma
 
 
@@ -28,9 +36,7 @@ def predict_power_error(p, a, m: int, cfg: PrecisionConfig | None = None):
     """
     cfg = cfg or DEFAULT_CONFIG
     check_exponent(p)
-    check_gap(a)
-    if m < 1:
-        raise InvalidProblemError("m must be a positive integer")
+    build_power_problem(p, a, m)
     with cfg.workprec():
         p = mp.mpf(p)
         a = mp.mpf(a)
@@ -56,11 +62,7 @@ def predict_slit_height(k: int, a, m: int, cfg: PrecisionConfig | None = None):
     left out, so no finite-degree accuracy is implied.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if not isinstance(k, int) or k < 1:
-        raise InvalidProblemError("k must be a positive integer")
-    if m < 1:
-        raise InvalidProblemError("m must be a positive integer")
-    check_gap(a)
+    build_sgn_problem(k, a, m)
     with cfg.workprec():
         a = mp.mpf(a)
         half = mp.mpf(1) / 2
@@ -99,7 +101,6 @@ def akhiezer_convert(s, a, shifted_error):
     """
     if float(mp.mpf(s)) == 0:
         raise InvalidProblemError("s must be nonzero")
-    check_gap(a)
     s = mp.mpf(s)
     b = akhiezer_b_from_a(a)
     return (1 + b) ** s * mp.mpf(shifted_error)
@@ -111,12 +112,7 @@ def predict_akhiezer_error(s, b, l: int, cfg: PrecisionConfig | None = None):
         (l^(s-1)/|Gamma(s)|) (b - sqrt(b^2-1))^l / (b^2-1)^((s+1)/2).
     """
     cfg = cfg or DEFAULT_CONFIG
-    if float(mp.mpf(s)) == 0:
-        raise InvalidProblemError("s must be nonzero")
-    if float(mp.mpf(b)) <= 1:
-        raise InvalidProblemError("b must exceed 1")
-    if l < 1:
-        raise InvalidProblemError("l must be a positive integer")
+    build_akhiezer_problem(s, b, l)
     with cfg.workprec():
         s = mp.mpf(s)
         b = mp.mpf(b)
@@ -155,11 +151,6 @@ class AsymptoticsReport:
     @property
     def final_ratio(self):
         return self.rows[-1][3]
-
-    @property
-    def final_gap(self):
-        _, computed, predicted, _ = self.rows[-1]
-        return computed - predicted
 
     @property
     def monotone(self) -> bool:

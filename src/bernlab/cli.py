@@ -29,10 +29,12 @@ from .specialfn import cauchy_boundary, gamma_cauchy_boundary
 
 SCHEMA = "bernlab-report/1"
 
+# Each --family value: its problem kind and the flags that carry its
+# parameters, under the names remez.build_problem reads.
 _FAMILIES = {
-    "absxp": ProblemKind.POWER,
-    "sgn-laurent": ProblemKind.SGN_LAURENT,
-    "akhiezer": ProblemKind.AKHIEZER,
+    "absxp": (ProblemKind.POWER, ("p", "a")),
+    "sgn-laurent": (ProblemKind.SGN_LAURENT, ("k", "a")),
+    "akhiezer": (ProblemKind.AKHIEZER, ("s", "b")),
 }
 
 
@@ -64,17 +66,13 @@ def _render(obj, cfg: PrecisionConfig):
         return _num_str(obj, cfg)
     if isinstance(obj, str):
         return obj
-    try:
-        # repr of the builtin float, also for numpy scalars, which
-        # stringify with a type wrapper.
-        return repr(float(obj))
-    except (TypeError, ValueError):
-        return str(obj)
+    # repr of the builtin float, also for numpy scalars, which stringify
+    # with a type wrapper.
+    return repr(float(obj))
 
 
 def _cell(value, cfg: PrecisionConfig) -> str:
-    rendered = _render(value, cfg)
-    return rendered if isinstance(rendered, str) else str(rendered)
+    return str(_render(value, cfg))
 
 
 def _inputs_echo(ns: argparse.Namespace) -> dict:
@@ -87,10 +85,8 @@ def _inputs_echo(ns: argparse.Namespace) -> dict:
 
 
 def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
     base = os.environ.get("BERNLAB_OUTPUT_DIR")
-    if base and not os.path.isabs(path):
+    if path is not None and base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
 
@@ -145,25 +141,18 @@ def _parse_degrees(spec: str) -> list:
 
 
 def _family_parameters(ns: argparse.Namespace, cfg: PrecisionConfig) -> tuple:
-    kind = _FAMILIES[ns.family]
-    if kind is ProblemKind.POWER:
-        if ns.p is None or ns.a is None:
-            raise InvalidProblemError("family absxp needs --p and --a")
-        return kind, {"p": ns.p, "a": ns.a}
-    if kind is ProblemKind.SGN_LAURENT:
-        if ns.k is None or ns.a is None:
-            raise InvalidProblemError("family sgn-laurent needs --k and --a")
-        return kind, {"k": ns.k, "a": ns.a}
-    if ns.s is None:
-        raise InvalidProblemError("family akhiezer needs --s and --b (or --a)")
-    if ns.b is None:
-        if ns.a is None:
-            raise InvalidProblemError("family akhiezer needs --b or --a")
+    """The family's kind and parameters from the flags _FAMILIES names
+    (akhiezer takes --a in place of --b); the remez builders check them."""
+    kind, names = _FAMILIES[ns.family]
+    params = {name: getattr(ns, name) for name in names}
+    if kind is ProblemKind.AKHIEZER and ns.b is None and ns.a is not None:
         with cfg.workprec():
-            b = asymptotics.akhiezer_b_from_a(ns.a)
-    else:
-        b = ns.b
-    return kind, {"s": ns.s, "b": b}
+            params["b"] = asymptotics.akhiezer_b_from_a(ns.a)
+    if None in params.values():
+        flags = " and ".join(f"--{name}" for name in names)
+        either = " (or --a)" if kind is ProblemKind.AKHIEZER else ""
+        raise InvalidProblemError(f"family {ns.family} needs {flags}{either}")
+    return kind, params
 
 
 def _log_spaced(lo, hi, count: int, cfg: PrecisionConfig):
@@ -250,8 +239,6 @@ def _cmd_sweep(ns: argparse.Namespace, cfg: PrecisionConfig):
 
 
 def _cmd_verify_curve(ns: argparse.Namespace, cfg: PrecisionConfig):
-    if ns.p is None or ns.a is None or ns.m is None:
-        raise InvalidProblemError("verify-curve needs --p, --a and --m")
     problem = remez.build_problem(ProblemKind.POWER, {"p": ns.p, "a": ns.a}, ns.m)
     sol = remez.solve(problem, cfg)
     ys = _log_spaced(ns.y_min, ns.y_max, ns.y_count, cfg)
@@ -294,8 +281,6 @@ def _cmd_profiles(ns: argparse.Namespace, cfg: PrecisionConfig):
     if ns.m is None:
         raise InvalidProblemError("profiles needs --m (degree list)")
     kind, params = _family_parameters(ns, cfg)
-    if kind is ProblemKind.AKHIEZER:
-        raise InvalidProblemError("profiles exist for absxp and sgn-laurent only")
     degrees = _parse_degrees(ns.m)
     lams = _lin_spaced(ns.lambda_min, ns.lambda_max, ns.lambda_count, cfg)
     rows = curveverify.profile_convergence(kind, params, degrees, lams, cfg)
@@ -354,6 +339,9 @@ def _boundary_residuals(ns: argparse.Namespace, cfg: PrecisionConfig):
 def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
     if (ns.k is None) == (ns.p is None):
         raise InvalidProblemError("give exactly one of --k (slit map) or --p (limit map)")
+    needs = {"offsets": "k", "zero": "k", "constants": "p"}.get(ns.task)
+    if needs and getattr(ns, needs) is None:
+        raise InvalidProblemError(f"task {ns.task} needs --{needs}")
     payload: dict = {"task": ns.task}
     if ns.task == "boundary":
         rows = _boundary_residuals(ns, cfg)
@@ -366,14 +354,12 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
         ]
         payload["_csv"] = (["xi", "residual", "pv_residual"], [list(row) for row in rows])
     elif ns.task == "offsets":
-        if ns.k is None:
-            raise InvalidProblemError("task offsets needs --k")
         closed = conformal.far_offset_closed(ns.k, cfg)
         far = conformal.far_offset_far_field(ns.k, cfg)
         integral = conformal.far_offset_integral(ns.k, cfg)
         with cfg.workprec():
-            spread = max(
-                abs(closed - far), abs(closed - integral), abs(far - integral)
+            spread = _residual_str(
+                max(abs(closed - far), abs(closed - integral), abs(far - integral))
             )
         payload.update(
             {
@@ -388,19 +374,15 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
             [[closed, far, integral, spread]],
         )
     elif ns.task == "zero":
-        if ns.k is None:
-            raise InvalidProblemError("task zero needs --k")
         location = conformal.slit_map_zero(ns.k, cfg)
         payload["zero_location"] = location
         payload["_csv"] = (["zero_location"], [[location]])
-    elif ns.task == "constants":
-        if ns.p is None:
-            raise InvalidProblemError("task constants needs --p")
+    else:  # constants
         consts = conformal.limit_constants(ns.p, cfg)
         with cfg.workprec():
             p = mp.mpf(ns.p)
             gamma_neg = abs(mp.gamma(-p / 2))
-            identity = (
+            identity = _residual_str(
                 mp.exp(consts.expansion_constant) * consts.boundary_scale * gamma_neg
                 - 1
             )
@@ -415,8 +397,6 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
             ["boundary_scale", "expansion_constant", "product_identity_residual"],
             [[consts.boundary_scale, consts.expansion_constant, identity]],
         )
-    else:
-        raise InvalidProblemError(f"unknown conformal task {ns.task!r}")
     return payload, 0
 
 
@@ -444,8 +424,6 @@ def _cmd_conjecture(ns: argparse.Namespace, cfg: PrecisionConfig):
 
 
 def _cmd_convert(ns: argparse.Namespace, cfg: PrecisionConfig):
-    if ns.a is None or ns.s is None:
-        raise InvalidProblemError("convert needs --s and --a")
     with cfg.workprec():
         a = mp.mpf(ns.a)
         b = asymptotics.akhiezer_b_from_a(a)

@@ -239,9 +239,10 @@ def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> Map
     """Scale and far-field constant of the limit map.
 
     boundary_scale = |sin(pi p/2)| Gamma(p/2) / pi, fixed by requiring unit
-    mass of tau(t)/t against 1/pi; expansion_constant from
-    exp(c) = |sin(pi p/2)| Gamma(p/2 + 1) / (pi * scale).  With check=True
-    the unit-mass condition is re-verified by quadrature.
+    mass of tau(t)/t against 1/pi; expansion_constant c = log(p/2), as
+    exp(c) = |sin(pi p/2)| Gamma(p/2 + 1) / (pi * scale) = Gamma(p/2 + 1) /
+    Gamma(p/2).  With check=True the unit-mass condition is re-verified by
+    quadrature.
     """
     cfg = cfg or DEFAULT_CONFIG
     check_exponent(p)
@@ -249,12 +250,7 @@ def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> Map
         p = mp.mpf(p)
         sin_abs = abs(mp.sinpi(p / 2))
         lam = sin_abs * mp.exp(log_gamma(p / 2, cfg).log_abs) / mp.pi
-        c = (
-            mp.log(sin_abs)
-            + log_gamma(p / 2 + 1, cfg).log_abs
-            - mp.log(mp.pi)
-            - mp.log(lam)
-        )
+        c = mp.log(p / 2)
         if check:
             dens = gamma_density(p / 2, scale=sin_abs / lam)
             mass = integrate_halfline(

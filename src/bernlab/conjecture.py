@@ -105,12 +105,6 @@ class ConjectureState:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "rho_tilde", tilde)
 
-    @property
-    def residual_history(self) -> tuple:
-        """Residuals of the iterations taken on the returned grid."""
-        n = self.grid.size
-        return tuple(row[1] for row in self.history if row[0] == n)
-
 
 def _half_grid(x_max: float, nodes: int) -> np.ndarray:
     return np.linspace(-x_max, x_max, nodes)[nodes // 2 :]

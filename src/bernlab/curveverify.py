@@ -314,16 +314,13 @@ def profile_convergence(
     m_list,
     lambda_grid,
     cfg: PrecisionConfig | None = None,
-    *,
-    solutions: dict | None = None,
 ):
     """Sup-distance between rescaled extremal values and the limit profile.
 
     POWER: (m/a)^(p/2) P(sqrt(a/m) lambda) against the power profile.
     SGN_LAURENT: f(sqrt(2a/(2m-1)) lambda) against the sgn profile.
-    Each degree may appear once.  solutions, when given, maps m to a
-    pre-solved MinimaxSolution so sweeps can reuse solver output across
-    checks.
+    Each degree may appear once and is solved here.  Any other family,
+    a repeated degree or a bad lambda is rejected before the first solve.
     """
     cfg = cfg or DEFAULT_CONFIG
     family = ProblemKind(family)
@@ -343,10 +340,7 @@ def profile_convergence(
             targets = [sgn_limit_profile(params["k"], lam, cfg) for lam in lams]
         for m in degrees:
             problem = build_problem(family, params, m)
-            if solutions is not None and m in solutions:
-                sol = solutions[m]
-            else:
-                sol = solve(problem, cfg)
+            sol = solve(problem, cfg)
             if family is ProblemKind.POWER:
                 step, gain = mp.sqrt(a / m), (mp.mpf(m) / a) ** (p / 2)
             else:

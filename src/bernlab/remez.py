@@ -33,7 +33,7 @@ chases rounding.
 The exchange step makes no mpf object per evaluation.  Each family's
 target, weight, residual and slope are written once, on raw mpf tuples, by
 _deviation, which converts the family's constants once per step;
-MinimaxProblem.target, weight and deviation_slope are mpf wrappers over it.
+MinimaxProblem.target and weight are mpf wrappers over it.
 The searches evaluate P and P' with a fixed-point Clenshaw kernel rather than
 clenshaw, which stays for complex and off-interval points.  Once per exchange
 step the coefficients become Python ints scaled by 2^F, F = W - mag(max|c|)
@@ -142,7 +142,11 @@ class MinimaxProblem:
     m: int | None = None
     s: object = None
     b: object = None
-    degree: int = 0
+
+    @property
+    def degree(self) -> int:
+        """Degree of P: m + k - 1 for the sgn family, m for the others."""
+        return self.m + self.k - 1 if self.kind is ProblemKind.SGN_LAURENT else self.m
 
     def interval_mp(self):
         if self.kind is ProblemKind.AKHIEZER:
@@ -156,19 +160,13 @@ class MinimaxProblem:
     def weight(self, y):
         return mp.make_mpf(_deviation(self)[1](mp.mpf(y)._mpf_))
 
-    def deviation_slope(self, y, poly, dpoly):
-        """d/dy of weight(y) * (target(y) - P(y)), given P(y) and P'(y)."""
-        poly, dpoly = mp.mpf(poly)._mpf_, mp.mpf(dpoly)._mpf_
-        slope = _deviation(self, lambda _: poly, lambda _: dpoly)[3]
-        return mp.make_mpf(slope(mp.mpf(y)._mpf_))
-
     def decay_bits(self) -> float:
         """Rough size of -log2(E), used for the precision budget check."""
         if self.kind is ProblemKind.AKHIEZER:
             b = float(mp.mpf(self.b))
             return self.degree * math.log2(b + math.sqrt(b * b - 1.0))
         a = float(mp.mpf(self.a))
-        bits = (self.m or 0) * math.log2((1.0 + a) / (1.0 - a))
+        bits = self.m * math.log2((1.0 + a) / (1.0 - a))
         if self.kind is ProblemKind.SGN_LAURENT:
             bits += (self.k + 0.5) * math.log2(max(2.0 * self.m - 1.0, 2.0))
         return bits
@@ -188,7 +186,7 @@ def build_power_problem(p, a, m: int) -> MinimaxProblem:
         raise InvalidProblemError("m must be a positive integer")
     if not 2 * m > p_f:
         raise InvalidProblemError("need 2m > p")
-    return MinimaxProblem(kind=ProblemKind.POWER, p=p, a=a, m=m, degree=m)
+    return MinimaxProblem(kind=ProblemKind.POWER, p=p, a=a, m=m)
 
 
 def build_sgn_problem(k: int, a, m: int) -> MinimaxProblem:
@@ -201,7 +199,7 @@ def build_sgn_problem(k: int, a, m: int) -> MinimaxProblem:
         raise InvalidProblemError("k must be a positive integer")
     if not isinstance(m, int) or m < 1:
         raise InvalidProblemError("m must be a positive integer")
-    return MinimaxProblem(kind=ProblemKind.SGN_LAURENT, a=a, k=k, m=m, degree=m + k - 1)
+    return MinimaxProblem(kind=ProblemKind.SGN_LAURENT, a=a, k=k, m=m)
 
 
 def build_akhiezer_problem(s, b, degree: int) -> MinimaxProblem:
@@ -214,7 +212,7 @@ def build_akhiezer_problem(s, b, degree: int) -> MinimaxProblem:
         raise InvalidProblemError("s must be nonzero")
     if not isinstance(degree, int) or degree < 1:
         raise InvalidProblemError("degree must be a positive integer")
-    return MinimaxProblem(kind=ProblemKind.AKHIEZER, s=s, b=b, m=degree, degree=degree)
+    return MinimaxProblem(kind=ProblemKind.AKHIEZER, s=s, b=b, m=degree)
 
 
 def build_problem(kind, params: dict, m: int) -> MinimaxProblem:
@@ -645,6 +643,7 @@ def solve(
         lo, hi = problem.interval_mp()
         n = problem.degree
         count = n + 2
+        bits = max(cfg.mantissa_bits // 4, math.ceil(needed))
         if initial_reference is None:
             ref = [
                 (lo + hi) / 2 - (hi - lo) / 2 * mp.cos(mp.pi * i / (count - 1))
@@ -656,10 +655,16 @@ def solve(
                 raise InvalidProblemError(
                     f"initial reference must be {count} points inside the interval"
                 )
+            with mp.workprec(bits + GUARD_BITS):
+                # Points that merge in the first step's rounding leave the
+                # levelling singular.
+                if any(+x == +y for x, y in zip(ref, ref[1:])):
+                    raise InvalidProblemError(
+                        f"initial reference points coincide at {mp.prec} bits"
+                    )
         stop_ratio = 1 - mp.mpf(10) ** (-(cfg.decimal_digits / 4))
         # Two quadratic steps short of the stop: from here on, full precision.
         ramp_ratio = 1 - mp.mpf(10) ** (-(cfg.decimal_digits / 16))
-        bits = max(cfg.mantissa_bits // 4, math.ceil(needed))
         full_steps = 0
         best_ratio, best_bits = -1, bits
         stale = 0

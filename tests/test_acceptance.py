@@ -339,7 +339,7 @@ def test_criterion_9_slit_height_prediction(solved_sgn, cfg256):
     )
 
 
-def test_criterion_10_limit_profiles(solved_power, solved_sgn, cfg192):
+def test_criterion_10_limit_profiles(cfg192):
     with cfg192.workprec():
         lams = _log_points("0.1", "3", 9)
         origin = conformal.power_limit_profile(1, 0, cfg192)
@@ -350,7 +350,6 @@ def test_criterion_10_limit_profiles(solved_power, solved_sgn, cfg192):
         (10, 20),
         lams,
         cfg192,
-        solutions={m: solved_power[m][1] for m in (10, 20)},
     )
     rows_sgn = profile_convergence(
         ProblemKind.SGN_LAURENT,
@@ -358,7 +357,6 @@ def test_criterion_10_limit_profiles(solved_power, solved_sgn, cfg192):
         (10, 20),
         lams,
         cfg192,
-        solutions={m: solved_sgn[m][1] for m in (10, 20)},
     )
     with cfg192.workprec():
         ok = (

@@ -135,7 +135,8 @@ def test_sgn_sweep_report(cfg192):
         assert devs[-1] < devs[0]
         assert abs(report.final_ratio - 1) < mp.mpf("0.1")
         assert report.monotone
-        assert report.final_gap > 0
+        _, computed, predicted, _ = report.rows[-1]
+        assert computed - predicted > 0
 
 
 def test_power_sweep_ratio_tightens(cfg192):
@@ -223,3 +224,14 @@ def test_predictor_validation():
         predict_akhiezer_error(1, "0.5", 5)
     with pytest.raises(InvalidProblemError):
         akhiezer_convert(0, "0.5", "0.1")
+
+
+def test_predictors_reject_what_the_solver_rejects():
+    # The predictors validate through the family builders, so a degree the
+    # solver refuses has no prediction either.
+    with pytest.raises(InvalidProblemError, match="need 2m > p"):
+        predict_power_error(3, "0.5", 1)
+    with pytest.raises(InvalidProblemError, match="degree must be a positive integer"):
+        predict_akhiezer_error(1, 2, 0)
+    with pytest.raises(InvalidProblemError, match="m must be a positive integer"):
+        predict_slit_height(1, "0.5", 0)

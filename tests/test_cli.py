@@ -10,7 +10,11 @@ import pytest
 from mpmath import mp
 
 import bernlab.cli
+from bernlab import conformal, curveverify
+from bernlab.asymptotics import predict_akhiezer_error
 from bernlab.cli import main
+from bernlab.precision import PrecisionConfig
+from bernlab.remez import build_akhiezer_problem, solve
 
 
 def _run_json(tmp_path, name, args):
@@ -342,3 +346,104 @@ def test_output_dir_environment_prefix(tmp_path, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "rel.json").exists()
+
+
+def test_akhiezer_sweep_rows_match_solver_and_predictor(tmp_path):
+    code, doc = _run_json(
+        tmp_path,
+        "sweep.json",
+        [
+            "sweep", "--family", "akhiezer", "--s", "1.5", "--b", "2",
+            "--m", "3,5", "--predict", "--bits", "128",
+        ],
+    )
+    assert code == 0
+    cfg = PrecisionConfig(mantissa_bits=128)
+    rows = doc["results"]["rows"]
+    assert [row["m"] for row in rows] == [3, 5]
+    for row in rows:
+        error = solve(build_akhiezer_problem("1.5", "2", row["m"]), cfg).error
+        predicted = predict_akhiezer_error("1.5", "2", row["m"], cfg)
+        assert row["E"] == bernlab.cli._num_str(error, cfg)
+        assert row["predicted"] == bernlab.cli._num_str(predicted, cfg)
+
+
+def test_conformal_zero_report(tmp_path):
+    code, doc = _run_json(
+        tmp_path, "zero.json", ["conformal", "--k", "1", "--task", "zero", "--bits", "128"]
+    )
+    assert code == 0
+    cfg = PrecisionConfig(mantissa_bits=128)
+    expected = bernlab.cli._num_str(conformal.slit_map_zero(1, cfg), cfg)
+    assert doc["results"]["zero_location"] == expected
+
+
+def test_conformal_constants_report(tmp_path):
+    code, doc = _run_json(
+        tmp_path,
+        "constants.json",
+        ["conformal", "--p", "1.5", "--task", "constants", "--bits", "128"],
+    )
+    assert code == 0
+    results = doc["results"]
+    with mp.workprec(256):
+        constant = mp.mpf(results["expansion_constant"])
+        assert abs(constant - mp.log(mp.mpf("0.75"))) < mp.mpf("1e-35")
+    # Rounding noise, printed to 3 significant digits.
+    residual = results["product_identity_residual"]
+    assert abs(float(residual)) < 1e-30
+    assert residual == mp.nstr(mp.mpf(residual), 3)
+
+
+def test_conformal_offsets_discrepancy_prints_three_digits(tmp_path):
+    code, doc = _run_json(
+        tmp_path, "offsets.json", ["conformal", "--k", "1", "--task", "offsets", "--bits", "128"]
+    )
+    assert code == 0
+    results = doc["results"]
+    spread = results["max_pairwise"]
+    assert spread == mp.nstr(mp.mpf(spread), 3)
+    with mp.workprec(128):
+        routes = [mp.mpf(results[key]) for key in ("closed_form", "far_field", "integral")]
+        widest = max(abs(x - y) for x in routes for y in routes)
+    assert float(spread) == pytest.approx(float(widest), rel=5e-3)
+
+
+@pytest.mark.parametrize(
+    "family, flags, message",
+    [
+        ("absxp", ["--p", "1.5"], "family absxp needs --p and --a"),
+        ("sgn-laurent", ["--a", "0.5"], "family sgn-laurent needs --k and --a"),
+        ("akhiezer", ["--s", "1"], "family akhiezer needs --s and --b (or --a)"),
+        ("akhiezer", ["--a", "0.5"], "family akhiezer needs --s and --b (or --a)"),
+    ],
+)
+def test_missing_family_flag_message(family, flags, message, capsys):
+    assert main(["solve", "--family", family, *flags, "--m", "4"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_profiles_reject_akhiezer_before_solving(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran for an unsupported family")
+
+    monkeypatch.setattr(curveverify, "solve", no_solve)
+    code = main(["profiles", "--family", "akhiezer", "--s", "1", "--b", "2", "--m", "4"])
+    assert code == 1
+    assert "profiles exist for the power and sgn families" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["5..3", "1..5..0", "1..2..3..4"])
+def test_bad_degree_range_exits_one(spec, capsys):
+    code = main(["sweep", "--family", "absxp", "--p", "1", "--a", "0.5", "--m", spec])
+    assert code == 1
+    assert "bad degree range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, task", [("--p", "offsets"), ("--p", "zero"), ("--k", "constants")]
+)
+def test_conformal_task_without_its_map_flag_exits_one(flag, task, capsys):
+    assert main(["conformal", flag, "1", "--task", task]) == 1
+    needed = "--p" if flag == "--k" else "--k"
+    assert capsys.readouterr().err == f"error: task {task} needs {needed}\n"

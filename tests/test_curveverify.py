@@ -316,22 +316,6 @@ def test_profiles_converge_with_degree(cfg256, family, params):
         assert rows[1].sup_distance < rows[0].sup_distance
 
 
-def test_profiles_accept_preseeded_solutions(solved_power, cfg256):
-    problem, sol = solved_power[10]
-    lams = ["0.5", "1", "2"]
-    rows = profile_convergence(
-        ProblemKind.POWER,
-        {"p": "1.5", "a": "0.5"},
-        [10],
-        lams,
-        cfg256,
-        solutions={10: sol},
-    )
-    with cfg256.workprec():
-        assert rows[0].degree == 10
-        assert rows[0].sup_distance > 0
-
-
 def test_profiles_reject_repeated_degrees(monkeypatch, cfg128):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve ran before the degrees were checked")

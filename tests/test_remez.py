@@ -156,9 +156,10 @@ def test_slope_matches_numerical_derivative(kind, params, m, frozen, cfg256, fro
         dcoeffs = chebyshev_derivative(sol.coeffs, sol.interval)
         for j in range(20):
             y = lo + (hi - lo) * (j + mp.mpf("0.5")) / 20
-            got = problem.deviation_slope(
-                y, clenshaw(sol.coeffs, sol.interval, y), clenshaw(dcoeffs, sol.interval, y)
-            )
+            poly = clenshaw(sol.coeffs, sol.interval, y)._mpf_
+            dpoly = clenshaw(dcoeffs, sol.interval, y)._mpf_
+            slope = remez._deviation(problem, lambda _: poly, lambda _: dpoly)[3]
+            got = mp.make_mpf(slope(y._mpf_))
             with mp.workprec(2 * cfg256.mantissa_bits):
                 want = mp.diff(lambda u: reduced_deviation(sol, problem, u), y)
             assert abs(got - want) <= mp.mpf("1e-60") * abs(want)
@@ -649,3 +650,26 @@ def test_bad_initial_reference_rejected(cfg256):
     problem = build_power_problem("1.5", "0.5", 4)
     with pytest.raises(InvalidProblemError):
         solve(problem, cfg256, initial_reference=[0.3, 0.5, 0.9])
+
+
+@pytest.mark.parametrize(
+    "reference",
+    [
+        ["0.3", "0.3", "0.5", "0.9"],
+        # Distinct at 160 bits, one point once rounded to the first step's
+        # 84 bits.
+        ["0.25", "0.5", "0.5000000000000000000000000000000000000001", "0.9"],
+    ],
+)
+def test_coinciding_initial_reference_rejected(reference, cfg128):
+    problem = build_power_problem("1.5", "0.5", 2)
+    with pytest.raises(InvalidProblemError, match="coincide"):
+        solve(problem, cfg128, initial_reference=reference)
+
+
+def test_degree_follows_the_family_parameters():
+    assert build_power_problem("1.5", "0.5", 5).degree == 5
+    assert build_sgn_problem(3, "0.5", 5).degree == 7
+    assert build_akhiezer_problem("1.5", "2", 5).degree == 5
+    with pytest.raises(TypeError):
+        MinimaxProblem(kind=ProblemKind.POWER, p="1.5", a="0.5", m=5, degree=6)

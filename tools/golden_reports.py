@@ -72,6 +72,11 @@ COMMANDS = {
     "invalid_profiles_repeat": [
         "profiles", *_POWER, "--m", "4,4", "--bits", "64", "--lambda-count", "3", *_CSV,
     ],
+    "invalid_sgn_no_k": ["solve", "--family", "sgn-laurent", "--a", "0.5", "--m", "4"],
+    "invalid_akhiezer_no_b": ["solve", "--family", "akhiezer", "--s", "1", "--m", "4"],
+    "invalid_profiles_akhiezer": [
+        "profiles", "--family", "akhiezer", "--s", "1", "--b", "2", "--m", "4",
+    ],
 }
 
 

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .conformal import far_offset_closed
 from .errors import InvalidProblemError
-from .precision import DEFAULT_CONFIG, PrecisionConfig, check_degrees, check_exponent, check_gap
+from .precision import DEFAULT_CONFIG, PrecisionConfig, check_degrees, check_gap
 from .remez import (
     ProblemKind,
     build_akhiezer_problem,
@@ -33,15 +33,17 @@ def predict_power_error(p, a, m: int, cfg: PrecisionConfig | None = None):
     """Predicted minimax error of |x|^p on [-1,-a] u [a,1] at degree 2m:
 
         ((1-a)/(1+a))^(m+1) * m^(-p/2-1) * a^(p/2-1) (1+a)^2 / (2 |Gamma(-p/2)|).
+
+    p is any exponent the builder accepts; at p = -2s this is
+    akhiezer_convert of predict_akhiezer_error at degree m, exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
-    check_exponent(p)
     build_power_problem(p, a, m)
     with cfg.workprec():
         p = mp.mpf(p)
         a = mp.mpf(a)
         ratio = (1 - a) / (1 + a)
-        # check_exponent keeps -p/2 off the poles of Gamma.
+        # The builder keeps -p/2 off the poles of Gamma.
         const = a ** (p / 2 - 1) * (1 + a) ** 2 / (2 * abs(mp.gamma(-p / 2)))
         return ratio ** (m + 1) * mp.mpf(m) ** (-p / 2 - 1) * const
 

@@ -44,6 +44,14 @@ _MAX_REFINE = 48
 _STRIDE = 0.4
 
 
+def _check_y_grid(ys):
+    """Reject a y grid unless it is non-empty, positive and strictly
+    increasing; return it."""
+    if not ys or ys[0] <= 0 or any(b <= a for a, b in zip(ys, ys[1:])):
+        raise InvalidProblemError("y_grid must be non-empty, positive and strictly increasing")
+    return ys
+
+
 @dataclass(frozen=True)
 class PhaseTrace:
     """The phase along z = iy: u + iv = phi(iy) with branch bookkeeping.
@@ -58,9 +66,7 @@ class PhaseTrace:
     branch_windings: tuple
 
     def __post_init__(self):
-        ys = list(self.y_grid)
-        if ys != sorted(ys) or (ys and ys[0] <= 0):
-            raise InvalidProblemError("y_grid must be increasing and positive")
+        _check_y_grid(self.y_grid)
         for vv in self.v:
             if not vv > 0:
                 raise InvalidProblemError("trace left the open upper half-strip")
@@ -131,9 +137,7 @@ def reconstruct_phase(
     """
     cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
-        ys = [mp.mpf(y) for y in y_grid]
-        if not ys or any(b <= a for a, b in zip(ys, ys[1:])) or ys[0] <= 0:
-            raise InvalidProblemError("y_grid must be positive and increasing")
+        ys = _check_y_grid([mp.mpf(y) for y in y_grid])
         g = _phase_samples(sol, problem)
 
         def principal(y):

@@ -60,10 +60,24 @@ class PrecisionConfig:
 DEFAULT_CONFIG = PrecisionConfig()
 
 
-def check_exponent(p) -> float:
-    """Reject p unless p > 0 and p is not an even integer; return float(p)."""
+def check_power_exponent(p) -> float:
+    """Reject an even integer p >= 0, where |x|^p is a polynomial and
+    Gamma(-p/2) has a pole; return float(p).  The power family's rule on p,
+    negative p included."""
     p_f = float(mp.mpf(p))
-    if p_f <= 0 or (p_f == int(p_f) and int(p_f) % 2 == 0):
+    if p_f >= 0 and p_f % 2 == 0:
+        raise InvalidProblemError("p must not be an even integer (degenerate target)")
+    return p_f
+
+
+def check_exponent(p) -> float:
+    """Reject p unless p > 0 and check_power_exponent accepts it; return
+    float(p).  The rule of the limit maps and the conjecture."""
+    try:
+        p_f = check_power_exponent(p)
+    except InvalidProblemError:
+        p_f = 0.0
+    if not p_f > 0:
         raise InvalidProblemError("p must be positive and not an even integer")
     return p_f
 

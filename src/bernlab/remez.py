@@ -30,6 +30,16 @@ reduced-precision steps that tolerance is capped at the slope's noise floor,
 about 2^-(prec - decay_bits) of the segment, below which a search only
 chases rounding.
 
+The search's loop runs on Python ints.  The bracket's ends are ints on one
+binary grid 2^e, fine enough that both ends are exact and two bits finer
+than the larger end's ulp; when that end shrinks toward a small root, a left
+shift refines the grid.  f's values are signed mantissas aligned to a common
+exponent, so the secant step is one exact integer division, and the
+Anderson-Bjoerck scaling of the kept end's value an integer product cut to
+about prec bits.  The one mpf operation per step rounds the new point to
+prec bits for f; the rounded point is read back onto the grid, so the
+bracket holds the point f saw.
+
 The exchange step makes no mpf object per evaluation.  Each family's
 target, weight, residual and slope are written once, on raw mpf tuples, by
 _deviation, which converts the family's constants once per step;
@@ -69,8 +79,6 @@ from dataclasses import dataclass, replace
 
 from mpmath import mp
 from mpmath.libmp import (
-    fhalf,
-    finf,
     fone,
     from_int,
     from_man_exp,
@@ -81,8 +89,6 @@ from mpmath.libmp import (
     mpf_cos_pi,
     mpf_div,
     mpf_gt,
-    mpf_le,
-    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pow,
@@ -94,7 +100,7 @@ from mpmath.libmp import (
 )
 
 from .errors import InvalidProblemError, NonConvergenceError, PrecisionBudgetError
-from .precision import DEFAULT_CONFIG, GUARD_BITS, PrecisionConfig, check_gap
+from .precision import DEFAULT_CONFIG, GUARD_BITS, PrecisionConfig, check_gap, check_power_exponent
 
 # Exchange steps allowed per solve.
 _MAX_ITERATIONS = 60
@@ -108,7 +114,8 @@ _MAX_ITERATIONS = 60
 # 256-bit solve at m = 8 or 40 takes the same evaluations per search.
 _KERNEL_GUARD_BITS = 40
 
-# Steps allowed per bracketed_root search; the exchange's searches take 3-17.
+# Steps allowed per bracketed_root search; the exchange's searches take 4-14
+# at degrees 6-40 and 64-1024 bits.
 _MAX_ROOT_STEPS = 100
 
 # The searches' tolerances: residual roots to 2^-24 of the gap between their
@@ -178,10 +185,8 @@ def build_power_problem(p, a, m: int) -> MinimaxProblem:
     p may be negative (used by the Akhiezer change of variables) but not an
     even integer >= 0, where the target is already a polynomial.
     """
-    p_f = float(mp.mpf(p))
     check_gap(a)
-    if p_f == 0 or (p_f > 0 and p_f == int(p_f) and int(p_f) % 2 == 0):
-        raise InvalidProblemError("p must not be an even integer (degenerate target)")
+    p_f = check_power_exponent(p)
     if not isinstance(m, int) or m < 1:
         raise InvalidProblemError("m must be a positive integer")
     if not 2 * m > p_f:
@@ -399,8 +404,9 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, xtol=None):
     which is also its default.
 
     f runs at interior points only: f_lo and f_hi stand for the ends.  This
-    is the mpf face of _bracket_search, whose loop, like the exchange's f,
-    runs on raw mpf tuples.
+    is the mpf face of _bracket_search, which takes and returns raw mpf
+    tuples, as the exchange's f does, and steps on Python ints (see the
+    module docstring).
     """
     root = _bracket_search(
         lambda y: f(mp.make_mpf(y))._mpf_,
@@ -412,43 +418,84 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, xtol=None):
 
 def _bracket_search(f, a, b, fa, fb, xtol):
     """bracketed_root on raw mpf tuples at mp.prec: f maps a raw y to a raw
-    value, and xtol is raw, fzero for the default."""
+    value, and xtol is raw, fzero for the default.
+
+    Positions are ints on the grid 2^e, at least two bits finer than the
+    larger end's ulp; values are (signed mantissa, exponent) pairs.
+    """
     prec = mp.prec
-    half_tol = mpf_shift(xtol, -1)
-    before_last = last = finf  # lengths of the last two steps
+    e = min((x[2] for x in (a, b) if x[1]), default=0)
+    big_a, big_b = _on_grid(a, e), _on_grid(b, e)
+    man_a, exp_a = _signed(fa)
+    man_b, exp_b = _signed(fb)
+    # As good as infinite: no step is as long as the first bracket.
+    before_last = last = 2 * abs(big_a - big_b)  # lengths of the last two steps
+    half_tol = _shift(xtol[1], xtol[2] - 1 - e)  # xtol/2 in grid units, floored
     for _ in range(_MAX_ROOT_STEPS):
-        gap = mpf_sub(a, b, prec, round_nearest)
-        step = mpf_div(mpf_mul(fb, gap), mpf_sub(fb, fa, prec, round_nearest), prec, round_nearest)
-        # Never less than an ulp of the larger end, so c never rounds onto an end.
-        top = a if mpf_gt(mpf_abs(a), mpf_abs(b)) else b
-        ulp = (0, 1, top[2] + top[3] - prec, 1)
-        half = half_tol if mpf_gt(half_tol, ulp) else ulp
-        width = mpf_abs(gap)
-        if mpf_le(width, mpf_shift(half, 1)):
-            return mpf_add(b, step, prec, round_nearest)
-        inward = half if mpf_sign(gap) > 0 else mpf_neg(half)
-        size = mpf_abs(step)
-        far = mpf_sub(width, half)  # exact, so a secant step past it stays off a
-        if mpf_lt(size, half):
-            c, size = mpf_add(b, inward, prec, round_nearest), half
-        elif mpf_gt(size, far):
-            c, size = mpf_sub(a, inward, prec, round_nearest), far
+        top = max(abs(big_a), abs(big_b)).bit_length()
+        if top < prec + 2:
+            refine = prec + 2 - top
+            big_a, big_b, e = big_a << refine, big_b << refine, e - refine
+            before_last, last, top = before_last << refine, last << refine, top + refine
+            half_tol = _shift(xtol[1], xtol[2] - 1 - e)
+        # Never less than an ulp of the larger end, at least 4 grid units, so
+        # the rounding of c at prec never takes it onto an end.
+        half = max(half_tol, 1 << (top - prec))
+        gap = big_a - big_b
+        low = min(exp_a, exp_b)
+        num_a, num_b = man_a << (exp_a - low), man_b << (exp_b - low)
+        step = (2 * num_b * gap // (num_b - num_a) + 1) >> 1  # to the nearest unit
+        width = abs(gap)
+        if width <= 2 * half:
+            return from_man_exp(big_b + step, e, prec, round_nearest)
+        inward = half if gap > 0 else -half
+        size = abs(step)
+        far = width - half  # a secant step past it stays off a
+        if size < half:
+            big_c, size = big_b + inward, half
+        elif size > far:
+            big_c, size = big_a - inward, far
         else:
-            c = mpf_add(b, step, prec, round_nearest)
-        if not mpf_lt(size, mpf_shift(before_last, -1)):
-            size = mpf_shift(width, -1)
-            c = mpf_add(b, mpf_shift(gap, -1), prec, round_nearest)
+            big_c = big_b + step
+        if 2 * size >= before_last:
+            size = width >> 1
+            big_c = big_b + (gap >> 1)
         before_last, last = last, size
+        # The one mpf operation of a step: c rounded at prec, then read back
+        # onto the grid, so the bracket holds the point f saw.
+        c = from_man_exp(big_c, e, prec, round_nearest)
         fc = f(c)
-        if fc == fzero:
+        if not fc[1]:
             return c
-        if mpf_sign(fc) != mpf_sign(fb):
-            a, fa = b, fb
+        big_c = _on_grid(c, e)
+        man_c, exp_c = _signed(fc)
+        if (man_c < 0) != (man_b < 0):
+            big_a, man_a, exp_a = big_b, man_b, exp_b
         else:
-            scale = mpf_sub(fone, mpf_div(fc, fb, prec, round_nearest), prec, round_nearest)
-            fa = mpf_mul(fa, scale if mpf_sign(scale) > 0 else fhalf, prec, round_nearest)
-        b, fb = c, fc
-    return b
+            # fa * (fb - fc)/fb, to about prec bits, or fa/2 if not positive.
+            low = min(exp_b, exp_c)
+            num_b = man_b << (exp_b - low)
+            rest = num_b - (man_c << (exp_c - low))
+            if rest and (rest < 0) == (num_b < 0):
+                scaled = man_a * rest
+                shift = prec + num_b.bit_length() - scaled.bit_length()
+                man_a, exp_a = _shift(scaled, shift) // num_b, exp_a - shift
+            else:
+                exp_a -= 1
+        big_b, man_b, exp_b = big_c, man_c, exp_c
+    return from_man_exp(big_b, e, prec, round_nearest)
+
+
+def _on_grid(x, e):
+    """The raw mpf x as an int position on the grid 2^e, exact for e at or
+    below x's exponent."""
+    man, exp = _signed(x)
+    return _shift(man, exp - e)
+
+
+def _signed(x):
+    """The raw mpf x as (signed mantissa, exponent)."""
+    return (-x[1] if x[0] else x[1]), x[2]
 
 
 def _shift(x, bits):

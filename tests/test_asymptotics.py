@@ -235,3 +235,26 @@ def test_predictors_reject_what_the_solver_rejects():
         predict_akhiezer_error(1, 2, 0)
     with pytest.raises(InvalidProblemError, match="m must be a positive integer"):
         predict_slit_height(1, "0.5", 0)
+
+
+def test_power_predictor_and_builder_share_the_even_integer_rule():
+    message = r"p must not be an even integer \(degenerate target\)"
+    for p in (2, "0", "4"):
+        with pytest.raises(InvalidProblemError, match=message):
+            predict_power_error(p, "0.5", 5)
+        with pytest.raises(InvalidProblemError, match=message):
+            build_power_problem(p, "0.5", 5)
+    for p in ("-3", "-2", "-1", "1", "3"):
+        build_power_problem(p, "0.5", 5)
+        assert predict_power_error(p, "0.5", 5) > 0
+
+
+def test_negative_power_prediction_is_the_converted_akhiezer_prediction(cfg256):
+    # At p = -2s the power predictor is the shifted-power predictor carried
+    # over by the exact conversion, at every degree.
+    s, a, degree = mp.mpf("1.5"), mp.mpf("0.5"), 20
+    with cfg256.workprec():
+        power = predict_power_error(-2 * s, a, degree, cfg256)
+        shifted = predict_akhiezer_error(s, akhiezer_b_from_a(a), degree, cfg256)
+        converted = akhiezer_convert(s, a, shifted)
+        assert abs(power - converted) <= mp.mpf("1e-80") * power

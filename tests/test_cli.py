@@ -11,7 +11,7 @@ from mpmath import mp
 
 import bernlab.cli
 from bernlab import conformal, curveverify
-from bernlab.asymptotics import predict_akhiezer_error
+from bernlab.asymptotics import predict_akhiezer_error, predict_power_error
 from bernlab.cli import main
 from bernlab.precision import PrecisionConfig
 from bernlab.remez import build_akhiezer_problem, solve
@@ -366,6 +366,22 @@ def test_akhiezer_sweep_rows_match_solver_and_predictor(tmp_path):
         predicted = predict_akhiezer_error("1.5", "2", row["m"], cfg)
         assert row["E"] == bernlab.cli._num_str(error, cfg)
         assert row["predicted"] == bernlab.cli._num_str(predicted, cfg)
+
+
+def test_negative_power_sweep_predicts(tmp_path):
+    # The predictor accepts every p the solver's builder accepts, negative p
+    # included.
+    code, doc = _run_json(
+        tmp_path,
+        "sweep.json",
+        ["sweep", "--family", "absxp", "--p", "-3", "--a", "0.5", "--m", "4..12..4", "--predict"],
+    )
+    assert code == 0
+    rows = doc["results"]["rows"]
+    assert [row["m"] for row in rows] == [4, 8, 12]
+    for row in rows:
+        predicted = predict_power_error("-3", "0.5", row["m"])
+        assert row["predicted"] == bernlab.cli._num_str(predicted, PrecisionConfig())
 
 
 def test_conformal_zero_report(tmp_path):

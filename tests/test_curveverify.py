@@ -236,6 +236,14 @@ def test_trace_validation():
         PhaseTrace(y_grid=(1, 2), u=(0.1, 2.0), v=(1, 1), branch_windings=(0, 0))
 
 
+def test_repeated_y_grid_rejected_by_trace_and_reconstruction(cfg128):
+    message = "y_grid must be non-empty, positive and strictly increasing"
+    with pytest.raises(InvalidProblemError, match=message):
+        PhaseTrace(y_grid=(1, 1), u=(0.1, 0.2), v=(1, 1), branch_windings=(0, 0))
+    with pytest.raises(InvalidProblemError, match=message):
+        reconstruct_phase(None, None, ["1", "1"], cfg128)
+
+
 def test_curve_equation_rejects_even_p(traced, cfg192):
     _, sol, trace = traced
     with pytest.raises(InvalidProblemError):

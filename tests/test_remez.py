@@ -415,6 +415,79 @@ def test_bracketed_root_finds_known_roots(
             assert abs(got - root) <= xtol
 
 
+def test_search_loop_runs_no_mpf_arithmetic(monkeypatch):
+    # The search steps on ints; its only mpf operation per step is the
+    # conversion of the point handed to f.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mpf arithmetic inside the search loop")
+
+    with mp.workprec(256):
+        root = mp.mpf("0.3")
+
+        def f(y):
+            return mp.atan(3 * (mp.make_mpf(y) - root))._mpf_
+
+        lo, hi = mp.mpf(-1), mp.mpf(2)
+        f_lo, f_hi = f(lo._mpf_), f(hi._mpf_)
+        for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_div"):
+            monkeypatch.setattr(remez, name, forbidden)
+        got = mp.make_mpf(remez._bracket_search(f, lo._mpf_, hi._mpf_, f_lo, f_hi, mp.zero._mpf_))
+        assert abs(got - root) <= mp.ldexp(root, 2 - mp.prec)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize(
+    "lo, hi, root",
+    [
+        ("0", "1", "0.3"),  # an end at exact 0
+        ("-1", "0", "-1e-30"),  # a default-xtol root next to the 0 end
+        ("1e-300", "1e10", "1e-5"),  # ends about 1030 binades apart
+        ("-1", "1", "1e-30"),  # the larger end shrinks by 100 binades
+    ],
+)
+def test_search_handles_awkward_brackets(bits, lo, hi, root):
+    # The root is root * sqrt(2), which no point at mp.prec bits hits, so the
+    # search ends on its bracket's width.  Every point handed to f fits in
+    # mp.prec bits and lies strictly inside the bracket of the points f saw
+    # before it, and the search ends within 4 ulps of the root.
+    with mp.workprec(bits):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        with mp.workprec(4 * bits):
+            root = mp.mpf(root) * mp.sqrt(2)
+        seen = []
+
+        def f(y):
+            seen.append(y)
+            with mp.workprec(4 * bits):
+                value = mp.atan(y - root)
+            return +value
+
+        f_lo, f_hi = f(lo), f(hi)
+        seen.clear()
+        got = bracketed_root(f, lo, hi, f_lo, f_hi)
+        assert seen
+        left, right = lo, hi
+        for y in seen:
+            assert left < y < right and y._mpf_[3] <= bits
+            left, right = (y, right) if y < root else (left, y)
+        with mp.workprec(4 * bits):
+            assert abs(got - root) <= mp.ldexp(abs(root), 2 - bits)
+
+
+def test_odd_degree_akhiezer_solve_keeps_its_error():
+    # Nine starting points put the middle Chebyshev point at 1.8e-87, not 0,
+    # so the first step's searches next to it start on a grid about 290 bits
+    # below 1.  E is that of the search on mpf arithmetic it replaced, to
+    # within that solve's own gap (E - min|r|)/E at the stop.
+    cfg = PrecisionConfig(mantissa_bits=256)
+    sol = solve(build_akhiezer_problem("1.5", "2", 7), cfg)
+    with cfg.workprec():
+        before = mp.mpf("0.00008512286913355366837809450947299795039927819702047389181109618")
+        gap = mp.mpf("2.8038e-30")
+        assert sol.iterations == 5
+        assert abs(sol.error - before) <= gap * before
+
+
 @pytest.fixture
 def recorded_searches(monkeypatch):
     """Route every root search, the exchange's and bracketed_root's, through

@@ -33,7 +33,10 @@ COMMANDS = {
     "solve_absxp_m40": ["solve", *_POWER, "--m", "40"],
     "solve_sgn_k1_m8": ["solve", *_SGN, "--m", "8"],
     "solve_sgn_k3_m6": ["solve", "--family", "sgn-laurent", "--k", "3", "--a", "0.3", "--m", "6"],
+    "solve_absxp_m8_bits1024": ["solve", *_POWER, "--m", "8", "--bits", "1024"],
     "solve_akhiezer_b2_m8": ["solve", *_AKHIEZER, "--m", "8"],
+    # Nine starting points: the middle Chebyshev point is 1.8e-87, not 0.
+    "solve_akhiezer_b2_m7": ["solve", *_AKHIEZER, "--m", "7"],
     "solve_akhiezer_a05_m8": [
         "solve", "--family", "akhiezer", "--s", "1.5", "--a", "0.5", "--m", "8",
     ],

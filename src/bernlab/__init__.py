@@ -19,165 +19,50 @@ Layers, bottom up:
   functional-equation residual, coefficient sign-pattern checks, and
   profile-convergence measurements.
 * conjecture: exploratory double-precision solver for the whole-line
-  phase equation; reports residuals only.  It loads, and numpy with it,
-  on first use: in the conjecture subcommand, or when one of its names
-  is first looked up on this package.
+  phase equation; reports residuals only.  It loads numpy.
+
+``import bernlab`` loads no layer.  _EXPORTS names each layer's public
+names once; a layer loads on first use, when one of its names or the layer
+itself is first looked up on this package.
 """
 
-from .errors import (
-    BernlabError,
-    BranchTrackingError,
-    CutViolationError,
-    GammaPoleError,
-    InvalidProblemError,
-    NonConvergenceError,
-    PrecisionBudgetError,
-    QuadratureError,
-)
-from .precision import DEFAULT_CONFIG, PrecisionConfig
-from .specialfn import (
-    DensitySpec,
-    SignedLog,
-    cauchy_boundary,
-    cauchy_integral,
-    gamma_density,
-    gauss_legendre_nodes,
-    hilbert_grid,
-    integrate_finite,
-    integrate_finite_err,
-    integrate_halfline,
-    log_gamma,
-)
-from .remez import (
-    MinimaxProblem,
-    MinimaxSolution,
-    ProblemKind,
-    build_problem,
-    clenshaw,
-    eval_solution,
-    reduced_deviation,
-    solve,
-)
-from .conformal import (
-    ConformalSample,
-    MapConstants,
-    far_offset_closed,
-    far_offset_far_field,
-    far_offset_integral,
-    limit_constants,
-    limit_density,
-    limit_map,
-    limit_map_boundary,
-    phase_density,
-    power_limit_profile,
-    sgn_limit_profile,
-    slit_map,
-    slit_map_boundary,
-    slit_map_zero,
-    tooth_density,
-)
-from .asymptotics import (
-    AsymptoticsReport,
-    akhiezer_b_from_a,
-    akhiezer_convert,
-    compare,
-    predict_akhiezer_error,
-    predict_power_error,
-    predict_slit_height,
-    slit_height_from_error,
-)
-from .curveverify import (
-    PhaseTrace,
-    ProfileDistanceRow,
-    SignPatternReport,
-    curve_residuals,
-    profile_convergence,
-    reconstruct_phase,
-    sign_pattern_check,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BernlabError",
-    "BranchTrackingError",
-    "CutViolationError",
-    "GammaPoleError",
-    "InvalidProblemError",
-    "NonConvergenceError",
-    "PrecisionBudgetError",
-    "QuadratureError",
-    "DEFAULT_CONFIG",
-    "PrecisionConfig",
-    "DensitySpec",
-    "SignedLog",
-    "cauchy_boundary",
-    "cauchy_integral",
-    "gamma_density",
-    "gauss_legendre_nodes",
-    "hilbert_grid",
-    "integrate_finite",
-    "integrate_finite_err",
-    "integrate_halfline",
-    "log_gamma",
-    "MinimaxProblem",
-    "MinimaxSolution",
-    "ProblemKind",
-    "build_problem",
-    "clenshaw",
-    "eval_solution",
-    "reduced_deviation",
-    "solve",
-    "ConformalSample",
-    "MapConstants",
-    "far_offset_closed",
-    "far_offset_far_field",
-    "far_offset_integral",
-    "limit_constants",
-    "limit_density",
-    "limit_map",
-    "limit_map_boundary",
-    "phase_density",
-    "power_limit_profile",
-    "sgn_limit_profile",
-    "slit_map",
-    "slit_map_boundary",
-    "slit_map_zero",
-    "tooth_density",
-    "AsymptoticsReport",
-    "akhiezer_b_from_a",
-    "akhiezer_convert",
-    "compare",
-    "predict_akhiezer_error",
-    "predict_power_error",
-    "predict_slit_height",
-    "slit_height_from_error",
-    "PhaseTrace",
-    "ProfileDistanceRow",
-    "SignPatternReport",
-    "curve_residuals",
-    "profile_convergence",
-    "reconstruct_phase",
-    "sign_pattern_check",
-    "ConjectureState",
-    "phase_residual",
-    "refinement_ratio",
-    "solve_phase_equation",
-    "__version__",
-]
+# Layer module -> its public names, each exported from this package.
+_EXPORTS = {
+    "errors": """BernlabError BranchTrackingError CutViolationError GammaPoleError
+        InvalidProblemError NonConvergenceError PrecisionBudgetError QuadratureError""",
+    "precision": "DEFAULT_CONFIG PrecisionConfig",
+    "specialfn": """DensitySpec SignedLog cauchy_boundary cauchy_integral gamma_density
+        gauss_legendre_nodes hilbert_grid integrate_finite integrate_finite_err
+        integrate_halfline log_gamma""",
+    "remez": """MinimaxProblem MinimaxSolution ProblemKind build_problem clenshaw
+        eval_solution reduced_deviation solve""",
+    "conformal": """ConformalSample MapConstants far_offset_closed far_offset_far_field
+        far_offset_integral limit_constants limit_density limit_map limit_map_boundary
+        phase_density power_limit_profile sgn_limit_profile slit_map slit_map_boundary
+        slit_map_zero tooth_density""",
+    "asymptotics": """AsymptoticsReport akhiezer_b_from_a akhiezer_convert compare
+        predict_akhiezer_error predict_power_error predict_slit_height
+        slit_height_from_error""",
+    "curveverify": """PhaseTrace ProfileDistanceRow SignPatternReport curve_residuals
+        profile_convergence reconstruct_phase sign_pattern_check""",
+    "conjecture": "ConjectureState phase_residual refinement_ratio solve_phase_equation",
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
 
-_CONJECTURE_NAMES = (
-    "ConjectureState",
-    "phase_residual",
-    "refinement_ratio",
-    "solve_phase_equation",
-)
+__all__ = [*_LAYER_OF, "__version__"]
 
 
 def __getattr__(name):
-    if name == "conjecture" or name in _CONJECTURE_NAMES:
-        import importlib
-
-        module = importlib.import_module(f"{__name__}.conjecture")
-        return module if name == "conjecture" else getattr(module, name)
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAYER_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_LAYER_OF[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

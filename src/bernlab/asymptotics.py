@@ -29,7 +29,7 @@ from .remez import (
 from .specialfn import log_gamma
 
 
-def predict_power_error(p, a, m: int, cfg: PrecisionConfig | None = None):
+def predict_power_error(p, a, m: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Predicted minimax error of |x|^p on [-1,-a] u [a,1] at degree 2m:
 
         ((1-a)/(1+a))^(m+1) * m^(-p/2-1) * a^(p/2-1) (1+a)^2 / (2 |Gamma(-p/2)|).
@@ -37,7 +37,6 @@ def predict_power_error(p, a, m: int, cfg: PrecisionConfig | None = None):
     p is any exponent the builder accepts; at p = -2s this is
     akhiezer_convert of predict_akhiezer_error at degree m, exactly.
     """
-    cfg = cfg or DEFAULT_CONFIG
     build_power_problem(p, a, m)
     with cfg.workprec():
         p = mp.mpf(p)
@@ -48,7 +47,7 @@ def predict_power_error(p, a, m: int, cfg: PrecisionConfig | None = None):
         return ratio ** (m + 1) * mp.mpf(m) ** (-p / 2 - 1) * const
 
 
-def predict_slit_height(k: int, a, m: int, cfg: PrecisionConfig | None = None):
+def predict_slit_height(k: int, a, m: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Predicted slit height B for the sgn problem of index (k, m):
 
         (m-1/2) log((1+a)/(1-a)) + (k+1/2) log(2m-1)
@@ -63,7 +62,6 @@ def predict_slit_height(k: int, a, m: int, cfg: PrecisionConfig | None = None):
     like O(1/m) (about 2.3/m at k = 1, a = 1/2).  The next-order term is
     left out, so no finite-degree accuracy is implied.
     """
-    cfg = cfg or DEFAULT_CONFIG
     build_sgn_problem(k, a, m)
     with cfg.workprec():
         a = mp.mpf(a)
@@ -76,9 +74,8 @@ def predict_slit_height(k: int, a, m: int, cfg: PrecisionConfig | None = None):
         )
 
 
-def slit_height_from_error(error, cfg: PrecisionConfig | None = None):
+def slit_height_from_error(error, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Invert L = 1/cosh(B): the slit height realized by a sgn error L."""
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         error = mp.mpf(error)
         if not 0 < error < 1:
@@ -99,21 +96,22 @@ def akhiezer_convert(s, a, shifted_error):
         E_{2l}(-2s, a) = (1+b)^s * E_l[(b+x)^(-s)],  b = (1+a^2)/(1-a^2).
 
     The substitution y = (b+x)/(b+1) maps [-1,1] onto [a^2,1], so this
-    identity holds at every degree l, not just asymptotically.
+    identity holds at every degree l, not just asymptotically, and s is
+    checked by the builder's rule at degree 1.  A negative error is rejected.
     """
-    if float(mp.mpf(s)) == 0:
-        raise InvalidProblemError("s must be nonzero")
-    s = mp.mpf(s)
     b = akhiezer_b_from_a(a)
-    return (1 + b) ** s * mp.mpf(shifted_error)
+    build_akhiezer_problem(s, b, 1)
+    shifted_error = mp.mpf(shifted_error)
+    if shifted_error < 0:
+        raise InvalidProblemError("the shifted error must be nonnegative")
+    return (1 + b) ** mp.mpf(s) * shifted_error
 
 
-def predict_akhiezer_error(s, b, l: int, cfg: PrecisionConfig | None = None):
+def predict_akhiezer_error(s, b, l: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Predicted minimax error of (b+x)^(-s) on [-1,1] at degree l:
 
         (l^(s-1)/|Gamma(s)|) (b - sqrt(b^2-1))^l / (b^2-1)^((s+1)/2).
     """
-    cfg = cfg or DEFAULT_CONFIG
     build_akhiezer_problem(s, b, l)
     with cfg.workprec():
         s = mp.mpf(s)
@@ -138,8 +136,6 @@ class AsymptoticsReport:
     and gap = computed - predicted is the figure of merit.
     """
 
-    family: ProblemKind
-    parameters: dict
     rows: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -173,7 +169,7 @@ def compare(
     family: ProblemKind,
     parameters: dict,
     degrees,
-    cfg: PrecisionConfig | None = None,
+    cfg: PrecisionConfig = DEFAULT_CONFIG,
     *,
     jobs: int = 1,
 ) -> AsymptoticsReport:
@@ -184,7 +180,6 @@ def compare(
     so jobs > 1 distributes them over at most one process per degree.
     Solver errors propagate.
     """
-    cfg = cfg or DEFAULT_CONFIG
     family = ProblemKind(family)
     degrees = check_degrees(degrees)
     if jobs < 1:
@@ -215,4 +210,4 @@ def compare(
                 computed = err
                 predicted = predict_akhiezer_error(parameters["s"], parameters["b"], m, cfg)
             rows.append((m, computed, predicted, computed / predicted))
-    return AsymptoticsReport(family=family, parameters=dict(parameters), rows=tuple(rows))
+    return AsymptoticsReport(rows=tuple(rows))

@@ -25,7 +25,7 @@ from . import asymptotics, conformal, curveverify, remez
 from .errors import InvalidProblemError
 from .precision import PrecisionConfig
 from .remez import ProblemKind
-from .specialfn import cauchy_boundary, gamma_cauchy_boundary
+from .specialfn import cauchy_boundary
 
 SCHEMA = "bernlab-report/1"
 
@@ -302,34 +302,30 @@ def _cmd_profiles(ns: argparse.Namespace, cfg: PrecisionConfig):
 
 
 def _boundary_residuals(ns: argparse.Namespace, cfg: PrecisionConfig):
-    """Residuals of the boundary identities on a log-spaced grid, as rows
+    """Residuals of the map's boundary values on a log-spaced grid, as rows
     (xi, residual, pv_residual).
 
-    The imaginary part of the quadrature Cauchy transform on the upper edge
-    of the cut must reproduce the density itself; the residual normalizes
-    that to zero.  Its real part, the principal value, must match the
-    closed form; pv_residual is their difference over |closed form|."""
+    C is the quadrature Cauchy transform of the map's density tau on the
+    upper edge of the cut.  Its imaginary part must reproduce tau, so the
+    residual is Im C(xi) / tau(xi) - 1.  Its real part, the principal value,
+    must match exp(cauchy_part) of the map's own boundary value;
+    pv_residual is their difference over |exp(cauchy_part)|."""
     xis = _log_spaced(ns.xi_min, ns.xi_max, ns.xi_count, cfg)
+    if ns.k is not None:
+        index, boundary = ns.k, conformal.slit_map_boundary
+        dens = conformal.tooth_density(ns.k)
+    else:
+        index, boundary = ns.p, conformal.limit_map_boundary
+        dens = conformal.limit_density(ns.p, cfg)
     rows = []
     with cfg.workprec():
-        if ns.k is not None:
-            half = mp.mpf(2 * ns.k - 1) / 2
-            dens = conformal.tooth_density(ns.k)
-            scale = 1
-        else:
-            p = mp.mpf(ns.p)
-            consts = conformal.limit_constants(p, cfg, check=False)
-            dens = conformal.limit_density(p, cfg)
-            half = p / 2
-            # Gamma(p/2) / pi, the inverse of the density's scale.
-            scale = consts.boundary_scale / abs(mp.sinpi(half))
         for xi in xis:
             cau = cauchy_boundary(dens, xi, cfg)
-            closed = gamma_cauchy_boundary(half, xi, cfg) / scale
+            closed = mp.exp(boundary(index, xi, cfg).cauchy_part)
             rows.append(
                 (
                     xi,
-                    scale * mp.exp(xi) * xi ** (-half) * mp.im(cau) - 1,
+                    mp.im(cau) / dens(xi) - 1,
                     (mp.re(cau) - mp.re(closed)) / abs(closed),
                 )
             )
@@ -427,6 +423,8 @@ def _cmd_convert(ns: argparse.Namespace, cfg: PrecisionConfig):
     with cfg.workprec():
         a = mp.mpf(ns.a)
         b = asymptotics.akhiezer_b_from_a(a)
+        # The builder owns the rules on s and l; without --l degree 1 stands in.
+        remez.build_akhiezer_problem(ns.s, b, 1 if ns.l is None else ns.l)
         endpoint_ratio = (1 - a) / (1 + a)
         payload = {"s": ns.s, "a": ns.a, "b": b, "endpoint_ratio": endpoint_ratio}
         if ns.error is not None:

@@ -102,23 +102,23 @@ def _map_boundary(alpha, scale, log_coeff, xi, cfg):
         return ConformalSample(mp.mpc(xi, 0), xi - log_term + cauchy_part, cauchy_part)
 
 
-def slit_map(k: int, zeta, cfg: PrecisionConfig | None = None) -> ConformalSample:
+def slit_map(k: int, zeta, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConformalSample:
     """Evaluate the slit map of index k off the cut.
 
     For k = 0 the map is normalized so its value tends to 0 as zeta -> 0
     along the negative axis.
     """
     alpha = _tooth_exponent(k)
-    return _map_off_cut(alpha, 1, alpha, zeta, cfg or DEFAULT_CONFIG)
+    return _map_off_cut(alpha, 1, alpha, zeta, cfg)
 
 
-def slit_map_boundary(k: int, xi, cfg: PrecisionConfig | None = None) -> ConformalSample:
+def slit_map_boundary(k: int, xi, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConformalSample:
     """Boundary value of the slit map at xi + i0, xi > 0."""
     alpha = _tooth_exponent(k)
-    return _map_boundary(alpha, 1, alpha, xi, cfg or DEFAULT_CONFIG)
+    return _map_boundary(alpha, 1, alpha, xi, cfg)
 
 
-def phase_density(k: int, t, cfg: PrecisionConfig | None = None):
+def phase_density(k: int, t, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """(1/pi) * Im of the slit map on the upper edge of the cut.
 
     There -(k - 1/2) log(-zeta) adds (k - 1/2) pi and the log of the Cauchy
@@ -126,14 +126,13 @@ def phase_density(k: int, t, cfg: PrecisionConfig | None = None):
     no complex log.  Ranges over (k - 1/2, k + 1/2) and tends to k + 1/2 as
     t -> inf.
     """
-    cfg = cfg or DEFAULT_CONFIG
     alpha = _tooth_exponent(k)
     with cfg.workprec():
         transform = gamma_cauchy_boundary(alpha, t, cfg)
         return alpha + mp.atan2(transform.imag, transform.real) / mp.pi
 
 
-def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 1e6)):
+def slit_map_zero(k: int, cfg: PrecisionConfig = DEFAULT_CONFIG, *, bracket=(1e-6, 1e6)):
     """The point -D on the negative axis where the slit map vanishes.
 
     The map is strictly increasing along the negative axis, so the bracket
@@ -141,7 +140,6 @@ def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 
     that check, seed remez.bracketed_root, which finds D without
     evaluating the map at either end again.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         lo, hi = (mp.mpf(bracket[0]), mp.mpf(bracket[1]))
 
@@ -157,20 +155,18 @@ def slit_map_zero(k: int, cfg: PrecisionConfig | None = None, *, bracket=(1e-6, 
         return bracketed_root(value, lo, hi, f_lo, f_hi)
 
 
-def far_offset_closed(k: int, cfg: PrecisionConfig | None = None):
+def far_offset_closed(k: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Closed form of the far-field offset: log Gamma(k + 1/2) - log pi."""
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         return log_gamma(mp.mpf(2 * k + 1) / 2, cfg).log_abs - mp.log(mp.pi)
 
 
-def far_offset_far_field(k: int, cfg: PrecisionConfig | None = None):
+def far_offset_far_field(k: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Far-field route: evaluate the map at zeta = -R and extrapolate.
 
     The correction decays like 1/R, so a three-point Richardson fit in
     R0/R removes the first two orders.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         half = mp.mpf(1) / 2
         rs = [mp.mpf(r) for r in (1e4, 1e5, 1e6)]
@@ -187,7 +183,7 @@ def far_offset_far_field(k: int, cfg: PrecisionConfig | None = None):
 _INTEGRAL_ROUTE_BITS = 96
 
 
-def far_offset_integral(k: int, cfg: PrecisionConfig | None = None):
+def far_offset_integral(k: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Integral route through the zero of the map:
 
         D + (k+1/2) log D - Int_0^inf (rho_k(t) - (k+1/2)) / (t + D) dt,
@@ -195,7 +191,6 @@ def far_offset_integral(k: int, cfg: PrecisionConfig | None = None):
     with rho_k the phase density.  D and the integral are computed at
     _INTEGRAL_ROUTE_BITS, to the quadrature's relative tolerance of 1e-10.
     """
-    cfg = cfg or DEFAULT_CONFIG
     inner = PrecisionConfig(mantissa_bits=_INTEGRAL_ROUTE_BITS)
     with cfg.workprec():
         half = mp.mpf(1) / 2
@@ -226,35 +221,32 @@ def _limit_exponent_and_scale(p, cfg):
         return half, mp.pi / mp.gamma(half)
 
 
-def limit_density(p, cfg: PrecisionConfig | None = None):
+def limit_density(p, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Density (|sin(pi p/2)| / Lambda) t^(p/2) e^-t of the limit map.
 
     With Lambda = |sin(pi p/2)| Gamma(p/2) / pi the sine factors cancel,
     so the scale is pi / Gamma(p/2).
     """
-    return gamma_density(*_limit_exponent_and_scale(p, cfg or DEFAULT_CONFIG))
+    return gamma_density(*_limit_exponent_and_scale(p, cfg))
 
 
-def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> MapConstants:
+def limit_constants(p, cfg: PrecisionConfig = DEFAULT_CONFIG, *, check=True) -> MapConstants:
     """Scale and far-field constant of the limit map.
 
     boundary_scale = |sin(pi p/2)| Gamma(p/2) / pi, fixed by requiring unit
     mass of tau(t)/t against 1/pi; expansion_constant c = log(p/2), as
     exp(c) = |sin(pi p/2)| Gamma(p/2 + 1) / (pi * scale) = Gamma(p/2 + 1) /
     Gamma(p/2).  With check=True the unit-mass condition is re-verified by
-    quadrature.
+    quadrature of the density the maps use, scale pi / Gamma(p/2).
     """
-    cfg = cfg or DEFAULT_CONFIG
-    check_exponent(p)
+    half, scale = _limit_exponent_and_scale(p, cfg)
     with cfg.workprec():
-        p = mp.mpf(p)
-        sin_abs = abs(mp.sinpi(p / 2))
-        lam = sin_abs * mp.exp(log_gamma(p / 2, cfg).log_abs) / mp.pi
-        c = mp.log(p / 2)
+        lam = abs(mp.sinpi(half)) / scale
+        c = mp.log(half)
         if check:
-            dens = gamma_density(p / 2, scale=sin_abs / lam)
+            dens = gamma_density(half, scale)
             mass = integrate_halfline(
-                DensitySpec(float(p / 2) - 1, lambda t: dens(t) / t), cfg
+                DensitySpec(float(half) - 1, lambda t: dens(t) / t), cfg
             ) / mp.pi
             if abs(mass - 1) > mp.mpf(10) ** (-max(10, cfg.decimal_digits // 3)):
                 raise QuadratureError(
@@ -263,19 +255,17 @@ def limit_constants(p, cfg: PrecisionConfig | None = None, *, check=True) -> Map
         return MapConstants(boundary_scale=lam, expansion_constant=c)
 
 
-def limit_map(p, zeta, cfg: PrecisionConfig | None = None) -> ConformalSample:
+def limit_map(p, zeta, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConformalSample:
     """The limit map zeta + log of the Cauchy transform of the limit density."""
-    cfg = cfg or DEFAULT_CONFIG
     return _map_off_cut(*_limit_exponent_and_scale(p, cfg), 0, zeta, cfg)
 
 
-def limit_map_boundary(p, xi, cfg: PrecisionConfig | None = None) -> ConformalSample:
+def limit_map_boundary(p, xi, cfg: PrecisionConfig = DEFAULT_CONFIG) -> ConformalSample:
     """Boundary value of the limit map at xi + i0, xi > 0."""
-    cfg = cfg or DEFAULT_CONFIG
     return _map_boundary(*_limit_exponent_and_scale(p, cfg), 0, xi, cfg)
 
 
-def sgn_limit_profile(k: int, lam, cfg: PrecisionConfig | None = None):
+def sgn_limit_profile(k: int, lam, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Pointwise limit of the rescaled sgn approximant at lambda > 0:
 
         1 + ((-1)^(k+1)/pi) Int (mu/lambda)^(2k-1) e^-(lambda^2+mu^2)
@@ -285,7 +275,6 @@ def sgn_limit_profile(k: int, lam, cfg: PrecisionConfig | None = None):
 
         1 + (-1)^(k+1) e^-lambda^2 lambda^(1-2k) gamma_cauchy_integral(k - 1/2, -lambda^2).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not isinstance(k, int) or k < 1:
         raise InvalidProblemError("k must be a positive integer")
     with cfg.workprec():
@@ -298,7 +287,7 @@ def sgn_limit_profile(k: int, lam, cfg: PrecisionConfig | None = None):
         return 1 + sign * mp.exp(-lam2) * lam ** (1 - 2 * k) * cau
 
 
-def power_limit_profile(p, lam, cfg: PrecisionConfig | None = None):
+def power_limit_profile(p, lam, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Pointwise limit of the rescaled |x|^p approximant at lambda >= 0:
 
         lambda^p + (sin(pi p/2)/pi) Int mu^p e^-(lambda^2+mu^2)
@@ -310,7 +299,6 @@ def power_limit_profile(p, lam, cfg: PrecisionConfig | None = None):
 
     At lambda = 0 the value collapses to sin(pi p/2) Gamma(p/2) / pi.
     """
-    cfg = cfg or DEFAULT_CONFIG
     check_exponent(p)
     with cfg.workprec():
         p = mp.mpf(p)

@@ -121,7 +121,7 @@ def reconstruct_phase(
     sol: MinimaxSolution,
     problem: MinimaxProblem,
     y_grid,
-    cfg: PrecisionConfig | None = None,
+    cfg: PrecisionConfig = DEFAULT_CONFIG,
 ) -> PhaseTrace:
     """Continue the phase along z = iy over an increasing grid.
 
@@ -135,7 +135,6 @@ def reconstruct_phase(
     predicts the move; when it would exceed _STRIDE, an intermediate
     point where it equals _STRIDE is tried first.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         ys = _check_y_grid([mp.mpf(y) for y in y_grid])
         g = _phase_samples(sol, problem)
@@ -192,7 +191,7 @@ def reconstruct_phase(
         )
 
 
-def curve_residuals(trace: PhaseTrace, error, p, cfg: PrecisionConfig | None = None):
+def curve_residuals(trace: PhaseTrace, error, p, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Relative residuals of the curve equation along the trace:
 
         (E sin u sinh v - |sin(pi p/2)| y^p) / (|sin(pi p/2)| y^p).
@@ -200,7 +199,6 @@ def curve_residuals(trace: PhaseTrace, error, p, cfg: PrecisionConfig | None = N
     The equation is an exact identity of the extremal polynomial, so the
     residual is a pure numerical-error measure.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         error = mp.mpf(error)
         p = mp.mpf(p)
@@ -260,7 +258,7 @@ def sign_pattern_check(
     sol: MinimaxSolution,
     problem: MinimaxProblem,
     t,
-    cfg: PrecisionConfig | None = None,
+    cfg: PrecisionConfig = DEFAULT_CONFIG,
 ) -> SignPatternReport:
     """Count coefficient sign changes of P(x) - x^p - tE by exponent order.
 
@@ -269,7 +267,6 @@ def sign_pattern_check(
     by -tE.  For |t| < 1 the count must be exactly m+1 with endpoint signs
     (-1)^[p/2] and (-1)^([p/2]+m+1).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if problem.kind is not ProblemKind.POWER:
         raise InvalidProblemError("sign pattern applies to the power problem")
     m = problem.degree
@@ -317,7 +314,7 @@ def profile_convergence(
     params: dict,
     m_list,
     lambda_grid,
-    cfg: PrecisionConfig | None = None,
+    cfg: PrecisionConfig = DEFAULT_CONFIG,
 ):
     """Sup-distance between rescaled extremal values and the limit profile.
 
@@ -326,7 +323,6 @@ def profile_convergence(
     Each degree may appear once and is solved here.  Any other family,
     a repeated degree or a bad lambda is rejected before the first solve.
     """
-    cfg = cfg or DEFAULT_CONFIG
     family = ProblemKind(family)
     if family not in (ProblemKind.POWER, ProblemKind.SGN_LAURENT):
         raise InvalidProblemError("profiles exist for the power and sgn families")

@@ -1,8 +1,9 @@
 """Shared precision configuration.
 
-All numerical routines in the package take a PrecisionConfig and run inside
-``cfg.workprec()``.  Guard bits on top of ``mantissa_bits`` absorb roundoff so
-that results are good to roughly 2^(-mantissa_bits/2) relative.
+All numerical routines in the package take a PrecisionConfig, DEFAULT_CONFIG
+unless given, and run inside ``cfg.workprec()``.  Guard bits on top of
+``mantissa_bits`` absorb roundoff so that results are good to roughly
+2^(-mantissa_bits/2) relative.
 """
 
 from __future__ import annotations

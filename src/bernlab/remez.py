@@ -657,7 +657,7 @@ def _locate_extrema(problem, coeffs, ref, extremum_bits):
 
 def solve(
     problem: MinimaxProblem,
-    cfg: PrecisionConfig | None = None,
+    cfg: PrecisionConfig = DEFAULT_CONFIG,
     *,
     initial_reference=None,
 ) -> MinimaxSolution:
@@ -669,7 +669,6 @@ def solve(
     raises NonConvergenceError on stagnation and PrecisionBudgetError when
     the expected E would drown in roundoff.
     """
-    cfg = cfg or DEFAULT_CONFIG
     decay = problem.decay_bits()
     needed = decay + 48
     if cfg.mantissa_bits < needed:

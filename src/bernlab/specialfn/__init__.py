@@ -16,19 +16,3 @@ from .cauchy import (
     gamma_cauchy_integral,
 )
 from .hilbert import hilbert_grid
-
-__all__ = [
-    "SignedLog",
-    "log_gamma",
-    "DensitySpec",
-    "gamma_density",
-    "gauss_legendre_nodes",
-    "integrate_finite",
-    "integrate_finite_err",
-    "integrate_halfline",
-    "cauchy_integral",
-    "cauchy_boundary",
-    "gamma_cauchy_integral",
-    "gamma_cauchy_boundary",
-    "hilbert_grid",
-]

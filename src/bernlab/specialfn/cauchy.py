@@ -59,13 +59,12 @@ def _on_support(xi):
     return xi
 
 
-def cauchy_integral(density: DensitySpec, zeta, cfg: PrecisionConfig | None = None):
+def cauchy_integral(density: DensitySpec, zeta, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """(1/pi) * integral over (0, inf) of density(t) / (t - zeta) dt.
 
     zeta must lie off the support [0, inf); use cauchy_boundary for points
     on the cut.  Real zeta < 0 stays in real arithmetic.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         zeta = _off_support(zeta)
 
@@ -77,7 +76,7 @@ def cauchy_integral(density: DensitySpec, zeta, cfg: PrecisionConfig | None = No
         ) / mp.pi
 
 
-def cauchy_boundary(density: DensitySpec, xi, cfg: PrecisionConfig | None = None):
+def cauchy_boundary(density: DensitySpec, xi, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Boundary value of the Cauchy transform at xi + i0, xi > 0.
 
     Returns PV/pi + i*density(xi), where PV is the principal-value integral
@@ -85,7 +84,6 @@ def cauchy_boundary(density: DensitySpec, xi, cfg: PrecisionConfig | None = None
     the regularized form (tau(t) - tau(xi))/(t - xi) plus the analytic log
     term tau(xi)*log((r-xi)/(xi-l)), which vanishes for a symmetric window.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec(extra=_PV_EXTRA_BITS):
         xi = _on_support(xi)
         eps = min(mp.mpf(_PV_EPSILON), xi / 2)
@@ -117,18 +115,17 @@ def _gamma_closed_form(alpha, w):
     return mp.gamma(alpha + 1) * w**alpha * mp.exp(w) * mp.gammainc(-alpha, w) / mp.pi
 
 
-def gamma_cauchy_integral(alpha, zeta, cfg: PrecisionConfig | None = None):
+def gamma_cauchy_integral(alpha, zeta, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """(1/pi) * integral over (0, inf) of t^alpha e^-t / (t - zeta) dt, alpha > -1.
 
     The closed-form counterpart of cauchy_integral for gamma_density(alpha);
     zeta must lie off the support [0, inf).  Real zeta < 0 gives a real value.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         return _gamma_closed_form(mp.mpf(alpha), -_off_support(zeta))
 
 
-def gamma_cauchy_boundary(alpha, xi, cfg: PrecisionConfig | None = None):
+def gamma_cauchy_boundary(alpha, xi, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Boundary value at xi + i0, xi > 0, of gamma_cauchy_integral, alpha > -1
     and not an integer.
 
@@ -141,7 +138,6 @@ def gamma_cauchy_boundary(alpha, xi, cfg: PrecisionConfig | None = None):
     subtraction runs with as many extra bits as the pole costs.  No map in
     the package has an integer exponent (check_exponent rejects even p).
     """
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         xi = _on_support(xi)
         alpha = mp.mpf(alpha)

@@ -21,12 +21,11 @@ class SignedLog(NamedTuple):
     sign: int
 
 
-def log_gamma(x, cfg: PrecisionConfig | None = None) -> SignedLog:
+def log_gamma(x, cfg: PrecisionConfig = DEFAULT_CONFIG) -> SignedLog:
     """Return (log|Gamma(x)|, sign) for real x.
 
     Raises GammaPoleError at non-positive integers.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec(extra=16):
         x = mp.mpf(x)
         # mp.loggamma would raise a plain ValueError at the poles.

@@ -124,7 +124,7 @@ def integrate_finite_err(
     f: Callable,
     lo,
     hi,
-    cfg: PrecisionConfig | None = None,
+    cfg: PrecisionConfig = DEFAULT_CONFIG,
     *,
     alpha=None,
     rel_tol=None,
@@ -136,7 +136,6 @@ def integrate_finite_err(
     lo == 0 only); it is removed by substitution before panels are laid
     down.  Raises QuadratureError when bisection cannot reach the target.
     """
-    cfg = cfg or DEFAULT_CONFIG
     with cfg.workprec():
         lo = mp.mpf(lo)
         hi = mp.mpf(hi)
@@ -205,7 +204,7 @@ def integrate_finite_err(
         return total, err
 
 
-def integrate_finite(f, lo, hi, cfg=None, *, alpha=None, rel_tol=None, max_depth=None):
+def integrate_finite(f, lo, hi, cfg=DEFAULT_CONFIG, *, alpha=None, rel_tol=None, max_depth=None):
     """Adaptive panel integral of f over [lo, hi]; see integrate_finite_err."""
     value, _ = integrate_finite_err(
         f, lo, hi, cfg, alpha=alpha, rel_tol=rel_tol, max_depth=max_depth
@@ -258,14 +257,13 @@ def gamma_density(alpha, scale=1) -> DensitySpec:
     return DensitySpec(exponent_alpha=alpha_f, values=values)
 
 
-def integrate_halfline(density, cfg: PrecisionConfig | None = None):
+def integrate_halfline(density, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Integral of density(t) over (0, inf).
 
     The density must decay like exp(-t); the integral is truncated at
     cfg.tail_cut_for(alpha), beyond which the discarded mass is below the
     working precision.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not isinstance(density, DensitySpec):
         raise TypeError("integrate_halfline expects a DensitySpec")
     with cfg.workprec():

@@ -110,6 +110,22 @@ def test_convert_error_runs_at_full_precision(tmp_path):
         assert abs(error / mp.mpf("0.03125") - 1) < mp.mpf("1e-30")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--s", "1", "--a", "0.5", "--l", "-3", "--error", "1e-5"],
+        ["--s", "0", "--a", "0.5"],
+        ["--s", "1", "--a", "0.5", "--l", "2", "--error=-1e-5"],
+    ],
+)
+def test_convert_rejects_invalid_input(tmp_path, capsys, args):
+    # s and l follow the Akhiezer builder's rules; a negative error is refused.
+    out = tmp_path / "convert.json"
+    assert main(["convert", *args, "--output", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("family", [["--k", "1"], ["--p", "1.5"]])
 def test_boundary_report_checks_principal_value(tmp_path, family):
     # Quadrature principal values against the closed form; at 256 bits the
@@ -124,6 +140,29 @@ def test_boundary_report_checks_principal_value(tmp_path, family):
     with mp.workprec(256):
         assert abs(mp.mpf(results["max_residual"])) < mp.mpf("1e-8")
         assert abs(mp.mpf(results["max_pv_residual"])) < mp.mpf("1e-35")
+
+
+@pytest.mark.parametrize(
+    "family, boundary", [(["--k", "1"], "slit_map_boundary"), (["--p", "1.5"], "limit_map_boundary")]
+)
+def test_boundary_report_checks_the_maps(tmp_path, monkeypatch, family, boundary):
+    # The principal values are compared with the maps' own boundary values,
+    # so a 1e-30 shift in a map's cauchy_part shows in the report.
+    original = getattr(conformal, boundary)
+
+    def shifted(*args):
+        sample = original(*args)
+        return conformal.ConformalSample(
+            sample.zeta, sample.value, sample.cauchy_part + mp.mpf("1e-30")
+        )
+
+    monkeypatch.setattr(conformal, boundary, shifted)
+    code, doc = _run_json(
+        tmp_path, "boundary.json", ["conformal", *family, "--task", "boundary", "--xi-count", "3"]
+    )
+    assert code == 0
+    with mp.workprec(256):
+        assert abs(mp.mpf(doc["results"]["max_pv_residual"])) > mp.mpf("1e-35")
 
 
 def test_profiles_grid_is_built_at_working_precision(tmp_path):

@@ -236,10 +236,22 @@ def test_newton_alone_converges_from_the_gaussian_start(nodes, x_max):
 
 
 def test_package_exports_the_conjecture_layer_lazily():
+    src = str(Path(bernlab.__file__).parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bernlab; print(sorted(m for m in sys.modules if m.startswith('bernlab.')))"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert loaded.stdout.strip() == "[]"
     namespace = {}
     exec("from bernlab import *", namespace)
     assert set(bernlab.__all__) <= set(namespace)
     assert bernlab.solve_phase_equation is bernlab.conjecture.solve_phase_equation
+    for layer, names in bernlab._EXPORTS.items():
+        module = getattr(bernlab, layer)
+        for name in names.split():
+            assert getattr(bernlab, name) is getattr(module, name), name
+    assert set(bernlab.__all__) <= set(dir(bernlab))
     with pytest.raises(AttributeError):
         bernlab.no_such_name
 

@@ -80,6 +80,13 @@ COMMANDS = {
     "invalid_profiles_akhiezer": [
         "profiles", "--family", "akhiezer", "--s", "1", "--b", "2", "--m", "4",
     ],
+    "invalid_convert_negative_l": [
+        "convert", "--s", "1", "--a", "0.5", "--l", "-3", "--error", "1e-5",
+    ],
+    "invalid_convert_zero_s": ["convert", "--s", "0", "--a", "0.5"],
+    "invalid_convert_negative_error": [
+        "convert", "--s", "1", "--a", "0.5", "--l", "2", "--error=-1e-5",
+    ],
 }
 
 

@@ -23,8 +23,8 @@ route, cauchy_integral and cauchy_boundary, which checks the closed form.
 The limit profiles of the rescaled approximants are the same closed-form
 transforms on the negative axis: substituting t = mu^2 turns each profile
 integral into gamma_cauchy_integral at zeta = -lambda^2.  The only
-quadratures left here are checks: the far-offset integral route and the
-unit-mass check of limit_constants.
+quadratures left here are checks: the far-offset integral route on one Kummer
+evaluator, and limit_constants' unit mass in its substituted variable.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ from .errors import InvalidProblemError, QuadratureError
 from .precision import DEFAULT_CONFIG, PrecisionConfig, check_exponent
 from .remez import bracketed_root
 from .specialfn import (
-    DensitySpec,
     gamma_cauchy_boundary,
     gamma_cauchy_integral,
     gamma_density,
     integrate_finite,
-    integrate_halfline,
     log_gamma,
 )
+from .specialfn.cauchy import _kummer_boundary
+from .specialfn.quadrature import _substitution_order
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,18 @@ def slit_map_boundary(k: int, xi, cfg: PrecisionConfig = DEFAULT_CONFIG) -> Conf
     return _map_boundary(alpha, 1, alpha, xi, cfg)
 
 
+def _phase(k: int, cfg: PrecisionConfig):
+    """t -> phase_density(k, t, cfg) at the caller's precision."""
+    alpha = _tooth_exponent(k)
+    boundary = _kummer_boundary(alpha, cfg)
+
+    def phase(t):
+        pv, density = boundary(t)
+        return alpha + mp.atan2(density, pv) / mp.pi
+
+    return phase
+
+
 def phase_density(k: int, t, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """(1/pi) * Im of the slit map on the upper edge of the cut.
 
@@ -126,10 +138,8 @@ def phase_density(k: int, t, cfg: PrecisionConfig = DEFAULT_CONFIG):
     no complex log.  Ranges over (k - 1/2, k + 1/2) and tends to k + 1/2 as
     t -> inf.
     """
-    alpha = _tooth_exponent(k)
     with cfg.workprec():
-        transform = gamma_cauchy_boundary(alpha, t, cfg)
-        return alpha + mp.atan2(transform.imag, transform.real) / mp.pi
+        return _phase(k, cfg)(t)
 
 
 def slit_map_zero(k: int, cfg: PrecisionConfig = DEFAULT_CONFIG, *, bracket=(1e-6, 1e6)):
@@ -193,23 +203,21 @@ def far_offset_integral(k: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """
     inner = PrecisionConfig(mantissa_bits=_INTEGRAL_ROUTE_BITS)
     with cfg.workprec():
-        half = mp.mpf(1) / 2
         d = slit_map_zero(k, inner)
-        top = k + half
+        top = k + mp.mpf(1) / 2
+        phase = _phase(k, inner)
 
         # The phase density rises from k-1/2 with a sqrt(t) term, so
         # integrate in u = sqrt(t), where the integrand is analytic.
         def integrand(u):
             t = u * u
-            return (phase_density(k, t, inner) - top) / (t + d) * 2 * u
+            return (phase(t) - top) / (t + d) * 2 * u
 
         # The integrand decays like t^(k+3/2) e^-t; 50 + 10k suppresses the
         # tail far below the route's accuracy.
         cut = 50.0 + 10.0 * k
         with inner.workprec():
-            corr = integrate_finite(
-                integrand, 0, mp.sqrt(cut), inner, rel_tol=mp.mpf(1e-10)
-            )
+            corr = integrate_finite(integrand, 0, mp.sqrt(cut), inner, rel_tol=mp.mpf(1e-10))
         return d + top * mp.log(d) - corr
 
 
@@ -236,19 +244,27 @@ def limit_constants(p, cfg: PrecisionConfig = DEFAULT_CONFIG, *, check=True) -> 
     boundary_scale = |sin(pi p/2)| Gamma(p/2) / pi, fixed by requiring unit
     mass of tau(t)/t against 1/pi; expansion_constant c = log(p/2), as
     exp(c) = |sin(pi p/2)| Gamma(p/2 + 1) / (pi * scale) = Gamma(p/2 + 1) /
-    Gamma(p/2).  With check=True the unit-mass condition is re-verified by
-    quadrature of the density the maps use, scale pi / Gamma(p/2).
+    Gamma(p/2).  check=True re-verifies the unit mass of the maps' density
+    to 10^-max(10, digits/3), by quadrature to a thousandth of that of
+    q scale u^(q p/2 - 1) e^(-u^q), t = u^q, q an order of p/2 or 1/(p/2).
     """
     half, scale = _limit_exponent_and_scale(p, cfg)
     with cfg.workprec():
         lam = abs(mp.sinpi(half)) / scale
         c = mp.log(half)
         if check:
-            dens = gamma_density(half, scale)
-            mass = integrate_halfline(
-                DensitySpec(float(half) - 1, lambda t: dens(t) / t), cfg
-            ) / mp.pi
-            if abs(mass - 1) > mp.mpf(10) ** (-max(10, cfg.decimal_digits // 3)):
+            bound = mp.mpf(10) ** (-max(10, cfg.decimal_digits // 3))
+            # q p/2 is an integer (a p/2 only near a small fraction has no order).
+            order = _substitution_order(float(half))
+            q = order if order and mp.isint(order * half) else 1 / half
+            n = int(mp.nint(q * half)) - 1
+
+            def integrand(u):
+                return q * scale * u**n * mp.exp(-(u**q))
+
+            cut = mp.mpf(cfg.tail_cut_for(half - 1)) ** (mp.mpf(1) / q)
+            mass = integrate_finite(integrand, 0, cut, cfg, rel_tol=bound / 1000) / mp.pi
+            if abs(mass - 1) > bound:
                 raise QuadratureError(
                     f"unit-mass cross-check failed: mass = {mp.nstr(mass, 20)}"
                 )

@@ -19,9 +19,10 @@ real part at xi + i0 into one real Kummer function,
     PV/pi = Gamma(alpha) M(1, 1-alpha, -xi) / pi
             - cot(pi alpha) xi^alpha e^-xi,
 
-so gamma_cauchy_boundary needs no complex incomplete gamma function.
-gamma_cauchy_integral and gamma_cauchy_boundary mirror the quadrature pair;
-the conformal maps use them, and the quadrature pair is their oracle.
+so one Kummer evaluator per exponent, _kummer_boundary, serves
+gamma_cauchy_boundary and the phase density.  gamma_cauchy_integral and
+gamma_cauchy_boundary mirror the quadrature pair; the maps use them, and the
+quadrature pair is their oracle.
 """
 
 from __future__ import annotations
@@ -125,27 +126,32 @@ def gamma_cauchy_integral(alpha, zeta, cfg: PrecisionConfig = DEFAULT_CONFIG):
         return _gamma_closed_form(mp.mpf(alpha), -_off_support(zeta))
 
 
-def gamma_cauchy_boundary(alpha, xi, cfg: PrecisionConfig = DEFAULT_CONFIG):
-    """Boundary value at xi + i0, xi > 0, of gamma_cauchy_integral, alpha > -1
-    and not an integer.
-
-    The real part is the principal value PV/pi, in the Kummer form of DLMF
-    8.5.1 (see the module docstring); the imaginary part is the density
-    xi^alpha e^-xi itself, as in cauchy_boundary.  cospi(alpha) is exactly 0
-    at half-integer alpha, the exponent of every slit map and of the limit
-    map for odd p, so there the cot term drops out without rounding.  Near
-    an integer alpha both terms have a pole that cancels, and the
-    subtraction runs with as many extra bits as the pole costs.  No map in
-    the package has an integer exponent (check_exponent rejects even p).
-    """
+def _kummer_boundary(alpha, cfg: PrecisionConfig):
+    """xi -> (PV/pi, xi^alpha e^-xi) at xi + i0 for t^alpha e^-t, alpha > -1
+    not an integer, with Gamma(alpha) and cot(pi alpha) computed once.  The
+    cot term is exactly 0 at half-integer alpha (every slit map, the limit
+    map for odd p).  Near an integer alpha both terms have a pole that
+    cancels, and the evaluator adds as many bits as it costs."""
     with cfg.workprec():
-        xi = _on_support(xi)
         alpha = mp.mpf(alpha)
         offset = alpha - mp.nint(alpha)
         if not offset:
             raise ValueError("the Kummer form needs a non-integer exponent alpha")
-        with mp.extraprec(max(0, -mp.mag(offset))):
+        mp.prec = prec = mp.prec + max(0, -mp.mag(offset))
+        gamma, cot = mp.gamma(alpha), mp.cospi(alpha) / mp.sinpi(alpha)
+
+    def evaluate(xi):
+        with mp.workprec(prec):
+            xi = _on_support(xi)
             density = xi**alpha * mp.exp(-xi)
-            pv = mp.gamma(alpha) * mp.hyp1f1(1, 1 - alpha, -xi) / mp.pi
-            pv -= mp.cospi(alpha) / mp.sinpi(alpha) * density
-        return mp.mpc(pv, density)
+            return gamma * mp.hyp1f1(1, 1 - alpha, -xi) / mp.pi - cot * density, density
+
+    return evaluate
+
+
+def gamma_cauchy_boundary(alpha, xi, cfg: PrecisionConfig = DEFAULT_CONFIG):
+    """Boundary value at xi + i0, xi > 0, of gamma_cauchy_integral, alpha > -1
+    and not an integer: PV/pi in the Kummer form plus i xi^alpha e^-xi, as in
+    cauchy_boundary.  No map has an integer exponent (check_exponent)."""
+    with cfg.workprec():
+        return mp.mpc(*_kummer_boundary(alpha, cfg)(mp.mpf(xi)))

@@ -216,10 +216,11 @@ def integrate_finite(f, lo, hi, cfg=DEFAULT_CONFIG, *, alpha=None, rel_tol=None,
 class DensitySpec:
     """A density on (0, inf) that decays like exp(-t).
 
-    values(t) behaves like t^exponent_alpha near 0.
+    values(t) behaves like t^exponent_alpha near 0, the exponent kept exact
+    for the substitution at 0; only the order and tail cut use its float.
     """
 
-    exponent_alpha: float
+    exponent_alpha: object
     values: Callable = field(repr=False)
 
     def __post_init__(self):
@@ -233,28 +234,19 @@ class DensitySpec:
 def gamma_density(alpha, scale=1) -> DensitySpec:
     """The density scale * t^alpha * exp(-t)."""
 
-    alpha_f = float(alpha)
-    half_steps = 2 * alpha_f
+    half_steps = 2 * float(alpha)
     if abs(half_steps - round(half_steps)) < 1e-12:
         # Half-integer exponents dominate this package; sqrt plus an
         # integer power is several times cheaper than a general pow.
-        h = int(round(half_steps))
-        if h % 2 == 0:
-
-            def values(t, _s=scale, _n=h // 2):
-                return mp.mpf(_s) * t**_n * mp.exp(-t)
-
-        else:
-
-            def values(t, _s=scale, _h=h):
-                return mp.mpf(_s) * mp.sqrt(t) ** _h * mp.exp(-t)
+        def values(t, _s=scale, _h=int(round(half_steps))):
+            return mp.mpf(_s) * mp.sqrt(t) ** _h * mp.exp(-t)
 
     else:
 
         def values(t, _a=alpha, _s=scale):
             return mp.mpf(_s) * t ** mp.mpf(_a) * mp.exp(-t)
 
-    return DensitySpec(exponent_alpha=alpha_f, values=values)
+    return DensitySpec(exponent_alpha=alpha, values=values)
 
 
 def integrate_halfline(density, cfg: PrecisionConfig = DEFAULT_CONFIG):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from bernlab import conformal as cf
-from bernlab.errors import InvalidProblemError
+from bernlab.errors import InvalidProblemError, QuadratureError
 from bernlab.precision import PrecisionConfig
 from bernlab.specialfn import cauchy_boundary, cauchy_integral, integrate_finite
 
@@ -187,25 +187,50 @@ def test_integral_route_rounds_its_points_to_its_precision(monkeypatch, cfg256):
     # stored with more bits than its precision (remez.solve rounds its
     # reference for this).  The integral route works at
     # _INTEGRAL_ROUTE_BITS inside a finer caller; every point it hands to
-    # the phase density and to the map must carry no more bits than that.
+    # the Kummer evaluator of the phase density and to the map must carry
+    # no more bits than that, and every integrand evaluation must reach
+    # the evaluator.
     with PrecisionConfig(mantissa_bits=cf._INTEGRAL_ROUTE_BITS).workprec():
         route_prec = mp.prec
-    bits = []
-    phase_density, slit_map = cf.phase_density, cf.slit_map
+    kummer_bits, map_bits, integrand_calls = [], [], []
+    kummer, slit_map, integrate = cf._kummer_boundary, cf.slit_map, cf.integrate_finite
 
-    def recording_density(k, t, cfg=None):
-        bits.append(t._mpf_[3])
-        return phase_density(k, t, cfg)
+    def recording_kummer(alpha, cfg):
+        evaluate = kummer(alpha, cfg)
+
+        def recording(xi):
+            kummer_bits.append(xi._mpf_[3])
+            return evaluate(xi)
+
+        return recording
 
     def recording_map(k, zeta, cfg=None):
-        bits.append(zeta._mpf_[3])
+        map_bits.append(zeta._mpf_[3])
         return slit_map(k, zeta, cfg)
 
-    monkeypatch.setattr(cf, "phase_density", recording_density)
+    def counting_integrate(f, *args, **kwargs):
+        def counted(u):
+            integrand_calls.append(u)
+            return f(u)
+
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(cf, "_kummer_boundary", recording_kummer)
     monkeypatch.setattr(cf, "slit_map", recording_map)
+    monkeypatch.setattr(cf, "integrate_finite", counting_integrate)
     cf.far_offset_integral(1, cfg256)
-    assert bits
-    assert max(bits) <= route_prec
+    assert map_bits and integrand_calls
+    assert len(kummer_bits) >= len(integrand_calls)
+    assert max(kummer_bits + map_bits) <= route_prec
+
+
+def test_integral_route_frozen_value(cfg192):
+    # The 192-bit `integral` of `conformal --k 1 --task offsets --bits 192`,
+    # rendered as the report renders it.
+    integral = cf.far_offset_integral(1, cfg192)
+    with mp.workprec(cfg192.mantissa_bits + 32):
+        got = mp.nstr(integral, cfg192.decimal_digits, strip_zeros=True)
+    assert got == "-1.26551212348464539648540974925507206101671361490788547562"
 
 
 def test_limit_constants_p_one(cfg256):
@@ -215,13 +240,47 @@ def test_limit_constants_p_one(cfg256):
         assert abs(mp.exp(consts.expansion_constant) - mp.mpf("0.5")) < mp.mpf("1e-45")
 
 
-@pytest.mark.parametrize("p", ["0.5", "1.5", "3"])
+# 1.3: p/2 has no substitution order.  0.6666666666666667: the float p/2
+# passes for 1/3, but three times the exact p/2 is not an integer.
+@pytest.mark.parametrize("p", ["0.5", "1.5", "3", "1.3", "0.6666666666666667"])
 def test_limit_constants_mass_check(cfg256, p):
     # check=True re-verifies the unit-mass normalization by quadrature and
     # raises if it drifts; surviving the call is the assertion.
     consts = cf.limit_constants(p, cfg256, check=True)
     with cfg256.workprec():
         assert consts.boundary_scale > 0
+
+
+@pytest.mark.parametrize("p", ["0.5", "1.5", "3", "1.3"])
+def test_mass_check_rejects_a_scale_off_by_its_bound(monkeypatch, cfg256, p):
+    # The check's bound at 256 bits is 1e-25, and its quadrature runs to a
+    # thousandth of that: a scale 1e-24 off must fail, one 1e-26 off must not.
+    exact = cf._limit_exponent_and_scale
+
+    def off_by(rel):
+        def shifted(p, cfg):
+            half, scale = exact(p, cfg)
+            with cfg.workprec():
+                return half, scale * (1 + mp.mpf(rel))
+
+        return shifted
+
+    monkeypatch.setattr(cf, "_limit_exponent_and_scale", off_by("1e-26"))
+    cf.limit_constants(p, cfg256, check=True)
+    monkeypatch.setattr(cf, "_limit_exponent_and_scale", off_by("1e-24"))
+    with pytest.raises(QuadratureError):
+        cf.limit_constants(p, cfg256, check=True)
+
+
+def test_quadrature_boundary_at_an_exponent_without_a_small_order(cfg192):
+    # p/2 = 0.65 has no substitution order up to 12, so the quadrature
+    # removes the origin's power by t = u^(1/1.65); the density's exponent
+    # must reach it exactly, or a factor u^(1e-17) stalls the bisection.
+    # At 128 bits that factor hides below the tolerance of 2^-64.
+    with cfg192.workprec():
+        got = cauchy_boundary(cf.limit_density("1.3", cfg192), 1, cfg192)
+        want = mp.exp(cf.limit_map_boundary("1.3", 1, cfg192).cauchy_part)
+        assert abs(got - want) < mp.mpf("1e-25") * abs(want)
 
 
 def test_limit_constants_product_identity(cfg256):

@@ -56,8 +56,11 @@ COMMANDS = {
     "conformal_boundary_k0": ["conformal", "--k", "0", "--task", "boundary"],
     "conformal_boundary_p3": ["conformal", "--p", "3", "--task", "boundary"],
     "conformal_offsets_k1": ["conformal", "--k", "1", "--task", "offsets", "--bits", "192"],
+    "conformal_offsets_k2": ["conformal", "--k", "2", "--task", "offsets", "--bits", "192"],
     "conformal_constants_p15": ["conformal", "--p", "1.5", "--task", "constants"],
     "conformal_constants_p3": ["conformal", "--p", "3", "--task", "constants"],
+    # p/2 = 0.65 has no small substitution order.
+    "conformal_constants_p13": ["conformal", "--p", "1.3", "--task", "constants"],
     "conformal_zero_k1": ["conformal", "--k", "1", "--task", "zero"],
     "conformal_zero_k2": ["conformal", "--k", "2", "--task", "zero"],
     "convert": ["convert", "--s", "1.5", "--a", "0.5"],

@@ -111,6 +111,8 @@ def predict_akhiezer_error(s, b, l: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """Predicted minimax error of (b+x)^(-s) on [-1,1] at degree l:
 
         (l^(s-1)/|Gamma(s)|) (b - sqrt(b^2-1))^l / (b^2-1)^((s+1)/2).
+
+    At s = 1 this is Chebyshev's closed form, exact at every degree.
     """
     build_akhiezer_problem(s, b, l)
     with cfg.workprec():

@@ -9,12 +9,13 @@ enters and the principal value cancels symmetrically:
 
     htilde_j = (2/pi) * sum over odd k of rho_{j-k} / k.
 
-That sum is a convolution, evaluated by a zero-padded real FFT of size 2n
-(see hilbert_operator).  Samples beyond the grid edge are treated as zero;
-the caller controls the truncation error through the grid half-width.
-Double precision is used throughout: the transform feeds the exploratory
-curve solver, whose targets sit far above 1e-12.  numpy is imported inside
-the functions, so importing bernlab does not load it.
+That sum is a convolution, evaluated by a zero-padded real FFT of size 2n;
+for an even profile, folded_hilbert_operator gives the transform at the
+positive nodes with real FFTs of size n.  Samples beyond the grid edge are
+treated as zero; the caller controls the truncation error through the grid
+half-width.  Double precision is used throughout: the transform feeds the
+exploratory curve solver, whose targets sit far above 1e-12.  numpy is
+imported inside the functions, so importing bernlab does not load it.
 """
 
 from __future__ import annotations
@@ -43,31 +44,44 @@ def hilbert_grid(values, grid=None):
             raise ValueError("grid must be uniform and increasing")
         if abs(x[0] + x[-1]) > 1e-9 * max(abs(x[0]), abs(x[-1])):
             raise ValueError("grid must be symmetric about 0")
-    return hilbert_operator(n)(rho)
+    # The linear convolution with the 2n-1 taps has 3n-2 terms, of which the
+    # n centred on the middle tap are the transform.  A circular convolution
+    # of size 2n wraps only terms 2n..3n-3 onto 0..n-3, so it leaves those n
+    # exact, and 2n is a well-factored FFT length where 3n-2 often is not.
+    spectrum = np.fft.rfft(_stencil(np.arange(-(n - 1), n)), 2 * n)
+    return np.fft.irfft(np.fft.rfft(rho, 2 * n) * spectrum, 2 * n)[n - 1 : 2 * n - 1]
 
 
-def hilbert_operator(n: int):
-    """The transform on n samples as a function of the samples.
+def _stencil(offsets):
+    """The taps (2/pi)/k at odd offsets k, 0 at even ones."""
+    import numpy as np
 
-    The kernel's spectrum is computed here once, so repeated transforms on
-    one grid (the phase solver's Newton and GMRES steps) each cost one
-    rfft/irfft pair.  The linear convolution of the samples with the
-    2n-1 kernel taps has 3n-2 terms, of which the n centred on the
-    kernel's middle tap are the transform.  A circular convolution of
-    size 2n wraps only terms 2n..3n-3 onto 0..n-3, so it leaves those n
-    outputs exact, and 2n is a well-factored FFT length where 3n-2
-    often is not.
+    odd = offsets % 2 != 0
+    return np.where(odd, (2.0 / np.pi) / np.where(odd, offsets, 1), 0.0)
+
+
+def folded_hilbert_operator(nodes: int):
+    """The transform of an even profile on an even count of nodes, as a
+    function of its m = nodes/2 samples at the positive nodes, evaluated
+    there.
+
+    The fold is K = T + H, with Toeplitz taps kappa(i - j) and Hankel taps
+    kappa(i + j + 1) of the stencil kappa, both circular convolutions of
+    size nodes whose outputs m-1..2m-2 are exact.  H acts on the reversed
+    samples, whose spectrum is conj(rfft(v)) shifted by m-1; rolling H's
+    taps by that shift makes one product one rfft/irfft pair.
     """
     import numpy as np
 
-    size = 2 * n
-    offsets = np.arange(-(n - 1), n)
-    kernel = np.zeros(2 * n - 1)
-    odd = offsets % 2 != 0
-    kernel[odd] = (2.0 / np.pi) / offsets[odd]
-    spectrum = np.fft.rfft(kernel, size)
+    m = nodes // 2
+    # Tap nodes-1 of either kernel reaches none of the kept outputs.
+    taps = np.arange(nodes)
+    toeplitz = np.fft.rfft(_stencil(taps - (m - 1)))
+    hankel = np.fft.rfft(np.roll(_stencil(taps + 1), m - 1))
 
-    def apply(rho):
-        return np.fft.irfft(np.fft.rfft(rho, size) * spectrum, size)[n - 1 : 2 * n - 1]
+    def apply(v):
+        spectrum = np.fft.rfft(v, nodes)
+        folded = spectrum * toeplitz + spectrum.conj() * hankel
+        return np.fft.irfft(folded, nodes)[m - 1 : nodes - 1]
 
     return apply

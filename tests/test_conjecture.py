@@ -169,7 +169,7 @@ def _dense_half_stencil(nodes):
     return kernel(i - j) + kernel(i + j + 1)
 
 
-@pytest.mark.parametrize("nodes", [64, 1024])
+@pytest.mark.parametrize("nodes", [64, 388, 1024, 4096])
 def test_half_operator_matches_dense_stencil(nodes):
     v = np.random.default_rng(nodes).standard_normal(nodes // 2)
     got = conjecture._half_operator(nodes)(v)
@@ -185,9 +185,8 @@ def test_level_matches_dense_newton_values(nodes, frozen):
     assert abs(state.L - frozen) < 1e-13 * frozen
 
 
-@pytest.mark.parametrize("nodes", [512, 4096])
-def test_gmres_iterations_per_newton_step_stay_flat(nodes, monkeypatch):
-    # One operator product per GMRES iteration.
+def _count_gmres_products(monkeypatch):
+    # Operator products of each GMRES run, one per GMRES iteration.
     counts = []
     gmres = conjecture._gmres
 
@@ -201,10 +200,24 @@ def test_gmres_iterations_per_newton_step_stay_flat(nodes, monkeypatch):
         return gmres(counted_apply, *args)
 
     monkeypatch.setattr(conjecture, "_gmres", counted)
+    return counts
+
+
+@pytest.mark.parametrize("nodes", [512, 4096])
+def test_gmres_iterations_per_newton_step_stay_flat(nodes, monkeypatch):
+    counts = _count_gmres_products(monkeypatch)
     state = solve_phase_equation(1, nodes=nodes)
     assert state.converged
     assert len(counts) == len(state.history)
     assert max(counts) <= 20
+
+
+def test_forcing_terms_bound_the_operator_products(monkeypatch):
+    # Steps far from the root ask GMRES only for a relative residual of
+    # min(0.1, merit); a fixed 1e-10 took 236 products here.
+    counts = _count_gmres_products(monkeypatch)
+    assert solve_phase_equation(1, nodes=2048).converged
+    assert sum(counts) <= 180
 
 
 @pytest.mark.parametrize("nodes", [2048, 4096])

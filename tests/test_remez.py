@@ -54,6 +54,48 @@ def test_lowest_sgn_case_closed_form(cfg256):
         assert abs(sol.error - ref) / ref < mp.mpf("1e-70")
 
 
+def _chebyshev_error(b, l):
+    # Chebyshev's best degree-l approximation of 1/(b + y) on [-1, 1].
+    return (b - mp.sqrt(b * b - 1)) ** l / (b * b - 1)
+
+
+def _exact_error(kind, params, m):
+    if kind == "power":
+        # |x|^-2 is 1/y on [a^2, 1], which is (1 + b)/(b + t) on t in [-1, 1].
+        a = mp.mpf(params["a"])
+        b = (1 + a * a) / (1 - a * a)
+        return (1 + b) * _chebyshev_error(b, m)
+    if params["s"] == 1:
+        return _chebyshev_error(mp.mpf(params["b"]), m)
+    # (b + y)^(m+1) is monic of degree m + 1: the error of 2^-m T_(m+1).
+    return mp.mpf(2) ** -m
+
+
+EXACT_CASES = (
+    [pytest.param("akhiezer", {"s": 1, "b": b}, l, id=f"s1-b{b}-l{l}")
+     for b in ("2", "1.25", "5") for l in (1, 4, 13)]
+    + [pytest.param("akhiezer", {"s": -(l + 1), "b": b}, l, id=f"monic-b{b}-l{l}")
+       for l in (3, 10) for b in ("2", "1.25")]
+    + [pytest.param("power", {"p": -2, "a": "0.5"}, 6, id="power-p-2-m6")]
+)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("kind, params, m", EXACT_CASES)
+def test_exact_error_lies_in_the_bracket(kind, params, m, bits):
+    # Targets whose best error is known at every degree (Akhiezer, Lectures
+    # on Approximation Theory): de la Vallee Poussin puts the exact E between
+    # min|r| at the alternation points and the returned E, up to rounding.
+    cfg = PrecisionConfig(mantissa_bits=bits)
+    problem = build_problem(kind, params, m)
+    sol = solve(problem, cfg)
+    with cfg.workprec():
+        exact = _exact_error(kind, params, m)
+        ulps = exact * mp.mpf(2) ** (4 - bits)
+        low = min(abs(reduced_deviation(sol, problem, y)) for y in sol.alternation)
+        assert low - ulps <= exact <= sol.error + ulps
+
+
 def test_equioscillation_certificate(solved_power, cfg256):
     problem, sol = solved_power[10]
     with cfg256.workprec():

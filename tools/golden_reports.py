@@ -67,6 +67,9 @@ COMMANDS = {
     "convert_error": ["convert", "--s", "1.5", "--a", "0.5", "--l", "8", "--error", "1e-5"],
     "conjecture_512": ["conjecture", "--nodes", "512"],
     "conjecture_512_csv": ["conjecture", "--nodes", "512", *_CSV],
+    # The benchmark's solve (perfbench verify, op4_s) and the default grid.
+    "conjecture_2048_bench": ["conjecture", "--nodes", "2048", "--tol", "1e-8"],
+    "conjecture_4096": ["conjecture"],
     # Invalid inputs: each exits 1 with a message and no report.
     "invalid_gamma_pole": [
         "sweep", "--family", "akhiezer", "--s", "-1", "--b", "2", "--m", "4..12..4", "--predict",

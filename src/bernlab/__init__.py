@@ -49,7 +49,7 @@ _EXPORTS = {
         slit_height_from_error""",
     "curveverify": """PhaseTrace ProfileDistanceRow SignPatternReport curve_residuals
         profile_convergence reconstruct_phase sign_pattern_check""",
-    "conjecture": "ConjectureState phase_residual refinement_ratio solve_phase_equation",
+    "conjecture": "ConjectureState phase_residual solve_phase_equation",
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
 

@@ -11,7 +11,7 @@ solver's builder for its family accepts, and rejects the rest through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp
 
@@ -138,12 +138,9 @@ class AsymptoticsReport:
     and gap = computed - predicted is the figure of merit.
     """
 
-    rows: tuple = field(default_factory=tuple)
+    rows: tuple
 
     def __post_init__(self):
-        ms = [row[0] for row in self.rows]
-        if ms != sorted(ms):
-            raise InvalidProblemError("sweep rows must be ordered by degree")
         for _, computed, predicted, ratio in self.rows:
             if not (mp.isfinite(ratio) and ratio > 0):
                 raise InvalidProblemError("ratios must be finite and positive")

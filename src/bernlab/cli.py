@@ -405,10 +405,10 @@ def _cmd_conjecture(ns: argparse.Namespace, cfg: PrecisionConfig):
         "p": state.p,
         "L": state.L,
         "residual_norm": state.residual_norm,
-        "residual_height_form": conjecture.phase_residual(state, form="height"),
+        "residual_height_form": conjecture.phase_residual(state),
         "iterations": state.iterations,
         "converged": state.converged,
-        "failed": state.failed,
+        "failed": not state.converged,
         "nodes": int(state.grid.size),
         "x_max": float(state.grid[-1]),
     }
@@ -549,7 +549,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:
-        cfg = PrecisionConfig(mantissa_bits=max(64, ns.bits))
         diagnostics = getattr(exc, "diagnostics", None)
         payload = {
             "error": {

@@ -80,6 +80,8 @@ class ConjectureState:
     p: exponent the run was labelled with; the reduced equation itself is
         parameter-free, so this is metadata for reports.
     iterations: Newton steps taken over all continuation levels.
+    converged: whether Newton converged on the finest level and the
+        residual met the requested tolerance.
     history: one row (nodes, residual, L) per Newton step across all
         continuation levels, coarse to fine.
     """
@@ -92,7 +94,6 @@ class ConjectureState:
     p: float = 1.0
     iterations: int = 0
     converged: bool = False
-    failed: bool = False
     history: tuple = ()
 
     def __post_init__(self):
@@ -278,7 +279,7 @@ def solve_phase_equation(
     linear interpolation.  Each level allows _NEWTON_MAX_ITERS steps.
 
     Never raises on non-convergence: the best state found is returned
-    with the failed flag set, so the caller can inspect the trace.
+    with converged False, so the caller can inspect the trace.
     """
     p_f = check_exponent(p)
     if not x_max > 0:
@@ -308,7 +309,6 @@ def solve_phase_equation(
     tilde = hilbert_grid(full_rho, full_grid)
     residual = L * np.sin(full_rho) * np.sinh(tilde + full_grid) - full_grid
     residual_norm = float(np.max(np.abs(residual[1:-1])))
-    succeeded = converged and residual_norm <= tol
     return ConjectureState(
         grid=full_grid,
         rho=full_rho,
@@ -317,50 +317,21 @@ def solve_phase_equation(
         residual_norm=residual_norm,
         p=p_f,
         iterations=len(history),
-        converged=succeeded,
-        failed=not succeeded,
+        converged=converged and residual_norm <= tol,
         history=tuple(history),
     )
 
 
-def phase_residual(state: ConjectureState, *, form: str = "phase") -> float:
-    """Max interior residual of the stored state.
-
-    form='phase' evaluates L sin(rho) sinh(rho_tilde + x) - x directly;
-    form='height' substitutes the height variable v = pi - rho, which is
-    the same equation through sin(pi - rho) = sin(rho) and serves as an
-    algebraic cross-check.
-    """
+def phase_residual(state: ConjectureState) -> float:
+    """Max interior residual of the stored state in the height variable
+    v = pi - rho: the equation through sin(pi - rho) = sin(rho), an
+    algebraic cross-check of residual_norm."""
     u = state.rho_tilde + state.grid
-    if form == "phase":
-        sin_angle = np.sin(state.rho)
-    elif form == "height":
-        # A bare pi - rho loses 1e-16 of angle, which cosh(u) at the far
-        # nodes amplifies to order one; compensate the subtraction with
-        # pi's double-precision tail so the sine identity survives.
-        v = np.pi - state.rho
-        residue = (-state.rho) - (v - np.pi)
-        sin_angle = np.sin(v) + (residue + _PI_TAIL) * np.cos(v)
-    else:
-        raise InvalidProblemError("form must be 'phase' or 'height'")
+    # A bare pi - rho loses 1e-16 of angle, which cosh(u) at the far
+    # nodes amplifies to order one; compensate the subtraction with
+    # pi's double-precision tail so the sine identity survives.
+    v = np.pi - state.rho
+    residue = (-state.rho) - (v - np.pi)
+    sin_angle = np.sin(v) + (residue + _PI_TAIL) * np.cos(v)
     residual = state.L * sin_angle * np.sinh(u) - state.grid
     return float(np.max(np.abs(residual[1:-1])))
-
-
-def refinement_ratio(coarse: ConjectureState, mid: ConjectureState, fine: ConjectureState) -> float:
-    """Richardson ratio (L_coarse - L_mid)/(L_mid - L_fine) for three
-    converged runs at successive grid doublings.
-
-    The ratio estimates 2^q with q the discretization order of the level
-    parameter; the nodal residual itself is solved to rounding at every
-    resolution, so the order must be read off a convergent observable.
-    """
-    for state in (coarse, mid, fine):
-        if state.failed:
-            raise InvalidProblemError("refinement ratio needs converged states")
-    if not (coarse.grid.size < mid.grid.size < fine.grid.size):
-        raise InvalidProblemError("states must be ordered coarse to fine")
-    denom = mid.L - fine.L
-    if denom == 0:
-        raise InvalidProblemError("refinement increments degenerate to zero")
-    return float((coarse.L - mid.L) / denom)

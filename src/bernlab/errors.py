@@ -30,7 +30,7 @@ class QuadratureError(BernlabError, ArithmeticError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-class PrecisionBudgetError(BernlabError, ValueError):
+class PrecisionBudgetError(BernlabError, ArithmeticError):
     """The requested computation would underflow the precision budget."""
 
 

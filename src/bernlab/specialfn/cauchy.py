@@ -112,10 +112,6 @@ def cauchy_boundary(density: DensitySpec, xi, cfg: PrecisionConfig = DEFAULT_CON
         return mp.mpc(pv / mp.pi, tau_xi)
 
 
-def _gamma_closed_form(alpha, w):
-    return mp.gamma(alpha + 1) * w**alpha * mp.exp(w) * mp.gammainc(-alpha, w) / mp.pi
-
-
 def gamma_cauchy_integral(alpha, zeta, cfg: PrecisionConfig = DEFAULT_CONFIG):
     """(1/pi) * integral over (0, inf) of t^alpha e^-t / (t - zeta) dt, alpha > -1.
 
@@ -123,7 +119,8 @@ def gamma_cauchy_integral(alpha, zeta, cfg: PrecisionConfig = DEFAULT_CONFIG):
     zeta must lie off the support [0, inf).  Real zeta < 0 gives a real value.
     """
     with cfg.workprec():
-        return _gamma_closed_form(mp.mpf(alpha), -_off_support(zeta))
+        alpha, w = mp.mpf(alpha), -_off_support(zeta)
+        return mp.gamma(alpha + 1) * w**alpha * mp.exp(w) * mp.gammainc(-alpha, w) / mp.pi
 
 
 def _kummer_boundary(alpha, cfg: PrecisionConfig):

@@ -5,9 +5,11 @@ singularities t^alpha at the origin are removed by substitution before any
 panel is laid down.  When m*alpha is an integer for a small m the map
 t = u^m makes the integrand analytic at 0 (every exponent used in this
 package is a half or quarter integer, so this is the common path); other
-exponents fall back to t = u^(1/(1+alpha)), which removes the leading
-singularity only.  Integrals over (0, inf) of exponentially decaying
-densities are truncated at a tail point chosen from the precision budget.
+exponents fall back to t = u^beta with beta = 12/(1+alpha), which turns
+the power factor into beta*u^11, analytic, and a smooth factor h(t) into
+h(u^beta), smooth to order floor(beta) at 0.  Integrals over (0, inf) of
+exponentially decaying densities are truncated at a tail point chosen
+from the precision budget.
 
 Every map and profile in the package has a closed form, so run-time
 quadrature now serves only checks: the far-offset integral route
@@ -35,9 +37,9 @@ _node_cache: dict[tuple[int, int], tuple[list, list]] = {}
 _GL_GUARD_BITS = 32
 
 
-def _substitution_order(alpha_f: float, limit: int = 12) -> int | None:
-    """Smallest m with m*alpha integral, or None if no small m works."""
-    for m in range(1, limit + 1):
+def _substitution_order(alpha_f: float) -> int | None:
+    """Smallest m <= 12 with m*alpha integral, or None if no such m works."""
+    for m in range(1, 13):
         if abs(m * alpha_f - round(m * alpha_f)) < 1e-9 * m:
             return m
     return None
@@ -166,8 +168,9 @@ def integrate_finite_err(
                     return _f(u**_m) * _m * u ** (_m - 1)
 
             else:
-                beta = 1 / (1 + alpha)
-                hi = hi ** (1 + alpha)
+                # t = u^beta turns t^alpha dt into beta u^11 du.
+                beta = 12 / (1 + alpha)
+                hi = hi ** (1 / beta)
 
                 def g(u, _f=f, _beta=beta):
                     t = u**_beta

@@ -22,7 +22,7 @@ from bernlab.asymptotics import (
     predict_slit_height,
     slit_height_from_error,
 )
-from bernlab.conjecture import refinement_ratio, solve_phase_equation
+from bernlab.conjecture import solve_phase_equation
 from bernlab.curveverify import (
     curve_residuals,
     profile_convergence,
@@ -414,9 +414,11 @@ def test_criterion_12_hilbert_and_phase_equation():
     coarse = solve_phase_equation(1, nodes=1024)
     mid = solve_phase_equation(1, nodes=2048)
     fine = solve_phase_equation(1, nodes=4096)
-    ratio = refinement_ratio(coarse, mid, fine)
+    ratio = (coarse.L - mid.L) / (mid.L - fine.L)
     ok = (
         pair_err < 1e-6
+        and coarse.converged
+        and mid.converged
         and fine.converged
         and fine.residual_norm < 1e-6
         and 2.0 <= ratio <= 6.0

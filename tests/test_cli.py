@@ -289,6 +289,22 @@ def test_runtime_errors_become_diagnostic_reports(tmp_path):
     assert doc["results"]["error"]["type"] == "BranchTrackingError"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # The predicted E at m = 200 needs about 365 bits.
+        ["solve", "--family", "absxp", "--p", "1.5", "--a", "0.5", "--m", "200"],
+        # The sign pattern's monomial conversion stops at degree 16.
+        ["verify-curve", "--p", "1.5", "--a", "0.5", "--m", "20", "--sign-t", "0"],
+    ],
+)
+def test_unmet_precision_budget_is_a_numerical_failure(tmp_path, args):
+    code, doc = _run_json(tmp_path, "budget.json", args)
+    assert code == 2
+    assert doc["inputs"]["bits"] == 256
+    assert doc["results"]["error"]["type"] == "PrecisionBudgetError"
+
+
 def test_verify_curve_report(tmp_path):
     code, doc = _run_json(
         tmp_path,

@@ -63,11 +63,41 @@ def test_quarter_power_substitution(cfg256):
 
 
 def test_irrational_power_fallback(cfg256):
-    # No small m makes m*alpha integral, so the leading-order map is used.
+    # No small m makes m*alpha integral, so the fallback map is used.
     with cfg256.workprec():
         alpha = 1 / mp.sqrt(2)
         got = integrate_finite(lambda t: t**alpha, 0, 1, cfg256, alpha=alpha)
         assert abs(got - 1 / (1 + alpha)) < mp.mpf("1e-70")
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        lambda: mp.mpf("0.65"),
+        lambda: 1 / mp.sqrt(2),
+        lambda: mp.mpf("5.55"),
+        lambda: mp.mpf("-0.95"),
+    ],
+    ids=["0.65", "1/sqrt2", "5.55", "-0.95"],
+)
+def test_fallback_substitution_keeps_the_density_smooth(cfg256, alpha):
+    # No order m <= 12 makes m*alpha integral.  The fallback map must leave
+    # e^-t smooth at 0 too, or the bisection runs tens of thousands of
+    # evaluations deep (or out of depth at alpha = 5.55).
+    calls = 0
+    with cfg256.workprec():
+        alpha = alpha()
+        density = gamma_density(alpha)
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return density(t)
+
+        got = integrate_halfline(DensitySpec(alpha, counted), cfg256)
+        ref = mp.gamma(1 + alpha)
+        assert abs(got - ref) / ref <= cfg256.rel_tol
+    assert calls <= 2000
 
 
 def test_halfline_gamma_three_halves(cfg256):

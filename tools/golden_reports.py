@@ -40,6 +40,8 @@ COMMANDS = {
     "solve_akhiezer_a05_m8": [
         "solve", "--family", "akhiezer", "--s", "1.5", "--a", "0.5", "--m", "8",
     ],
+    # A precision budget that cannot be met: exit 2 with an error report.
+    "solve_absxp_m200_bits64": ["solve", *_POWER, "--m", "200", "--bits", "64"],
     "sweep_absxp": ["sweep", *_POWER, "--m", "5..15..5", "--predict", "--jobs", "2"],
     # The benchmark's sweep (perfbench minimax, op4_s).
     "sweep_absxp_bench": ["sweep", *_POWER, "--m", "2..6..2", "--predict", "--jobs", "2"],
@@ -55,6 +57,11 @@ COMMANDS = {
     # alpha = -1/2, where Gamma(alpha) < 0, and odd p, where the cot term is 0.
     "conformal_boundary_k0": ["conformal", "--k", "0", "--task", "boundary"],
     "conformal_boundary_p3": ["conformal", "--p", "3", "--task", "boundary"],
+    # Exponents without a small substitution order, one large.
+    "conformal_boundary_p13": ["conformal", "--p", "1.3", "--task", "boundary"],
+    "conformal_boundary_p111": [
+        "conformal", "--p", "11.1", "--task", "boundary", "--xi-count", "3",
+    ],
     "conformal_offsets_k1": ["conformal", "--k", "1", "--task", "offsets", "--bits", "192"],
     "conformal_offsets_k2": ["conformal", "--k", "2", "--task", "offsets", "--bits", "192"],
     "conformal_constants_p15": ["conformal", "--p", "1.5", "--task", "constants"],

@@ -43,7 +43,12 @@ bracket holds the point f saw.
 The exchange step makes no mpf object per evaluation.  Each family's
 target, weight, residual and slope are written once, on raw mpf tuples, by
 _deviation, which converts the family's constants once per step;
-MinimaxProblem.target and weight are mpf wrappers over it.
+MinimaxProblem.target and weight are mpf wrappers over it.  Its powers, y^(p/2)
+and its slope's y^(p/2 - 1), y^+-(k - 1/2) and (b + y)^-s and ^-(s+1), come
+from _power_of, also built once per step.  When 4 times the exponent is an
+integer, the power is one or two integer square roots of y's mantissa raised
+to that integer and rounded once; any other exponent keeps mpf_pow, which
+runs through mpf_log and mpf_exp at several times the cost.
 The searches evaluate P and P' with a fixed-point Clenshaw kernel rather than
 clenshaw, which stays for complex and off-interval points.  Once per exchange
 step the coefficients become Python ints scaled by 2^F, F = W - mag(max|c|)
@@ -67,8 +72,8 @@ precision budget's own figure, max(mantissa_bits/4, decay_bits + 48) plus
 guard bits; once the levelling ratio is within 10^-(digits/16) of 1, two
 quadratic steps short of the stop, every step runs at the full working
 precision, and the solve returns only after at least two such steps.  Each
-step first rounds its reference to its own precision, as y^e with y stored
-at more bits than that can go wrong in mpmath 1.3.0 (see solve).
+step first rounds its reference to its own precision, as y^e on mpf_pow with
+y stored at more bits than that can go wrong in mpmath 1.3.0 (see solve).
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ from dataclasses import dataclass, replace
 
 from mpmath import mp
 from mpmath.libmp import (
+    finf,
     fone,
     from_int,
     from_man_exp,
@@ -113,6 +119,9 @@ _MAX_ITERATIONS = 60
 # |f|, so the kernel's noise does not set their length: with 8 guard bits a
 # 256-bit solve at m = 8 or 40 takes the same evaluations per search.
 _KERNEL_GUARD_BITS = 40
+
+# Guard bits of _power_of's root, beyond the bits of the power's numerator.
+_POWER_GUARD_BITS = 10
 
 # Steps allowed per bracketed_root search; the exchange's searches take 4-14
 # at degrees 6-40 and 64-1024 bits.
@@ -237,6 +246,46 @@ def _unit_weight(y):
     return fone
 
 
+def _power_of(exponent, prec):
+    """y -> y^exponent on raw mpf tuples, rounded at prec.
+
+    When 4*exponent is an integer n/2^r with r = 0, 1 or 2, the mantissa of
+    y, shifted to about 2^r (prec + guard) bits and an exponent that 2^r
+    divides, goes through r integer square roots; the root, floored at that
+    width, is raised to |n| exactly, inverted by one integer division when
+    n < 0, and rounded once at prec.  Its error before that rounding is
+    below 2^-8 ulp.  Every other exponent takes mpf_pow, which runs through
+    mpf_log and mpf_exp.  y = 0 gives 0 for a positive exponent and +inf for
+    a negative one, as mpf_pow does where it returns; negative and infinite
+    y take mpf_pow.
+    """
+    rnd = round_nearest
+    sign, man, exp, _ = exponent
+    if not man or exp < -2:
+        return lambda y: mpf_pow(y, exponent, prec, rnd)
+    roots = max(-exp, 0)
+    n = man << max(exp, 0)
+    wbits = prec + _POWER_GUARD_BITS + n.bit_length()
+    at_zero = finf if sign else fzero
+
+    def power(y):
+        if y[0] or not y[1]:
+            return at_zero if y == fzero else mpf_pow(y, exponent, prec, rnd)
+        _, yman, yexp, ybc = y
+        shift = (wbits << roots) - ybc
+        shift += (yexp - shift) % (1 << roots)
+        root = _shift(yman, shift)
+        for _ in range(roots):
+            root = math.isqrt(root)
+        big, big_exp = root ** n, n * ((yexp - shift) >> roots)
+        if sign:
+            bits = big.bit_length() + wbits
+            big, big_exp = (1 << bits) // big, -bits - big_exp
+        return from_man_exp(big, big_exp, prec, rnd)
+
+    return power
+
+
 def _deviation(problem, poly=None, dpoly=None):
     """The family's formulas on raw mpf tuples, rounded at mp.prec:
     (target, weight, residual, slope), each a function of y, with
@@ -249,29 +298,22 @@ def _deviation(problem, poly=None, dpoly=None):
     prec, rnd = mp.prec, round_nearest
     if problem.kind is ProblemKind.POWER:
         half_p = mpf_shift(mp.mpf(problem.p)._mpf_, -1)
-        slope_exp = mpf_sub(half_p, fone, prec, rnd)
-
-        def target(y):
-            return mpf_pow(y, half_p, prec, rnd)
+        target = _power_of(half_p, prec)
+        rise = _power_of(mpf_sub(half_p, fone, prec, rnd), prec)
 
         def residual(y):
             return mpf_sub(target(y), poly(y), prec, rnd)
 
         def slope(y):
-            rise = mpf_mul(half_p, mpf_pow(y, slope_exp, prec, rnd), prec, rnd)
-            return mpf_sub(rise, dpoly(y), prec, rnd)
+            return mpf_sub(mpf_mul(half_p, rise(y), prec, rnd), dpoly(y), prec, rnd)
 
         return target, _unit_weight, residual, slope
 
     if problem.kind is ProblemKind.SGN_LAURENT:
         rise_exp = from_man_exp(2 * problem.k - 1, -1)  # k - 1/2
         weight_exp = mpf_neg(rise_exp)
-
-        def target(y):
-            return mpf_pow(y, rise_exp, prec, rnd)
-
-        def weight(y):
-            return mpf_pow(y, weight_exp, prec, rnd)
+        target = _power_of(rise_exp, prec)
+        weight = _power_of(weight_exp, prec)
 
         def residual(y):
             # weight * target is 1.
@@ -286,17 +328,18 @@ def _deviation(problem, poly=None, dpoly=None):
 
     b = mp.mpf(problem.b)._mpf_
     neg_s = mpf_neg(mp.mpf(problem.s)._mpf_)
-    slope_exp = mpf_sub(neg_s, fone, prec, rnd)
+    power = _power_of(neg_s, prec)
+    fall = _power_of(mpf_sub(neg_s, fone, prec, rnd), prec)
 
     def target(y):
-        return mpf_pow(mpf_add(b, y, prec, rnd), neg_s, prec, rnd)
+        return power(mpf_add(b, y, prec, rnd))
 
     def residual(y):
         return mpf_sub(target(y), poly(y), prec, rnd)
 
     def slope(y):
-        fall = mpf_mul(neg_s, mpf_pow(mpf_add(b, y, prec, rnd), slope_exp, prec, rnd), prec, rnd)
-        return mpf_sub(fall, dpoly(y), prec, rnd)
+        rate = mpf_mul(neg_s, fall(mpf_add(b, y, prec, rnd)), prec, rnd)
+        return mpf_sub(rate, dpoly(y), prec, rnd)
 
     return target, _unit_weight, residual, slope
 
@@ -717,10 +760,11 @@ def solve(
         for iteration in range(1, _MAX_ITERATIONS + 1):
             full = bits == cfg.mantissa_bits
             with mp.workprec(bits + GUARD_BITS):
-                # mpmath 1.3.0's mpf_log, which y^e runs through, returns
-                # about d rather than -log 4 for y = (1 + d)/4 stored with
-                # more bits than the precision; a reference point from the
-                # caller or the Chebyshev start has them.
+                # mpmath 1.3.0's mpf_log, which y^e runs through when 4e is
+                # not an integer (see _power_of), returns about d rather
+                # than -log 4 for y = (1 + d)/4 stored with more bits than
+                # the precision; a reference point from the caller or the
+                # Chebyshev start has them.
                 ref = [+y for y in ref]
                 coeffs, e_signed, scale = _solve_levelling(problem, ref)
                 if abs(e_signed) <= mp.mpf(2) ** (16 - mp.prec) * scale:

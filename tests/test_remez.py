@@ -4,6 +4,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import (
+    finf,
+    fone,
+    from_man_exp,
+    from_rational,
+    fzero,
+    mpf_abs,
+    mpf_le,
+    mpf_pow,
+    mpf_shift,
+    mpf_sign,
+    mpf_sub,
+    round_nearest,
+)
 
 from bernlab import conformal, remez
 from bernlab.errors import InvalidProblemError, PrecisionBudgetError
@@ -404,6 +418,53 @@ def test_fixed_point_clenshaw_matches_clenshaw(coeffs, scale, bits, lo, width, u
             assert abs(got - want) <= bound
 
 
+_POWER_INPUT = {
+    "mantissa": st.integers(1, 2**1100),
+    "exponent": st.integers(-300, 300),
+    "prec": st.sampled_from([64, 113, 288, 1056]),
+}
+
+
+def _raw_y(mantissa, exponent):
+    # mantissa * 2^(exponent - its bits), exact: y in [2^(exponent-1), 2^exponent).
+    return from_man_exp(mantissa, exponent - mantissa.bit_length())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(numerator=st.integers(-12, 12).filter(bool), **_POWER_INPUT)
+def test_quarter_powers_are_within_an_ulp(numerator, mantissa, exponent, prec):
+    # y^(n/4) on integer square roots against mpf_pow 64 bits finer; y
+    # carries up to 1100 bits, more than the root's width at the low precisions.
+    y = _raw_y(mantissa, exponent)
+    e = from_rational(numerator, 4, 10)
+    got = remez._power_of(e, prec)(y)
+    want = mpf_pow(y, e, prec + 64, round_nearest)
+    assert got[3] <= prec
+    error = mpf_abs(mpf_sub(got, want))
+    assert mpf_le(error, mpf_shift(fone, got[2] + got[3] - prec))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(exponent_text=st.sampled_from(["0.65", "-1.3", "5.55"]), **_POWER_INPUT)
+def test_other_powers_are_mpf_pow(exponent_text, mantissa, exponent, prec):
+    y = _raw_y(mantissa, exponent)
+    e = mp.mpf(exponent_text)._mpf_
+    assert remez._power_of(e, prec)(y) == mpf_pow(y, e, prec, round_nearest)
+
+
+@pytest.mark.parametrize("e", [from_rational(n, 4, 10) for n in range(-12, 13) if n]
+                         + [mp.mpf(t)._mpf_ for t in ("0.65", "-1.3", "5.55")])
+def test_power_at_zero(e):
+    # 0 for a positive exponent, +inf for a negative one; mpf_pow gives the
+    # same where it returns, and divides by zero for -1/2 and negative integers.
+    got = remez._power_of(e, 256)(fzero)
+    assert got == (finf if mpf_sign(e) < 0 else fzero)
+    try:
+        assert got == mpf_pow(fzero, e, 256, round_nearest)
+    except ZeroDivisionError:
+        assert mpf_sign(e) < 0
+
+
 # Increasing functions with h(0) = 0, so h(s (y - r)) has its one root at r
 # and its sign there is exact at any precision.
 _MONOTONE = {"cubic": lambda u: u**3 + u, "expm1": mp.expm1, "atan": mp.atan, "sinh": mp.sinh}
@@ -528,6 +589,24 @@ def test_odd_degree_akhiezer_solve_keeps_its_error():
         gap = mp.mpf("2.8038e-30")
         assert sol.iterations == 5
         assert abs(sol.error - before) <= gap * before
+
+
+# E of |x|^p on [-1, 1] (a = 0, which the builders reject) at m = 8 and 256
+# bits, from the exchange on mpf_pow, where each solve's own gap
+# (E - min|r|)/E at the stop was 1.7e-29, 1.3e-25 and 1.0e-35.
+@pytest.mark.parametrize("p, before", [
+    ("1.5", "0.0027755122996517503103451759870937"),
+    ("0.5", "0.087088930422989881749353331530805"),
+    ("3", "0.00014371222662892290423092577946456"),
+])
+def test_power_problem_at_zero_gap_solves(p, before, cfg256):
+    problem = MinimaxProblem(kind=ProblemKind.POWER, p=p, a=0, m=8)
+    sol = solve(problem, cfg256)
+    with cfg256.workprec():
+        assert sol.alternation[0] == 0
+        assert all(s * t < 0 for s, t in zip(sol.signs, sol.signs[1:]))
+        assert sol.levelling_ratio >= 1 - mp.mpf(10) ** (-(cfg256.decimal_digits / 4))
+        assert abs(sol.error - mp.mpf(before)) <= mp.mpf("1e-24") * sol.error
 
 
 @pytest.fixture
@@ -687,17 +766,19 @@ def test_error_decreases_as_gap_widens(cfg256):
 
 def test_reference_rounded_to_each_steps_precision(cfg256):
     # mpmath 1.3.0's mpf_log returns about d, not -log 4, for y = (1 + d)/4
-    # stored with more bits than its precision, and y^(3/4) runs through it.
-    # A reference point 2^-270 above a^2 = 1/4 carries 269 bits into the
-    # first, 96-bit, step, where its target came out as 1, not 4^(-3/4), and
-    # the exchange stopped with non-alternating extrema.
-    problem = build_power_problem("1.5", "0.5", 8)
-    base = solve(problem, cfg256)
-    with cfg256.workprec():
-        start = list(base.alternation)
-        start[0] = mp.mpf(1) / 4 + mp.ldexp(1, -270)
-        sol = solve(problem, cfg256, initial_reference=start)
-        assert abs(sol.error - base.error) / base.error < mp.mpf("1e-15")
+    # stored with more bits than its precision, and y^0.65 runs through it
+    # (y^(3/4) did too before it moved to integer square roots).  A reference
+    # point 2^-270 above a^2 = 1/4 carries 269 bits into the first, 96-bit,
+    # step, where its target came out as 1, not 4^(-3/4), and the exchange
+    # stopped with non-alternating extrema.
+    for p in ("1.5", "1.3"):
+        problem = build_power_problem(p, "0.5", 8)
+        base = solve(problem, cfg256)
+        with cfg256.workprec():
+            start = list(base.alternation)
+            start[0] = mp.mpf(1) / 4 + mp.ldexp(1, -270)
+            sol = solve(problem, cfg256, initial_reference=start)
+            assert abs(sol.error - base.error) / base.error < mp.mpf("1e-15")
 
 
 def test_solution_independent_of_starting_reference(cfg256):

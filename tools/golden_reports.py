@@ -34,6 +34,8 @@ COMMANDS = {
     "solve_sgn_k1_m8": ["solve", *_SGN, "--m", "8"],
     "solve_sgn_k3_m6": ["solve", "--family", "sgn-laurent", "--k", "3", "--a", "0.3", "--m", "6"],
     "solve_absxp_m8_bits1024": ["solve", *_POWER, "--m", "8", "--bits", "1024"],
+    # p/2 = 0.65 is not a multiple of 1/4: the exchange's powers take mpf_pow.
+    "solve_absxp_p13_m8": ["solve", "--family", "absxp", "--p", "1.3", "--a", "0.5", "--m", "8"],
     "solve_akhiezer_b2_m8": ["solve", *_AKHIEZER, "--m", "8"],
     # Nine starting points: the middle Chebyshev point is 1.8e-87, not 0.
     "solve_akhiezer_b2_m7": ["solve", *_AKHIEZER, "--m", "7"],

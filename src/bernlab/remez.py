@@ -46,9 +46,10 @@ _deviation, which converts the family's constants once per step;
 MinimaxProblem.target and weight are mpf wrappers over it.  Its powers, y^(p/2)
 and its slope's y^(p/2 - 1), y^+-(k - 1/2) and (b + y)^-s and ^-(s+1), come
 from _power_of, also built once per step.  When 4 times the exponent is an
-integer, the power is one or two integer square roots of y's mantissa raised
-to that integer and rounded once; any other exponent keeps mpf_pow, which
-runs through mpf_log and mpf_exp at several times the cost.
+integer, the power is one or two integer square roots of y's mantissa,
+inverted for a negative exponent and raised to that integer by mpf_pow_int;
+any other exponent keeps mpf_pow, which runs through mpf_log and mpf_exp at
+several times the cost.
 The searches evaluate P and P' with a fixed-point Clenshaw kernel rather than
 clenshaw, which stays for complex and off-interval points.  Once per exchange
 step the coefficients become Python ints scaled by 2^F, F = W - mag(max|c|)
@@ -98,6 +99,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_pow,
+    mpf_pow_int,
     mpf_shift,
     mpf_sign,
     mpf_sub,
@@ -251,13 +253,14 @@ def _power_of(exponent, prec):
 
     When 4*exponent is an integer n/2^r with r = 0, 1 or 2, the mantissa of
     y, shifted to about 2^r (prec + guard) bits and an exponent that 2^r
-    divides, goes through r integer square roots; the root, floored at that
-    width, is raised to |n| exactly, inverted by one integer division when
-    n < 0, and rounded once at prec.  Its error before that rounding is
-    below 2^-8 ulp.  Every other exponent takes mpf_pow, which runs through
-    mpf_log and mpf_exp.  y = 0 gives 0 for a positive exponent and +inf for
-    a negative one, as mpf_pow does where it returns; negative and infinite
-    y take mpf_pow.
+    divides, goes through r integer square roots, and for n < 0 one integer
+    division inverts the root at that width.  mpf_pow_int raises it to |n|
+    in O(log |n|) multiplications rounded at prec + 4 log2 |n| bits and
+    rounds the result at prec.  For r = 0 it is mpf_pow_int(y, n), mpf_pow's
+    own integer path, bit for bit.  Every other exponent takes mpf_pow,
+    which runs through mpf_log and mpf_exp.  y = 0
+    gives 0 for a positive exponent and +inf for a negative one, as mpf_pow
+    does where it returns; negative and infinite y take mpf_pow.
     """
     rnd = round_nearest
     sign, man, exp, _ = exponent
@@ -267,21 +270,24 @@ def _power_of(exponent, prec):
     n = man << max(exp, 0)
     wbits = prec + _POWER_GUARD_BITS + n.bit_length()
     at_zero = finf if sign else fzero
+    if sign and not roots:
+        n = -n
 
     def power(y):
         if y[0] or not y[1]:
             return at_zero if y == fzero else mpf_pow(y, exponent, prec, rnd)
-        _, yman, yexp, ybc = y
-        shift = (wbits << roots) - ybc
-        shift += (yexp - shift) % (1 << roots)
-        root = _shift(yman, shift)
-        for _ in range(roots):
-            root = math.isqrt(root)
-        big, big_exp = root ** n, n * ((yexp - shift) >> roots)
-        if sign:
-            bits = big.bit_length() + wbits
-            big, big_exp = (1 << bits) // big, -bits - big_exp
-        return from_man_exp(big, big_exp, prec, rnd)
+        if roots:
+            _, yman, yexp, ybc = y
+            shift = (wbits << roots) - ybc
+            shift += (yexp - shift) % (1 << roots)
+            root, root_exp = _shift(yman, shift), (yexp - shift) >> roots
+            for _ in range(roots):
+                root = math.isqrt(root)
+            if sign:
+                # The root has about wbits bits, and so does its reciprocal.
+                root, root_exp = (1 << 2 * wbits) // root, -2 * wbits - root_exp
+            y = from_man_exp(root, root_exp)
+        return mpf_pow_int(y, n, prec, rnd)
 
     return power
 

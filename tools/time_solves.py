@@ -1,13 +1,14 @@
 """Time in-process Remez solves of two checkouts, alternated.
 
-    python tools/time_solves.py PARENT/src CHANGE/src [--runs 5]
+    python tools/time_solves.py PARENT/src CHANGE/src
 
-Each case runs --runs times per checkout, each time in a fresh interpreter
+Each case runs RUNS times per checkout, each time in a fresh interpreter
 that imports bernlab from that src/ directory, solves the case once untimed
 and then once timed; the two checkouts take turns going first.  Prints the
 median seconds per checkout, their ratio and in how many runs the second
 checkout was faster.  The cases are ROADMAP's Remez baseline rows, an absxp
-solve at 1024 bits and one whose exponents take mpf_pow (p = 1.3).
+solve at 1024 bits, one whose exponents take mpf_pow (p = 1.3) and two with
+large exponents: y^(41/4) (p = 20.5) and y^-(19/2) (k = 10).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import statistics
 import subprocess
 import sys
 
+RUNS = 5
+
 _P15 = {"p": "1.5", "a": "0.5"}
 CASES = {
     "absxp p=1.5 m=20": ["power", _P15, 20, 256],
@@ -27,6 +30,8 @@ CASES = {
     "akhiezer s=1.5 b=2 l=40": ["akhiezer", {"s": "1.5", "b": "2"}, 40, 256],
     "absxp p=1.5 m=8 1024 bits": ["power", _P15, 8, 1024],
     "absxp p=1.3 m=8": ["power", {"p": "1.3", "a": "0.5"}, 8, 256],
+    "absxp p=20.5 m=16": ["power", {"p": "20.5", "a": "0.5"}, 16, 256],
+    "sgn k=10 m=6": ["sgn_laurent", {"k": 10, "a": "0.5"}, 6, 256],
 }
 
 _TIMED = """
@@ -54,17 +59,16 @@ def _time(src, case):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("srcs", nargs=2, help="the two src/ directories, parent first")
-    parser.add_argument("--runs", type=int, default=5, help="runs per case and checkout")
     ns = parser.parse_args(argv)
     print(f"{'case':28} {'first':>9} {'second':>9} {'ratio':>6}  wins")
     for name, case in CASES.items():
         times = ([], [])
-        for run in range(ns.runs):
+        for run in range(RUNS):
             for side in (0, 1) if run % 2 == 0 else (1, 0):
                 times[side].append(_time(ns.srcs[side], case))
         first, second = (statistics.median(t) for t in times)
         wins = sum(b < a for a, b in zip(*times))
-        print(f"{name:28} {first:9.4f} {second:9.4f} {second / first:6.3f}  {wins}/{ns.runs}")
+        print(f"{name:28} {first:9.4f} {second:9.4f} {second / first:6.3f}  {wins}/{RUNS}")
     return 0
 
 

@@ -13,7 +13,7 @@ Layers, bottom up:
 * conformal: slit maps of the upper half-plane built from gamma-type
   densities, their normalization constants, and the limit profiles of
   rescaled approximants.
-* asymptotics: closed-form error predictors and sweep reports comparing
+* asymptotics: closed-form error predictors and sweep rows comparing
   them against solver output.
 * curveverify: phase reconstruction along the imaginary axis, the curve
   functional-equation residual, coefficient sign-pattern checks, and
@@ -44,11 +44,11 @@ _EXPORTS = {
         far_offset_integral limit_constants limit_density limit_map limit_map_boundary
         phase_density power_limit_profile sgn_limit_profile slit_map slit_map_boundary
         slit_map_zero tooth_density""",
-    "asymptotics": """AsymptoticsReport akhiezer_b_from_a akhiezer_convert compare
+    "asymptotics": """akhiezer_b_from_a akhiezer_convert compare monotone_tail
         predict_akhiezer_error predict_power_error predict_slit_height
         slit_height_from_error""",
-    "curveverify": """PhaseTrace ProfileDistanceRow SignPatternReport curve_residuals
-        profile_convergence reconstruct_phase sign_pattern_check""",
+    "curveverify": """PhaseTrace SignPatternReport curve_residuals profile_convergence
+        reconstruct_phase sign_pattern_check""",
     "conjecture": "ConjectureState phase_residual solve_phase_equation",
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}

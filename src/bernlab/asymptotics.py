@@ -1,5 +1,5 @@
 """Closed-form error predictors for the two-interval minimax problems and
-computed-vs-predicted sweep reports.
+computed-vs-predicted sweep rows.
 
 Conventions: the |x|^p problem uses polynomials of degree n = 2m on
 [-1,-a] u [a,1]; the sgn problem uses Laurent polynomials of degree
@@ -7,11 +7,16 @@ Conventions: the |x|^p problem uses polynomials of degree n = 2m on
 by polynomials of degree l.  The sgn error L relates to a slit height B
 through L = 1/cosh(B).  Each predictor takes the parameters that the
 solver's builder for its family accepts, and rejects the rest through it.
+
+compare builds the rows that `bernlab sweep` prints, one dict per degree
+keyed as the report prints it: m, E (the solve's own error), predicted
+(the family's predictor) and ratio (E/predicted).  Sgn rows also carry
+height (acosh(1/E)) and predicted_height (predict_slit_height); their
+ratio compares the heights and predicted is 1/cosh(predicted_height).
+monotone_tail judges the ratios' approach to 1 over a sweep's tail.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from mpmath import mp
 
@@ -129,34 +134,13 @@ def predict_akhiezer_error(s, b, l: int, cfg: PrecisionConfig = DEFAULT_CONFIG):
         )
 
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    """Computed-vs-predicted sweep for one problem family.
-
-    rows hold (m, computed, predicted, ratio); for the sgn family the
-    compared quantity is the slit height B rather than the error itself,
-    and gap = computed - predicted is the figure of merit.
-    """
-
-    rows: tuple
-
-    def __post_init__(self):
-        for _, computed, predicted, ratio in self.rows:
-            if not (mp.isfinite(ratio) and ratio > 0):
-                raise InvalidProblemError("ratios must be finite and positive")
-
-    @property
-    def final_ratio(self):
-        return self.rows[-1][3]
-
-    @property
-    def monotone(self) -> bool:
-        """Whether |log ratio| is non-increasing over the second half of
-        the sweep (the theory fixes the limit, not an approach rate, so
-        only the tail is judged)."""
-        devs = [abs(mp.log(row[3])) for row in self.rows]
-        tail = devs[len(devs) // 2 :]
-        return all(x >= y - mp.mpf(10) ** -30 for x, y in zip(tail, tail[1:]))
+def monotone_tail(ratios) -> bool:
+    """Whether |log ratio| is non-increasing over the second half of a
+    sweep's ratios (the theory fixes the limit, not an approach rate, so
+    only the tail is judged).  A ratio <= 0 counts as infinitely far from 1."""
+    devs = [abs(mp.log(r)) if r > 0 else mp.inf for r in ratios]
+    tail = devs[len(devs) // 2 :]
+    return all(x >= y - mp.mpf(10) ** -30 for x, y in zip(tail, tail[1:]))
 
 
 def _solve_one(args):
@@ -171,8 +155,12 @@ def compare(
     cfg: PrecisionConfig = DEFAULT_CONFIG,
     *,
     jobs: int = 1,
-) -> AsymptoticsReport:
-    """Sweep the solver over degrees and compare with the predictor.
+) -> list:
+    """Sweep the solver over degrees and compare with the predictor: one
+    row per degree, in increasing order, keyed m, E, predicted and ratio,
+    plus height and predicted_height for SGN_LAURENT, each as the module
+    docstring says.  The leading-order slit height may be <= 0 at small
+    a*m, and then so is that row's ratio.
 
     parameters: {p, a} for POWER, {k, a} for SGN_LAURENT, {s, b} for
     AKHIEZER.  Each degree may appear once.  Solver runs are independent,
@@ -199,14 +187,16 @@ def compare(
     with cfg.workprec():
         for m in degrees:
             err = solved[m]
-            if family is ProblemKind.POWER:
-                computed = err
-                predicted = predict_power_error(parameters["p"], parameters["a"], m, cfg)
-            elif family is ProblemKind.SGN_LAURENT:
-                computed = slit_height_from_error(err, cfg)
-                predicted = predict_slit_height(parameters["k"], parameters["a"], m, cfg)
+            if family is ProblemKind.SGN_LAURENT:
+                height = slit_height_from_error(err, cfg)
+                pred = predict_slit_height(parameters["k"], parameters["a"], m, cfg)
+                predicted, ratio = 1 / mp.cosh(pred), height / pred
+                heights = {"height": height, "predicted_height": pred}
             else:
-                computed = err
-                predicted = predict_akhiezer_error(parameters["s"], parameters["b"], m, cfg)
-            rows.append((m, computed, predicted, computed / predicted))
-    return AsymptoticsReport(rows=tuple(rows))
+                if family is ProblemKind.POWER:
+                    predicted = predict_power_error(parameters["p"], parameters["a"], m, cfg)
+                else:
+                    predicted = predict_akhiezer_error(parameters["s"], parameters["b"], m, cfg)
+                ratio, heights = err / predicted, {}
+            rows.append({"m": m, "E": err, "predicted": predicted, "ratio": ratio, **heights})
+    return rows

@@ -142,10 +142,13 @@ def _parse_degrees(spec: str) -> list:
 
 def _family_parameters(ns: argparse.Namespace, cfg: PrecisionConfig) -> tuple:
     """The family's kind and parameters from the flags _FAMILIES names
-    (akhiezer takes --a in place of --b); the remez builders check them."""
+    (akhiezer takes --a in place of --b, not beside it); the remez builders
+    check them."""
     kind, names = _FAMILIES[ns.family]
     params = {name: getattr(ns, name) for name in names}
-    if kind is ProblemKind.AKHIEZER and ns.b is None and ns.a is not None:
+    if kind is ProblemKind.AKHIEZER and ns.a is not None:
+        if ns.b is not None:
+            raise InvalidProblemError("family akhiezer takes --a or --b, not both")
         with cfg.workprec():
             params["b"] = asymptotics.akhiezer_b_from_a(ns.a)
     if None in params.values():
@@ -205,36 +208,16 @@ def _cmd_sweep(ns: argparse.Namespace, cfg: PrecisionConfig):
         raise InvalidProblemError("sweep needs --m (degree list, e.g. 5..20)")
     degrees = _parse_degrees(ns.m)
     kind, params = _family_parameters(ns, cfg)
-    report = asymptotics.compare(kind, params, degrees, cfg, jobs=ns.jobs)
-    with cfg.workprec():
-        table = []
-        for m, computed, predicted, ratio in report.rows:
-            if kind is ProblemKind.SGN_LAURENT:
-                # computed/predicted are slit heights; expose the errors
-                # themselves alongside on the E scale.
-                row = {
-                    "m": m,
-                    "E": 1 / mp.cosh(computed),
-                    "predicted": 1 / mp.cosh(predicted),
-                    "ratio": ratio,
-                    "height": computed,
-                    "predicted_height": predicted,
-                }
-            else:
-                row = {"m": m, "E": computed, "predicted": predicted, "ratio": ratio}
-            table.append(row)
+    rows = asymptotics.compare(kind, params, degrees, cfg, jobs=ns.jobs)
     payload = {
         "family": ns.family,
-        "parameters": {k: v for k, v in params.items()},
-        "rows": table,
-        "final_ratio": report.final_ratio,
-        "monotone_tail": report.monotone,
+        "parameters": params,
+        "rows": rows,
+        "final_ratio": rows[-1]["ratio"],
+        "monotone_tail": asymptotics.monotone_tail([row["ratio"] for row in rows]),
     }
-    if ns.predict:
-        csv_rows = [[r["m"], r["E"], r["predicted"], r["ratio"]] for r in table]
-        payload["_csv"] = (["m", "E", "predicted", "ratio"], csv_rows)
-    else:
-        payload["_csv"] = (["m", "E"], [[r["m"], r["E"]] for r in table])
+    header = ["m", "E", "predicted", "ratio"] if ns.predict else ["m", "E"]
+    payload["_csv"] = (header, [[row[k] for k in header] for row in rows])
     return payload, 0
 
 
@@ -284,20 +267,9 @@ def _cmd_profiles(ns: argparse.Namespace, cfg: PrecisionConfig):
     degrees = _parse_degrees(ns.m)
     lams = _lin_spaced(ns.lambda_min, ns.lambda_max, ns.lambda_count, cfg)
     rows = curveverify.profile_convergence(kind, params, degrees, lams, cfg)
-    payload = {
-        "family": ns.family,
-        "parameters": params,
-        "rows": [
-            {
-                "m": row.degree,
-                "sup_distance": row.sup_distance,
-                "lambda_at_sup": row.lambda_at_sup,
-            }
-            for row in rows
-        ],
-    }
+    payload = {"family": ns.family, "parameters": params, "rows": rows}
     header = ["m", "sup_distance", "lambda_at_sup"]
-    payload["_csv"] = (header, [[row[k] for k in header] for row in payload["rows"]])
+    payload["_csv"] = (header, [[row[k] for k in header] for row in rows])
     return payload, 0
 
 

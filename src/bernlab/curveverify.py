@@ -16,7 +16,9 @@ its conformal-map structure:
   exactly m+1 sign changes (a total-positivity fact), with prescribed
   endpoint signs (numpy's cheb2poly on mpf objects gives P's monomials);
 * rescaled extremal functions approach the explicit limit profiles as the
-  degree grows.
+  degree grows; profile_convergence returns the rows that `bernlab
+  profiles` prints, one dict per degree keyed m, sup_distance and
+  lambda_at_sup.
 """
 
 from __future__ import annotations
@@ -302,13 +304,6 @@ def sign_pattern_check(
         )
 
 
-@dataclass(frozen=True)
-class ProfileDistanceRow:
-    degree: int
-    sup_distance: object
-    lambda_at_sup: object
-
-
 def profile_convergence(
     family: ProblemKind,
     params: dict,
@@ -316,7 +311,10 @@ def profile_convergence(
     lambda_grid,
     cfg: PrecisionConfig = DEFAULT_CONFIG,
 ):
-    """Sup-distance between rescaled extremal values and the limit profile.
+    """Sup-distance between rescaled extremal values and the limit profile:
+    one row per degree, in increasing order, keyed as the profiles report
+    prints it.  m is the degree, sup_distance the largest distance over
+    lambda_grid and lambda_at_sup the first lambda that attains it.
 
     POWER: (m/a)^(p/2) P(sqrt(a/m) lambda) against the power profile.
     SGN_LAURENT: f(sqrt(2a/(2m-1)) lambda) against the sgn profile.
@@ -351,5 +349,5 @@ def profile_convergence(
                 dist = abs(gain * eval_solution(sol, problem, step * lam) - target)
                 if dist > best:
                     best, best_lam = dist, lam
-            rows.append(ProfileDistanceRow(degree=m, sup_distance=best, lambda_at_sup=best_lam))
-    return tuple(rows)
+            rows.append({"m": m, "sup_distance": best, "lambda_at_sup": best_lam})
+    return rows

@@ -302,19 +302,6 @@ def _deviation(problem, poly=None, dpoly=None):
     here, once.
     """
     prec, rnd = mp.prec, round_nearest
-    if problem.kind is ProblemKind.POWER:
-        half_p = mpf_shift(mp.mpf(problem.p)._mpf_, -1)
-        target = _power_of(half_p, prec)
-        rise = _power_of(mpf_sub(half_p, fone, prec, rnd), prec)
-
-        def residual(y):
-            return mpf_sub(target(y), poly(y), prec, rnd)
-
-        def slope(y):
-            return mpf_sub(mpf_mul(half_p, rise(y), prec, rnd), dpoly(y), prec, rnd)
-
-        return target, _unit_weight, residual, slope
-
     if problem.kind is ProblemKind.SGN_LAURENT:
         rise_exp = from_man_exp(2 * problem.k - 1, -1)  # k - 1/2
         weight_exp = mpf_neg(rise_exp)
@@ -332,20 +319,25 @@ def _deviation(problem, poly=None, dpoly=None):
 
         return target, weight, residual, slope
 
-    b = mp.mpf(problem.b)._mpf_
-    neg_s = mpf_neg(mp.mpf(problem.s)._mpf_)
-    power = _power_of(neg_s, prec)
-    fall = _power_of(mpf_sub(neg_s, fone, prec, rnd), prec)
+    # f(y) = (shift + y)^exponent: y^(p/2) for POWER, (b + y)^(-s) for AKHIEZER.
+    if problem.kind is ProblemKind.POWER:
+        exponent, shift = mpf_shift(mp.mpf(problem.p)._mpf_, -1), None
+    else:
+        exponent, shift = mpf_neg(mp.mpf(problem.s)._mpf_), mp.mpf(problem.b)._mpf_
+    target = _power_of(exponent, prec)
+    fall = _power_of(mpf_sub(exponent, fone, prec, rnd), prec)
+    if shift is not None:
+        # Built here, so the unshifted powers run without a wrapper.
+        def shifted(power):
+            return lambda y: power(mpf_add(shift, y, prec, rnd))
 
-    def target(y):
-        return power(mpf_add(b, y, prec, rnd))
+        target, fall = shifted(target), shifted(fall)
 
     def residual(y):
         return mpf_sub(target(y), poly(y), prec, rnd)
 
     def slope(y):
-        rate = mpf_mul(neg_s, fall(mpf_add(b, y, prec, rnd)), prec, rnd)
-        return mpf_sub(rate, dpoly(y), prec, rnd)
+        return mpf_sub(mpf_mul(exponent, fall(y), prec, rnd), dpoly(y), prec, rnd)
 
     return target, _unit_weight, residual, slope
 

@@ -360,15 +360,15 @@ def test_criterion_10_limit_profiles(cfg192):
     )
     with cfg192.workprec():
         ok = (
-            rows_power[1].sup_distance < rows_power[0].sup_distance
-            and rows_sgn[1].sup_distance < rows_sgn[0].sup_distance
+            rows_power[1]["sup_distance"] < rows_power[0]["sup_distance"]
+            and rows_sgn[1]["sup_distance"] < rows_sgn[0]["sup_distance"]
             and origin_err < mp.mpf("1e-10")
         )
         detail = (
-            f"power sup-distance {mp.nstr(rows_power[0].sup_distance, 3)} -> "
-            f"{mp.nstr(rows_power[1].sup_distance, 3)}, sgn "
-            f"{mp.nstr(rows_sgn[0].sup_distance, 3)} -> "
-            f"{mp.nstr(rows_sgn[1].sup_distance, 3)}; profile(1, 0) off by "
+            f"power sup-distance {mp.nstr(rows_power[0]['sup_distance'], 3)} -> "
+            f"{mp.nstr(rows_power[1]['sup_distance'], 3)}, sgn "
+            f"{mp.nstr(rows_sgn[0]['sup_distance'], 3)} -> "
+            f"{mp.nstr(rows_sgn[1]['sup_distance'], 3)}; profile(1, 0) off by "
             f"{mp.nstr(origin_err, 3)}"
         )
     _record(

@@ -123,37 +123,47 @@ def test_akhiezer_predictor_matches_power_form_through_conversion(cfg256):
 
 
 def test_sgn_sweep_report(cfg192):
-    report = compare(
+    rows = compare(
         ProblemKind.SGN_LAURENT, {"k": 1, "a": "0.5"}, [3, 4, 5, 6], cfg192
     )
     with cfg192.workprec():
-        ms = [row[0] for row in report.rows]
+        ms = [row["m"] for row in rows]
         assert ms == [3, 4, 5, 6]
         # Heights are compared, so ratios should sit just above 1 and close
         # in as m grows.
-        devs = [abs(mp.log(row[3])) for row in report.rows]
+        devs = [abs(mp.log(row["ratio"])) for row in rows]
         assert devs[-1] < devs[0]
-        assert abs(report.final_ratio - 1) < mp.mpf("0.1")
-        assert report.monotone
-        _, computed, predicted, _ = report.rows[-1]
+        assert abs(rows[-1]["ratio"] - 1) < mp.mpf("0.1")
+        assert asymptotics.monotone_tail([row["ratio"] for row in rows])
+        computed, predicted = rows[-1]["height"], rows[-1]["predicted_height"]
         assert computed - predicted > 0
 
 
+def test_monotone_tail_counts_a_non_positive_ratio_as_far_from_one():
+    # Only the second half is judged: a ratio <= 0 ahead of it is ignored,
+    # one that ends the tail moves away from 1, one that starts it does not.
+    ratios = [mp.mpf(x) for x in ("-2", "3", "1.2", "1.1")]
+    assert asymptotics.monotone_tail(ratios)
+    assert not asymptotics.monotone_tail([*ratios, mp.mpf(0)])
+    assert not asymptotics.monotone_tail([*ratios, mp.mpf(-1)])
+    assert asymptotics.monotone_tail([mp.mpf(3), mp.mpf(-1), mp.mpf("1.5")])
+
+
 def test_power_sweep_ratio_tightens(cfg192):
-    report = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [4, 8], cfg192)
+    rows = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [4, 8], cfg192)
     with cfg192.workprec():
-        first = abs(mp.log(report.rows[0][3]))
-        last = abs(mp.log(report.rows[-1][3]))
+        first = abs(mp.log(rows[0]["ratio"]))
+        last = abs(mp.log(rows[-1]["ratio"]))
         assert last < first
 
 
 def test_parallel_sweep_matches_serial(cfg192):
     serial = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [3, 5], cfg192)
     parallel = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [3, 5], cfg192, jobs=2)
-    for row_s, row_p in zip(serial.rows, parallel.rows):
-        assert row_s[0] == row_p[0]
-        assert row_s[1] == row_p[1]
-        assert row_s[2] == row_p[2]
+    for row_s, row_p in zip(serial, parallel):
+        assert row_s["m"] == row_p["m"]
+        assert row_s["E"] == row_p["E"]
+        assert row_s["predicted"] == row_p["predicted"]
 
 
 @pytest.fixture
@@ -183,9 +193,9 @@ def pool(monkeypatch):
 
 
 def test_sweep_pool_is_capped_at_one_worker_per_degree(pool):
-    report = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [2, 3], jobs=500)
+    rows = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [2, 3], jobs=500)
     assert pool.sizes == [2]
-    assert [row[0] for row in report.rows] == [2, 3]
+    assert [row["m"] for row in rows] == [2, 3]
     # One degree needs no pool at all.
     compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [2], jobs=500)
     assert pool.sizes == [2]
@@ -193,9 +203,9 @@ def test_sweep_pool_is_capped_at_one_worker_per_degree(pool):
 
 def test_sweep_pool_takes_the_largest_degree_first(pool):
     # The longest solve starts first; the rows stay in degree order.
-    report = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [4, 2, 6], jobs=2)
+    rows = compare(ProblemKind.POWER, {"p": 1, "a": "0.5"}, [4, 2, 6], jobs=2)
     assert pool.degrees == [[6, 4, 2]]
-    assert [row[0] for row in report.rows] == [2, 4, 6]
+    assert [row["m"] for row in rows] == [2, 4, 6]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

@@ -11,10 +11,10 @@ from mpmath import mp
 
 import bernlab.cli
 from bernlab import conformal, curveverify
-from bernlab.asymptotics import predict_akhiezer_error, predict_power_error
+from bernlab.asymptotics import predict_akhiezer_error, predict_power_error, predict_slit_height
 from bernlab.cli import main
 from bernlab.precision import PrecisionConfig
-from bernlab.remez import build_akhiezer_problem, solve
+from bernlab.remez import build_akhiezer_problem, build_sgn_problem, solve
 
 
 def _run_json(tmp_path, name, args):
@@ -423,6 +423,27 @@ def test_akhiezer_sweep_rows_match_solver_and_predictor(tmp_path):
         assert row["predicted"] == bernlab.cli._num_str(predicted, cfg)
 
 
+def test_sgn_sweep_at_a_small_gap_reports_negative_heights(tmp_path):
+    # At a = 0.05 the leading-order slit height is negative for m = 1 and 2,
+    # so those rows' ratios are negative; every solve succeeds.
+    code, doc = _run_json(
+        tmp_path,
+        "sweep.json",
+        ["sweep", "--family", "sgn-laurent", "--k", "1", "--a", "0.05", "--m", "1..4", "--predict"],
+    )
+    assert code == 0
+    cfg = PrecisionConfig()
+    rows = doc["results"]["rows"]
+    assert [row["m"] for row in rows] == [1, 2, 3, 4]
+    for row in rows:
+        error = solve(build_sgn_problem(1, "0.05", row["m"]), cfg).error
+        assert row["E"] == bernlab.cli._num_str(error, cfg)
+    for row in rows[:2]:
+        height = predict_slit_height(1, "0.05", row["m"], cfg)
+        assert height < 0
+        assert row["predicted_height"] == bernlab.cli._num_str(height, cfg)
+
+
 def test_negative_power_sweep_predicts(tmp_path):
     # The predictor accepts every p the solver's builder accepts, negative p
     # included.
@@ -487,6 +508,8 @@ def test_conformal_offsets_discrepancy_prints_three_digits(tmp_path):
         ("sgn-laurent", ["--a", "0.5"], "family sgn-laurent needs --k and --a"),
         ("akhiezer", ["--s", "1"], "family akhiezer needs --s and --b (or --a)"),
         ("akhiezer", ["--a", "0.5"], "family akhiezer needs --s and --b (or --a)"),
+        # --a stands in for --b, so the two together are rejected.
+        ("akhiezer", ["--s", "1", "--b", "2", "--a", "0.9"], "family akhiezer takes --a or --b, not both"),
     ],
 )
 def test_missing_family_flag_message(family, flags, message, capsys):

@@ -320,8 +320,8 @@ def test_profiles_converge_with_degree(cfg256, family, params):
     lams = ["0.25", "0.5", "1", "1.5", "2", "2.5", "3"]
     rows = profile_convergence(family, params, [4, 8], lams, cfg256)
     with cfg256.workprec():
-        assert rows[0].degree == 4 and rows[1].degree == 8
-        assert rows[1].sup_distance < rows[0].sup_distance
+        assert rows[0]["m"] == 4 and rows[1]["m"] == 8
+        assert rows[1]["sup_distance"] < rows[0]["sup_distance"]
 
 
 def test_profiles_reject_repeated_degrees(monkeypatch, cfg128):
@@ -355,7 +355,7 @@ def test_profiles_evaluate_each_lambda_once(monkeypatch, cfg128):
     rows = profile_convergence(
         ProblemKind.POWER, {"p": "1.5", "a": "0.5"}, [2, 3, 4], lams, cfg128
     )
-    assert [row.degree for row in rows] == [2, 3, 4]
+    assert [row["m"] for row in rows] == [2, 3, 4]
     assert len(calls) == len(lams)
 
 

@@ -49,6 +49,10 @@ COMMANDS = {
     "sweep_absxp_bench": ["sweep", *_POWER, "--m", "2..6..2", "--predict", "--jobs", "2"],
     "sweep_absxp_csv": ["sweep", *_POWER, "--m", "5..15..5", "--predict", "--jobs", "2", *_CSV],
     "sweep_sgn": ["sweep", *_SGN, "--m", "4..12..4", "--predict"],
+    # Negative leading-order slit heights at m = 1 and 2: negative ratios.
+    "sweep_sgn_small_gap": [
+        "sweep", "--family", "sgn-laurent", "--k", "1", "--a", "0.05", "--m", "1..4", "--predict",
+    ],
     "sweep_akhiezer": ["sweep", *_AKHIEZER, "--m", "4..12..4", "--predict"],
     "verify_curve": ["verify-curve", *_SIGN_T],
     "verify_curve_csv": ["verify-curve", *_SIGN_T, *_CSV],
@@ -92,6 +96,9 @@ COMMANDS = {
     ],
     "invalid_sgn_no_k": ["solve", "--family", "sgn-laurent", "--a", "0.5", "--m", "4"],
     "invalid_akhiezer_no_b": ["solve", "--family", "akhiezer", "--s", "1", "--m", "4"],
+    "invalid_akhiezer_a_and_b": [
+        "solve", "--family", "akhiezer", "--s", "1", "--b", "2", "--a", "0.9", "--m", "3",
+    ],
     "invalid_profiles_akhiezer": [
         "profiles", "--family", "akhiezer", "--s", "1", "--b", "2", "--m", "4",
     ],

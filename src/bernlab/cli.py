@@ -143,8 +143,13 @@ def _parse_degrees(spec: str) -> list:
 def _family_parameters(ns: argparse.Namespace, cfg: PrecisionConfig) -> tuple:
     """The family's kind and parameters from the flags _FAMILIES names
     (akhiezer takes --a in place of --b, not beside it); the remez builders
-    check them."""
+    check them.  Another family's flag is rejected, not ignored."""
     kind, names = _FAMILIES[ns.family]
+    read = names + ("a",) if kind is ProblemKind.AKHIEZER else names
+    every = dict.fromkeys(name for _, family_names in _FAMILIES.values() for name in family_names)
+    foreign = [f"--{name}" for name in every if name not in read and getattr(ns, name) is not None]
+    if foreign:
+        raise InvalidProblemError(f"family {ns.family} does not take {' or '.join(foreign)}")
     params = {name: getattr(ns, name) for name in names}
     if kind is ProblemKind.AKHIEZER and ns.a is not None:
         if ns.b is not None:

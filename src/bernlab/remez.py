@@ -30,6 +30,17 @@ reduced-precision steps that tolerance is capped at the slope's noise floor,
 about 2^-(prec - decay_bits) of the segment, below which a search only
 chases rounding.
 
+Both searches start from the step before, as the reference converges
+quadratically.  A root search first evaluates the residual at the previous
+step's root of its gap, when that lies strictly inside, and an extremum
+search the slope at the old reference point y_i, which lies inside its own
+segment as the levelling put the residual at (-1)^i h there; each then
+searches only the half whose ends differ in sign.  With one end next to the
+root, the regula falsi closes in a few steps: about 4 residual evaluations
+per root search and 6.5 slope evaluations per extremum search at m = 8,
+seeds included, against 6.0 and 8.6-8.9 unseeded.  The tolerances stay
+those of the whole gap or segment.
+
 The search's loop runs on Python ints.  The bracket's ends are ints on one
 binary grid 2^e, fine enough that both ends are exact and two bits finer
 than the larger end's ulp; when that end shrinks toward a small root, a left
@@ -96,6 +107,7 @@ from mpmath.libmp import (
     mpf_cos_pi,
     mpf_div,
     mpf_gt,
+    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pow,
@@ -130,7 +142,10 @@ _POWER_GUARD_BITS = 10
 _MAX_ROOT_STEPS = 100
 
 # The searches' tolerances: residual roots to 2^-24 of the gap between their
-# reference points, extrema to 2^-(prec/2 + 16) of their segment.
+# reference points, extrema to 2^-(prec/2 + 16) of their segment.  Seeded
+# root searches need no coarser root tolerance to be short, and a coarse one
+# costs alternation: at 6 and 8 bits the a = 0, p = 0.5 power solve raises
+# "non-alternating extrema" (10 bits pass), so 24 keeps a wide margin.
 _ROOT_TOL_BITS = 24
 _EXTREMUM_TOL_BITS = 16
 
@@ -636,15 +651,35 @@ def _solve_levelling(problem, ref):
     return [mp.make_mpf(c) for c in coeffs], mp.make_mpf(h), f_max
 
 
-def _locate_extrema(problem, coeffs, ref, extremum_bits):
+def _seeded_search(f, a, b, fa, fb, xtol, seed):
+    """_bracket_search on [a, b] after one evaluation at seed, when seed lies
+    strictly inside: only the half whose ends differ in sign is searched, and
+    a zero at seed is the root.  seed is None when there is none."""
+    if seed is not None and mpf_lt(a, seed) and mpf_lt(seed, b):
+        fs = f(seed)
+        if not fs[1]:
+            return seed
+        if mpf_sign(fs) == mpf_sign(fa):
+            a, fa = seed, fs
+        else:
+            b, fb = seed, fs
+    return _bracket_search(f, a, b, fa, fb, xtol)
+
+
+def _locate_extrema(problem, coeffs, ref, extremum_bits, seeds):
     """Roots of the residual between reference points, then one extremum
     per root-bounded segment, found to 2^-extremum_bits of the segment.
+    Returns the extrema and the residual there as mpf, and the roots as raw
+    tuples, which seed the next step's call.
 
-    Both searches are _bracket_search: on the residual for the roots, and on
-    its closed-form slope for an extremum inside a segment whose slope
-    changes sign.  A segment whose slope keeps one sign peaks at an end.
-    Everything between the mpf reference in and the mpf extrema out runs on
-    raw tuples.
+    Both searches are _bracket_search behind _seeded_search: on the residual
+    for the roots, and on its closed-form slope for an extremum inside a
+    segment whose slope changes sign.  A segment whose slope keeps one sign
+    peaks at an end.  Root i's search is seeded at seeds[i], the step
+    before's root of that gap (seeds is None on the first step), and
+    segment i's extremum search at the old reference point y_i, which the
+    segment holds (see the module docstring).  Everything between the mpf
+    reference in and the mpf extrema out runs on raw tuples.
     """
     prec, rnd = mp.prec, round_nearest
     interval = problem.interval_mp()
@@ -669,9 +704,10 @@ def _locate_extrema(problem, coeffs, ref, extremum_bits):
                     "values": [mp.make_mpf(v) for v in r_ref],
                 },
             )
-        roots.append(_bracket_search(
+        roots.append(_seeded_search(
             residual, ref[i], ref[i + 1], r_ref[i], r_ref[i + 1],
             mpf_shift(mpf_sub(ref[i + 1], ref[i], prec, rnd), -_ROOT_TOL_BITS),
+            seeds[i] if seeds else None,
         ))
 
     bounds = [interval[0]._mpf_] + roots + [interval[1]._mpf_]
@@ -681,9 +717,10 @@ def _locate_extrema(problem, coeffs, ref, extremum_bits):
     for i in range(len(bounds) - 1):
         a, b = bounds[i], bounds[i + 1]
         if mpf_sign(slopes[i]) * mpf_sign(slopes[i + 1]) < 0:
-            x = _bracket_search(
+            x = _seeded_search(
                 slope, a, b, slopes[i], slopes[i + 1],
                 mpf_shift(mpf_sub(b, a, prec, rnd), -extremum_bits),
+                ref[i],
             )
             v = residual(x)
         else:
@@ -693,7 +730,7 @@ def _locate_extrema(problem, coeffs, ref, extremum_bits):
                 x, v = b, v_b
         points.append(mp.make_mpf(x))
         values.append(mp.make_mpf(v))
-    return points, values
+    return points, values, roots
 
 
 def solve(
@@ -755,6 +792,7 @@ def solve(
         full_steps = 0
         best_ratio, best_bits = -1, bits
         stale = 0
+        roots = None  # the last step's residual roots, which seed the next
         for iteration in range(1, _MAX_ITERATIONS + 1):
             full = bits == cfg.mantissa_bits
             with mp.workprec(bits + GUARD_BITS):
@@ -785,7 +823,7 @@ def solve(
                     extremum_bits = min(
                         extremum_bits, mp.prec - math.ceil(decay) - _NOISE_MARGIN_BITS
                     )
-                points, values = _locate_extrema(problem, coeffs, ref, extremum_bits)
+                points, values, roots = _locate_extrema(problem, coeffs, ref, extremum_bits, roots)
             abs_vals = [abs(v) for v in values]
             ratio = min(abs_vals) / max(abs_vals)
             signs = [mp.sign(v) for v in values]

@@ -510,6 +510,13 @@ def test_conformal_offsets_discrepancy_prints_three_digits(tmp_path):
         ("akhiezer", ["--a", "0.5"], "family akhiezer needs --s and --b (or --a)"),
         # --a stands in for --b, so the two together are rejected.
         ("akhiezer", ["--s", "1", "--b", "2", "--a", "0.9"], "family akhiezer takes --a or --b, not both"),
+        # Another family's flags would have no effect, so they are rejected.
+        (
+            "absxp", ["--p", "1.5", "--a", "0.5", "--b", "2", "--s", "3", "--k", "4"],
+            "family absxp does not take --k or --s or --b",
+        ),
+        ("sgn-laurent", ["--k", "1", "--a", "0.5", "--p", "1.5"], "family sgn-laurent does not take --p"),
+        ("akhiezer", ["--s", "1", "--b", "2", "--k", "1"], "family akhiezer does not take --k"),
     ],
 )
 def test_missing_family_flag_message(family, flags, message, capsys):

@@ -1,5 +1,7 @@
 """Exchange solver: closed-form oracles, optimality certificates, invariants."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -593,8 +595,11 @@ def test_odd_degree_akhiezer_solve_keeps_its_error():
 
 # E of |x|^p on [-1, 1] (a = 0, which the builders reject) at m = 8 and 256
 # bits, from the exchange on mpf_pow, where each solve's own gap
-# (E - min|r|)/E at the stop was 1.7e-29, 1.3e-25 and 1.0e-35.
+# (E - min|r|)/E at the stop was 1.7e-29, 1.3e-25 and 1.0e-35; p = 1, whose
+# target's slope is infinite at y = 0, from the exchange with unseeded
+# searches, where that gap was 1.2e-27.
 @pytest.mark.parametrize("p, before", [
+    ("1", "0.017468052349656715482339079142324212"),
     ("1.5", "0.0027755122996517503103451759870937"),
     ("0.5", "0.087088930422989881749353331530805"),
     ("3", "0.00014371222662892290423092577946456"),
@@ -609,15 +614,14 @@ def test_power_problem_at_zero_gap_solves(p, before, cfg256):
         assert abs(sol.error - mp.mpf(before)) <= mp.mpf("1e-24") * sol.error
 
 
-@pytest.fixture
-def recorded_searches(monkeypatch):
-    """Route every root search, the exchange's and bracketed_root's, through
-    a recorder of f's arguments; collects (f's name, lo, hi, points f was
-    evaluated at) per search, as mpf."""
+def _record_searches(monkeypatch, name):
+    """Route every call of remez.<name>, a search taking (f, lo, hi, ...),
+    through a recorder of f's arguments; collects (f's name, lo, hi, points
+    f was evaluated at) per search, as mpf."""
     searches = []
-    search = remez._bracket_search
+    search = getattr(remez, name)
 
-    def recording_search(f, lo, hi, f_lo, f_hi, xtol):
+    def recording_search(f, lo, hi, *rest):
         seen = []
 
         def recorder(y):
@@ -625,22 +629,36 @@ def recorded_searches(monkeypatch):
             return f(y)
 
         searches.append((f.__name__, mp.make_mpf(lo), mp.make_mpf(hi), seen))
-        return search(recorder, lo, hi, f_lo, f_hi, xtol)
+        return search(recorder, lo, hi, *rest)
 
-    monkeypatch.setattr(remez, "_bracket_search", recording_search)
+    monkeypatch.setattr(remez, name, recording_search)
     return searches
 
 
-def test_exchange_never_reevaluates_bracket_ends(recorded_searches, monkeypatch, cfg256):
+@pytest.fixture
+def recorded_searches(monkeypatch):
+    """Every bracket search, the exchange's and bracketed_root's."""
+    return _record_searches(monkeypatch, "_bracket_search")
+
+
+@pytest.fixture
+def recorded_exchange_searches(monkeypatch):
+    """Every search of the exchange, its seed's evaluation included."""
+    return _record_searches(monkeypatch, "_seeded_search")
+
+
+def test_exchange_never_reevaluates_bracket_ends(recorded_exchange_searches, monkeypatch, cfg256):
     def no_diff(*args, **kwargs):
         raise AssertionError("the exchange must not difference the residual")
 
     monkeypatch.setattr(mp, "diff", no_diff)
     solve(build_power_problem("1.5", "0.5", 8), cfg256)
-    assert {name for name, *_ in recorded_searches} == {"residual", "slope"}
-    for _, lo, hi, seen in recorded_searches:
+    assert {name for name, *_ in recorded_exchange_searches} == {"residual", "slope"}
+    for _, lo, hi, seen in recorded_exchange_searches:
         assert seen
         assert lo not in seen and hi not in seen
+        # The seed, once evaluated, is an end of the bracket searched.
+        assert len(set(seen)) == len(seen)
 
 
 _BUDGET_PROBLEMS = pytest.mark.parametrize(
@@ -660,54 +678,54 @@ def _evaluations_per_search(searches, name):
 
 
 @_BUDGET_PROBLEMS
-def test_residual_root_searches_stay_within_evaluation_budget(recorded_searches, kind, params, cfg256):
+def test_residual_root_searches_stay_within_evaluation_budget(recorded_exchange_searches, kind, params, cfg256):
     # A residual root only bounds a segment, so its search stops at 2^-24 of
-    # the gap between its reference points: 6.0 evaluations on average and at
-    # most 8 at m = 8, where searches to full precision take 8.1 and 11.
+    # the gap between its reference points, and after the first step it
+    # starts at the step before's root of that gap: 4.0-4.1 evaluations on
+    # average, the seed's included, and at most 8 at m = 8.  Unseeded
+    # searches take 6.0 on average, and searches to full precision 8.1 and
+    # at most 11.
     solve(build_problem(kind, params, 8), cfg256)
-    mean, most = _evaluations_per_search(recorded_searches, "residual")
-    assert mean <= 7
+    mean, most = _evaluations_per_search(recorded_exchange_searches, "residual")
+    assert mean <= 5
     assert most <= 14
 
 
 @_BUDGET_PROBLEMS
-def test_extremum_searches_stay_within_evaluation_budget(recorded_searches, kind, params, cfg256):
+def test_extremum_searches_stay_within_evaluation_budget(recorded_exchange_searches, kind, params, cfg256):
     # An extremum is located to 2^-(prec/2 + 16) of its segment, as the
-    # residual is stationary there: 8.6-9.0 evaluations on average and at
-    # most 12 at m = 8.  A search that runs into the slope's noise floor, or
-    # toward the step cap, takes far more.
+    # residual is stationary there, and its search starts at the old
+    # reference point: 6.1-6.6 evaluations on average, the seed's included,
+    # and at most 9 at m = 8.  Unseeded searches take 8.6-8.9 and at most
+    # 12; a search that runs into the slope's noise floor, or toward the
+    # step cap, takes far more.
     solve(build_problem(kind, params, 8), cfg256)
-    mean, most = _evaluations_per_search(recorded_searches, "slope")
-    assert mean <= 10
-    assert most <= 14
+    mean, most = _evaluations_per_search(recorded_exchange_searches, "slope")
+    assert mean <= 7.5
+    assert most <= 11
 
 
-def test_reduced_steps_search_extrema_no_longer_than_full_steps(monkeypatch, cfg256):
+def test_reduced_steps_cap_extremum_tolerance_at_noise_floor(monkeypatch, cfg256):
     # At the reduced steps of this solve (156 bits) the slope's noise floor,
     # about 2^-(prec - decay_bits) = 2^-80 of a segment, lies above
-    # 2^-(prec/2 + 16), so without the cap the extremum searches chased
-    # rounding: 9.38 evaluations on average there against 8.98 at 288 bits.
-    counts = {}
-    search = remez._bracket_search
+    # 2^-(prec/2 + 16), so without the cap the extremum searches would chase
+    # rounding.  Each reduced step's slope search gets an xtol no finer than
+    # 2^-(prec - ceil(decay) - _NOISE_MARGIN_BITS) of its segment.
+    problem = build_akhiezer_problem("1.5", "2", 40)
+    floor_bits = math.ceil(problem.decay_bits()) + remez._NOISE_MARGIN_BITS
+    reduced = []
+    search = remez._seeded_search
 
-    def counting_search(f, *args):
-        seen = []
+    def checking_search(f, lo, hi, f_lo, f_hi, xtol, seed):
+        if f.__name__ == "slope" and mp.prec < cfg256.mantissa_bits + GUARD_BITS:
+            segment = mp.make_mpf(hi) - mp.make_mpf(lo)
+            reduced.append(mp.make_mpf(xtol) >= mp.ldexp(segment, floor_bits - mp.prec))
+        return search(f, lo, hi, f_lo, f_hi, xtol, seed)
 
-        def counter(y):
-            seen.append(y)
-            return f(y)
-
-        root = search(counter, *args)
-        if f.__name__ == "slope":
-            counts.setdefault(mp.prec, []).append(len(seen))
-        return root
-
-    monkeypatch.setattr(remez, "_bracket_search", counting_search)
-    solve(build_akhiezer_problem("1.5", "2", 40), cfg256)
-    full = counts.pop(cfg256.mantissa_bits + GUARD_BITS)
-    reduced = [count for per_prec in counts.values() for count in per_prec]
+    monkeypatch.setattr(remez, "_seeded_search", checking_search)
+    solve(problem, cfg256)
     assert reduced
-    assert sum(reduced) / len(reduced) <= sum(full) / len(full)
+    assert all(reduced)
 
 
 def test_zero_search_never_reevaluates_bracket_ends(recorded_searches, monkeypatch, cfg256):

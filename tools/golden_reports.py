@@ -99,6 +99,10 @@ COMMANDS = {
     "invalid_akhiezer_a_and_b": [
         "solve", "--family", "akhiezer", "--s", "1", "--b", "2", "--a", "0.9", "--m", "3",
     ],
+    # Flags of other families: exit 1, not silently ignored.
+    "invalid_foreign_family_flag": [
+        "solve", *_POWER, "--b", "2", "--s", "3", "--k", "4", "--m", "2", "--bits", "64",
+    ],
     "invalid_profiles_akhiezer": [
         "profiles", "--family", "akhiezer", "--s", "1", "--b", "2", "--m", "4",
     ],

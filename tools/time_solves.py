@@ -7,8 +7,9 @@ that imports bernlab from that src/ directory, solves the case once untimed
 and then once timed; the two checkouts take turns going first.  Prints the
 median seconds per checkout, their ratio and in how many runs the second
 checkout was faster.  The cases are ROADMAP's Remez baseline rows, an absxp
-solve at 1024 bits, one whose exponents take mpf_pow (p = 1.3) and two with
-large exponents: y^(41/4) (p = 20.5) and y^-(19/2) (k = 10).
+solve at 1024 bits, one whose exponents take mpf_pow (p = 1.3), two with
+large exponents: y^(41/4) (p = 20.5) and y^-(19/2) (k = 10), and the three
+m = 8 solves of perfbench's minimax workload.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ CASES = {
     "absxp p=1.3 m=8": ["power", {"p": "1.3", "a": "0.5"}, 8, 256],
     "absxp p=20.5 m=16": ["power", {"p": "20.5", "a": "0.5"}, 16, 256],
     "sgn k=10 m=6": ["sgn_laurent", {"k": 10, "a": "0.5"}, 6, 256],
+    "absxp p=1.5 m=8": ["power", _P15, 8, 256],
+    "sgn k=1 m=8": ["sgn_laurent", {"k": 1, "a": "0.5"}, 8, 256],
+    "akhiezer s=1 b=2 l=8": ["akhiezer", {"s": "1", "b": "2"}, 8, 256],
 }
 
 _TIMED = """

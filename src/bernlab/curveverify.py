@@ -259,15 +259,17 @@ def _monomial_coefficients(coeffs, interval):
 def sign_pattern_check(
     sol: MinimaxSolution,
     problem: MinimaxProblem,
-    t,
+    ts,
     cfg: PrecisionConfig = DEFAULT_CONFIG,
-) -> SignPatternReport:
-    """Count coefficient sign changes of P(x) - x^p - tE by exponent order.
+) -> list:
+    """Count coefficient sign changes of P(x) - x^p - tE by exponent order,
+    one SignPatternReport per t in ts.
 
     In the reduced variable y = x^2 the sequence interleaves the monomial
     coefficients of Q(y) with a -1 at exponent p/2 and shifts the constant
     by -tE.  For |t| < 1 the count must be exactly m+1 with endpoint signs
-    (-1)^[p/2] and (-1)^([p/2]+m+1).
+    (-1)^[p/2] and (-1)^([p/2]+m+1).  P goes to monomials once, for all t;
+    every t is checked to lie in (-1, 1) before that.
     """
     if problem.kind is not ProblemKind.POWER:
         raise InvalidProblemError("sign pattern applies to the power problem")
@@ -278,30 +280,31 @@ def sign_pattern_check(
             "exponentially"
         )
     with cfg.workprec(extra=cfg.mantissa_bits):
-        t = mp.mpf(t)
-        if not abs(t) < 1:
+        ts = [mp.mpf(t) for t in ts]
+        if not all(abs(t) < 1 for t in ts):
             raise InvalidProblemError("t must lie in (-1, 1)")
-        p = mp.mpf(problem.p)
+        half_p = mp.mpf(problem.p) / 2
         mono = _monomial_coefficients(sol.coeffs, sol.interval)
-        mono[0] -= t * sol.error
-        half_p = p / 2
-        entries = [(mp.mpf(j), c) for j, c in enumerate(mono)]
-        entries.append((half_p, mp.mpf(-1)))
-        entries.sort(key=lambda e: e[0])
-        nz = [1 if v > 0 else -1 for _, v in entries if v != 0]
-        changes = sum(1 for x, y in zip(nz, nz[1:]) if x != y)
         floor_half = int(mp.floor(half_p))
         expected_first = 1 if floor_half % 2 == 0 else -1
         expected_last = 1 if (floor_half + m + 1) % 2 == 0 else -1
-        return SignPatternReport(
-            t=t,
-            sign_changes=changes,
-            expected_changes=m + 1,
-            first_sign=nz[0] if nz else 0,
-            last_sign=nz[-1] if nz else 0,
-            expected_first=expected_first,
-            expected_last=expected_last,
-        )
+        reports = []
+        for t in ts:
+            shifted = [mono[0] - t * sol.error, *mono[1:]]
+            entries = [(mp.mpf(j), c) for j, c in enumerate(shifted)]
+            entries.append((half_p, mp.mpf(-1)))
+            entries.sort(key=lambda e: e[0])
+            nz = [1 if v > 0 else -1 for _, v in entries if v != 0]
+            reports.append(SignPatternReport(
+                t=t,
+                sign_changes=sum(1 for x, y in zip(nz, nz[1:]) if x != y),
+                expected_changes=m + 1,
+                first_sign=nz[0] if nz else 0,
+                last_sign=nz[-1] if nz else 0,
+                expected_first=expected_first,
+                expected_last=expected_last,
+            ))
+        return reports
 
 
 def profile_convergence(

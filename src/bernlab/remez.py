@@ -51,21 +51,33 @@ about prec bits.  The one mpf operation per step rounds the new point to
 prec bits for f; the rounded point is read back onto the grid, so the
 bracket holds the point f saw.
 
-The exchange step makes no mpf object per evaluation.  Each family's
-target, weight, residual and slope are written once, on raw mpf tuples, by
-_deviation, which converts the family's constants once per step;
-MinimaxProblem.target and weight are mpf wrappers over it.  Its powers, y^(p/2)
-and its slope's y^(p/2 - 1), y^+-(k - 1/2) and (b + y)^-s and ^-(s+1), come
-from _power_of, also built once per step.  When 4 times the exponent is an
-integer, the power is one or two integer square roots of y's mantissa,
-inverted for a negative exponent and raised to that integer by mpf_pow_int;
-any other exponent keeps mpf_pow, which runs through mpf_log and mpf_exp at
-several times the cost.
-The searches evaluate P and P' with a fixed-point Clenshaw kernel rather than
-clenshaw, which stays for complex and off-interval points.  Once per exchange
-step the coefficients become Python ints scaled by 2^F, F = W - mag(max|c|)
-with W = working bits + guard; each evaluation runs the recurrence on ints
-and rounds one raw result.
+The exchange step's evaluations run on Python ints, at one scale 2^-W per
+step, W = working bits + _KERNEL_GUARD_BITS.  Each family's target, weight,
+residual and slope are written once, by _deviation, which converts the
+family's constants once per step: a raw mpf y goes in and an int scaled by
+2^W comes out, the residual and slope as the (signed int, -W) pairs the
+searches step on.  Nothing is rounded to an mpf per evaluation; only the
+located extrema's residuals become mpf, and MinimaxProblem.target and weight
+are mpf wrappers over the same ints.  The powers, y^(p/2) and its slope's
+y^(p/2 - 1), y^+-(k - 1/2) and (b + y)^-s and ^-(s+1), come from _power_of,
+also built once per step.  When 4 times the exponent is an integer, the
+power is one or two integer square roots of y's mantissa raised to that
+integer by binary powering on ints, and inverted by one integer division
+for a negative exponent; any other exponent keeps mpf_pow, which runs
+through mpf_log and mpf_exp at several times the cost, and reads its result
+onto the scale.  P and P' come from a fixed-point Clenshaw kernel rather
+than clenshaw, which stays for complex and off-interval points: once per
+step the coefficients become ints scaled by 2^F, F = W - mag(max|c|), and
+each evaluation runs the recurrence on ints and shifts its result onto the
+step's scale.
+
+The error of an evaluation is that of mpf arithmetic at the working
+precision.  A power is good to a few units of 2^-(prec + 9) relative, P to
+n^2 units of 2^-F, and each product or shift that puts a term on the scale
+floors it, by one unit of 2^-W.  A residual or slope is therefore within a
+few units of 2^-prec times its largest term, which a scale 2^-W holds to
+the last bit for terms down to 2^-40: |f| for the power and Akhiezer
+families, 1 for sgn.
 
 Levelling is barycentric and needs no linear solve.  The level h on a
 reference is a ratio of two divided differences; P is then known at the
@@ -96,24 +108,18 @@ from dataclasses import dataclass, replace
 
 from mpmath import mp
 from mpmath.libmp import (
-    finf,
     fone,
     from_int,
     from_man_exp,
     from_rational,
     fzero,
-    mpf_abs,
     mpf_add,
     mpf_cos_pi,
     mpf_div,
-    mpf_gt,
     mpf_lt,
-    mpf_mul,
     mpf_neg,
     mpf_pow,
-    mpf_pow_int,
     mpf_shift,
-    mpf_sign,
     mpf_sub,
     round_nearest,
     to_fixed,
@@ -125,8 +131,10 @@ from .precision import DEFAULT_CONFIG, GUARD_BITS, PrecisionConfig, check_gap, c
 # Exchange steps allowed per solve.
 _MAX_ITERATIONS = 60
 
-# Guard bits of the fixed-point Clenshaw kernel.  The values it gives at the
-# located extrema become E and the levelling ratio, so its error, which grows
+# Guard bits of the exchange's fixed-point scale 2^-W, W = prec + guard, on
+# which the Clenshaw kernel, the residual, the slope and the levelling run.
+# The kernel's values at the located extrema become E and the levelling
+# ratio, so its error, which grows
 # like n^2 ulps of max|c| through the recurrence (2^12 at degree 60), must sit
 # below the rounding of the residual there; 40 bits leave room far beyond
 # the degrees solved today.  The searches stop on a bracket width, not on
@@ -188,10 +196,10 @@ class MinimaxProblem:
         return a * a, mp.mpf(1)
 
     def target(self, y):
-        return mp.make_mpf(_deviation(self)[0](mp.mpf(y)._mpf_))
+        return _mpf_value(_deviation(self)[0], y)
 
     def weight(self, y):
-        return mp.make_mpf(_deviation(self)[1](mp.mpf(y)._mpf_))
+        return _mpf_value(_deviation(self)[1], y)
 
     def decay_bits(self) -> float:
         """Rough size of -log2(E), used for the precision budget check."""
@@ -259,78 +267,118 @@ def build_problem(kind, params: dict, m: int) -> MinimaxProblem:
     return build_akhiezer_problem(params["s"], params["b"], m)
 
 
-def _unit_weight(y):
-    return fone
+def _infinity(wbits):
+    """+inf among ints scaled by 2^wbits: 2^wbits in value, which outweighs
+    the P' term it meets in a slope at y = 0, so that slope takes the sign
+    +inf gives it."""
+    return 1 << 2 * wbits
 
 
-def _power_of(exponent, prec):
-    """y -> y^exponent on raw mpf tuples, rounded at prec.
+def _to_mpf(value, wbits):
+    """An int scaled by 2^wbits, rounded to an mpf at mp.prec."""
+    return mp.make_mpf(from_man_exp(value, -wbits, mp.prec, round_nearest))
+
+
+def _mpf_value(evaluate, y):
+    """evaluate, _deviation's target or weight, at the number y as an mpf;
+    _infinity at y = 0 is +inf."""
+    wbits = mp.prec + _KERNEL_GUARD_BITS
+    y = mp.mpf(y)
+    value = evaluate(y._mpf_)
+    if not y and value == _infinity(wbits):
+        return mp.inf
+    return _to_mpf(value, wbits)
+
+
+def _power_of(exponent, prec, wbits):
+    """y -> y^exponent for a raw mpf y >= 0, as an int scaled by 2^wbits,
+    to a few units of 2^-(prec + _POWER_GUARD_BITS) relative.
 
     When 4*exponent is an integer n/2^r with r = 0, 1 or 2, the mantissa of
-    y, shifted to about 2^r (prec + guard) bits and an exponent that 2^r
-    divides, goes through r integer square roots, and for n < 0 one integer
-    division inverts the root at that width.  mpf_pow_int raises it to |n|
-    in O(log |n|) multiplications rounded at prec + 4 log2 |n| bits and
-    rounds the result at prec.  For r = 0 it is mpf_pow_int(y, n), mpf_pow's
-    own integer path, bit for bit.  Every other exponent takes mpf_pow,
-    which runs through mpf_log and mpf_exp.  y = 0
-    gives 0 for a positive exponent and +inf for a negative one, as mpf_pow
-    does where it returns; negative and infinite y take mpf_pow.
+    y, shifted to about 2^r w bits, w = prec + guard + the bits of n, and an
+    exponent that 2^r divides, goes through r integer square roots.  Binary
+    powering raises the root to |n| on ints cut to w bits after each
+    product, and for n < 0 one integer division inverts the power.  Every
+    other exponent takes mpf_pow, which runs through mpf_log and mpf_exp,
+    rounded at prec and read onto the scale.  y = 0 gives 0 for a positive
+    exponent and _infinity(wbits), +inf, for a negative one.
     """
-    rnd = round_nearest
     sign, man, exp, _ = exponent
+    at_zero = _infinity(wbits) if sign else 0
     if not man or exp < -2:
-        return lambda y: mpf_pow(y, exponent, prec, rnd)
+        def general(y):
+            return to_fixed(mpf_pow(y, exponent, prec, round_nearest), wbits) if y[1] else at_zero
+
+        return general
     roots = max(-exp, 0)
     n = man << max(exp, 0)
-    wbits = prec + _POWER_GUARD_BITS + n.bit_length()
-    at_zero = finf if sign else fzero
-    if sign and not roots:
-        n = -n
+    bits = prec + _POWER_GUARD_BITS + n.bit_length()
+    width, align = bits << roots, (1 << roots) - 1
 
     def power(y):
-        if y[0] or not y[1]:
-            return at_zero if y == fzero else mpf_pow(y, exponent, prec, rnd)
-        if roots:
-            _, yman, yexp, ybc = y
-            shift = (wbits << roots) - ybc
-            shift += (yexp - shift) % (1 << roots)
-            root, root_exp = _shift(yman, shift), (yexp - shift) >> roots
-            for _ in range(roots):
-                root = math.isqrt(root)
-            if sign:
-                # The root has about wbits bits, and so does its reciprocal.
-                root, root_exp = (1 << 2 * wbits) // root, -2 * wbits - root_exp
-            y = from_man_exp(root, root_exp)
-        return mpf_pow_int(y, n, prec, rnd)
+        _, yman, yexp, ybc = y
+        if not yman:
+            return at_zero
+        shift = width - ybc
+        shift += (yexp - shift) & align
+        root, root_exp = _shift(yman, shift), (yexp - shift) >> roots
+        for _ in range(roots):
+            root = math.isqrt(root)
+        value, value_exp = (root, root_exp) if n == 1 else _raise(root, root_exp, n, bits)
+        if sign:
+            return _shift(1, wbits - value_exp) // value
+        return _shift(value, value_exp + wbits)
 
     return power
 
 
-def _deviation(problem, poly=None, dpoly=None):
-    """The family's formulas on raw mpf tuples, rounded at mp.prec:
-    (target, weight, residual, slope), each a function of y, with
-    residual(y) = w(y) (f(y) - P(y)) and slope(y) its derivative in y.
+def _raise(man, exp, n, bits):
+    """(man 2^exp)^n for n >= 1 by binary powering, as (man, exp) with the
+    mantissa cut to about bits bits after each product."""
+    value, value_exp = 1, 0
+    while True:
+        if n & 1:
+            value, value_exp = _cut(value * man, value_exp + exp, bits)
+        n >>= 1
+        if not n:
+            return value, value_exp
+        man, exp = _cut(man * man, 2 * exp, bits)
 
-    poly and dpoly map y to P(y) and P'(y); residual reads P, slope reads P'
-    and, for the sgn family only, P.  The family's constants are converted
-    here, once.
+
+def _cut(man, exp, bits):
+    """man 2^exp with man floored to at most bits bits."""
+    extra = man.bit_length() - bits
+    return (man >> extra, exp + extra) if extra > 0 else (man, exp)
+
+
+def _deviation(problem, poly=None, dpoly=None):
+    """The family's formulas at a raw mpf y, as ints scaled by 2^W with
+    W = mp.prec + _KERNEL_GUARD_BITS: (target, weight, residual, slope),
+    each a function of y, with residual(y) = w(y) (f(y) - P(y)) and
+    slope(y) its derivative in y.  residual and slope return (int, -W)
+    pairs, the values _bracket_search steps on.
+
+    poly and dpoly map y to P(y) and P'(y), ints on the same scale; residual
+    reads P, slope reads P' and, for the sgn family only, P.  The family's
+    constants are converted here, once.
     """
-    prec, rnd = mp.prec, round_nearest
+    prec = mp.prec
+    wbits = prec + _KERNEL_GUARD_BITS
+    one = 1 << wbits
     if problem.kind is ProblemKind.SGN_LAURENT:
-        rise_exp = from_man_exp(2 * problem.k - 1, -1)  # k - 1/2
-        weight_exp = mpf_neg(rise_exp)
-        target = _power_of(rise_exp, prec)
-        weight = _power_of(weight_exp, prec)
+        rise = 2 * problem.k - 1
+        target = _power_of(from_man_exp(rise, -1), prec, wbits)  # y^(k - 1/2)
+        weight = _power_of(from_man_exp(-rise, -1), prec, wbits)
 
         def residual(y):
             # weight * target is 1.
-            return mpf_sub(fone, mpf_mul(weight(y), poly(y), prec, rnd), prec, rnd)
+            return one - ((weight(y) * poly(y)) >> wbits), -wbits
 
         def slope(y):
-            # Only the weight's slope meets P.
-            inner = mpf_add(mpf_div(mpf_mul(weight_exp, poly(y)), y, prec, rnd), dpoly(y), prec, rnd)
-            return mpf_neg(mpf_mul(weight(y), inner, prec, rnd))
+            # Only the weight's slope, -(k - 1/2) w(y)/y, meets P; y = man 2^exp.
+            _, man, exp, _ = y
+            inner = dpoly(y) - _shift(rise * poly(y), -exp - 1) // man
+            return -((weight(y) * inner) >> wbits), -wbits
 
         return target, weight, residual, slope
 
@@ -339,22 +387,26 @@ def _deviation(problem, poly=None, dpoly=None):
         exponent, shift = mpf_shift(mp.mpf(problem.p)._mpf_, -1), None
     else:
         exponent, shift = mpf_neg(mp.mpf(problem.s)._mpf_), mp.mpf(problem.b)._mpf_
-    target = _power_of(exponent, prec)
-    fall = _power_of(mpf_sub(exponent, fone, prec, rnd), prec)
+    target = _power_of(exponent, prec, wbits)
+    fall = _power_of(mpf_sub(exponent, fone, prec, round_nearest), prec, wbits)
+    e_man, e_exp = _signed(exponent)
     if shift is not None:
         # Built here, so the unshifted powers run without a wrapper.
         def shifted(power):
-            return lambda y: power(mpf_add(shift, y, prec, rnd))
+            return lambda y: power(mpf_add(shift, y, prec, round_nearest))
 
         target, fall = shifted(target), shifted(fall)
 
+    def weight(y):
+        return one
+
     def residual(y):
-        return mpf_sub(target(y), poly(y), prec, rnd)
+        return target(y) - poly(y), -wbits
 
     def slope(y):
-        return mpf_sub(mpf_mul(exponent, fall(y), prec, rnd), dpoly(y), prec, rnd)
+        return _shift(e_man * fall(y), e_exp) - dpoly(y), -wbits
 
-    return target, _unit_weight, residual, slope
+    return target, weight, residual, slope
 
 
 @dataclass(frozen=True)
@@ -387,38 +439,39 @@ def clenshaw(coeffs, interval, y):
     return t * b1 - b2 + coeffs[0]
 
 
-def _fixed_point_clenshaw(coeffs, interval):
+def _fixed_point_clenshaw(coeffs, interval, scale):
     """Evaluator of y -> clenshaw(coeffs, interval, y) for mpf coefficients
-    and real y, on raw mpf tuples and integers.
+    and a real raw mpf y, as an int scaled by 2^scale.
 
     Block floating point: the coefficients become Python ints scaled by 2^F,
     F = W - mag(max|c|) with W = mp.prec + _KERNEL_GUARD_BITS, so the
     absolute error is that of the mpf recurrence for coefficients of any
     size; t is an int scaled by 2^W.  Each call maps the raw y to t once,
-    runs the recurrence on ints and rounds the one raw result at the mp.prec
-    the evaluator was made at.
+    runs the recurrence on ints and shifts the result from 2^F to 2^scale.
     """
     lo, hi = interval
-    prec = mp.prec
-    wbits = prec + _KERNEL_GUARD_BITS
+    wbits = mp.prec + _KERNEL_GUARD_BITS
     top = max(abs(c) for c in coeffs)
     fbits = wbits - (mp.mag(top) if top else 0)
     fixed = [to_fixed(c._mpf_, fbits) for c in coeffs]
     head, tail = fixed[0], fixed[:0:-1]
+    up = scale - fbits
     # t = alpha*y + beta maps the interval onto [-1, 1]; alpha and beta are
     # rounded at W bits, as alpha*y and beta may nearly cancel.
     with mp.workprec(wbits):
         alpha = to_fixed((2 / (hi - lo))._mpf_, wbits)
         beta = to_fixed((-(lo + hi) / (hi - lo))._mpf_, wbits)
 
+    wbits_1 = wbits - 1
+
     def evaluate(y):
         t = ((alpha * to_fixed(y, wbits)) >> wbits) + beta
         b1 = b2 = 0
         for c in tail:
             # (2t b1) >> W, as t b1 >> (W - 1).
-            b1, b2 = ((t * b1) >> (wbits - 1)) - b2 + c, b1
+            b1, b2 = ((t * b1) >> wbits_1) - b2 + c, b1
         value = ((t * b1) >> wbits) - b2 + head
-        return from_man_exp(value, -fbits, prec, round_nearest)
+        return value << up if up >= 0 else value >> -up
 
     return evaluate
 
@@ -460,30 +513,31 @@ def bracketed_root(f, lo, hi, f_lo, f_hi, xtol=None):
     which is also its default.
 
     f runs at interior points only: f_lo and f_hi stand for the ends.  This
-    is the mpf face of _bracket_search, which takes and returns raw mpf
-    tuples, as the exchange's f does, and steps on Python ints (see the
-    module docstring).
+    is the mpf face of _bracket_search, which takes raw mpf positions and
+    (signed mantissa, exponent) values, as the exchange's f gives them, and
+    steps on Python ints (see the module docstring).
     """
     root = _bracket_search(
-        lambda y: f(mp.make_mpf(y))._mpf_,
-        lo._mpf_, hi._mpf_, f_lo._mpf_, f_hi._mpf_,
+        lambda y: _signed(f(mp.make_mpf(y))._mpf_),
+        lo._mpf_, hi._mpf_, _signed(f_lo._mpf_), _signed(f_hi._mpf_),
         fzero if xtol is None else xtol._mpf_,
     )
     return mp.make_mpf(root)
 
 
 def _bracket_search(f, a, b, fa, fb, xtol):
-    """bracketed_root on raw mpf tuples at mp.prec: f maps a raw y to a raw
-    value, and xtol is raw, fzero for the default.
+    """bracketed_root on raw mpf positions at mp.prec: f maps a raw y to a
+    (signed mantissa, exponent) pair, as fa and fb are, and xtol is raw,
+    fzero for the default.
 
     Positions are ints on the grid 2^e, at least two bits finer than the
-    larger end's ulp; values are (signed mantissa, exponent) pairs.
+    larger end's ulp.
     """
     prec = mp.prec
     e = min((x[2] for x in (a, b) if x[1]), default=0)
     big_a, big_b = _on_grid(a, e), _on_grid(b, e)
-    man_a, exp_a = _signed(fa)
-    man_b, exp_b = _signed(fb)
+    man_a, exp_a = fa
+    man_b, exp_b = fb
     # As good as infinite: no step is as long as the first bracket.
     before_last = last = 2 * abs(big_a - big_b)  # lengths of the last two steps
     half_tol = _shift(xtol[1], xtol[2] - 1 - e)  # xtol/2 in grid units, floored
@@ -520,11 +574,10 @@ def _bracket_search(f, a, b, fa, fb, xtol):
         # The one mpf operation of a step: c rounded at prec, then read back
         # onto the grid, so the bracket holds the point f saw.
         c = from_man_exp(big_c, e, prec, round_nearest)
-        fc = f(c)
-        if not fc[1]:
+        man_c, exp_c = f(c)
+        if not man_c:
             return c
         big_c = _on_grid(c, e)
-        man_c, exp_c = _signed(fc)
         if (man_c < 0) != (man_b < 0):
             big_a, man_a, exp_a = big_b, man_b, exp_b
         else:
@@ -582,8 +635,9 @@ def _solve_levelling(problem, ref):
     extreme points cos(pi k/n) come from the barycentric formula through all
     reference points but one interior one, and a DCT-I turns them into
     coefficients.  O(n^2) throughout, in block floating point on ints at
-    W = mp.prec + _KERNEL_GUARD_BITS bits (see the module docstring); only
-    h and the coefficients are rounded, at mp.prec.
+    W = mp.prec + _KERNEL_GUARD_BITS bits (see the module docstring), f and
+    1/w on _deviation's scale 2^-W; only h, the coefficients and max|f| are
+    rounded, at mp.prec.
     """
     prec, rnd = mp.prec, round_nearest
     wbits = prec + _KERNEL_GUARD_BITS
@@ -610,21 +664,15 @@ def _solve_levelling(problem, ref):
         lam.append(((1 << 2 * wbits) // man, -exp - 2 * wbits))
     top = max(m.bit_length() + e for m, e in lam)
     lam = [_shift(m, e - top + wbits) for m, e in lam]
-    # f and the signed 1/w, each as ints on its own scale.
+    # f and the signed 1/w, as ints scaled by 2^W.
     f = [target(y) for y in ref]
-    f_max = max(abs(mp.make_mpf(v)) for v in f)
-    inv_w = [mpf_div(fone, weight(y), prec, rnd) for y in ref]
-    fbits = wbits - max(v[2] + v[3] for v in f if v[1])
-    wsbits = wbits - max(v[2] + v[3] for v in inv_w)
-    f = [to_fixed(v, fbits) for v in f]
-    sigma_w = [(-1) ** i * to_fixed(v, wsbits) for i, v in enumerate(inv_w)]
-    # h = num/den 2^(wsbits - fbits), kept as H 2^-(shift + fbits - wsbits)
-    # with H about W bits long.
+    sigma_w = [(-1) ** i * ((1 << 2 * wbits) // weight(y)) for i, y in enumerate(ref)]
+    # h = num/den, kept as H 2^-shift with H about W bits long.
     num = sum(li * fi for li, fi in zip(lam, f))
     den = sum(li * si for li, si in zip(lam, sigma_w))
     shift = wbits - num.bit_length() + den.bit_length()
     big_h = _shift(num, shift) // den
-    h = from_man_exp(big_h, -(shift + fbits - wsbits), prec, rnd)
+    h = from_man_exp(big_h, -shift, prec, rnd)
     # Dropping node d from the interpolation set multiplies lam_i by t_i - t_d;
     # the values f_i - h sigma_i / w_i are on f's scale.
     d = (n + 1) // 2
@@ -645,10 +693,10 @@ def _solve_levelling(problem, ref):
     coeffs = []
     for j in range(n + 1):
         dot = sum(s * table[j * k % (2 * n)] for k, s in enumerate(doubled))
-        coeffs.append(mpf_div(from_man_exp(dot, -(fbits + wbits)), n_raw, prec, rnd))
+        coeffs.append(mpf_div(from_man_exp(dot, -2 * wbits), n_raw, prec, rnd))
     coeffs[0] = mpf_shift(coeffs[0], -1)
     coeffs[n] = mpf_shift(coeffs[n], -1)
-    return [mp.make_mpf(c) for c in coeffs], mp.make_mpf(h), f_max
+    return [mp.make_mpf(c) for c in coeffs], mp.make_mpf(h), _to_mpf(max(abs(v) for v in f), wbits)
 
 
 def _seeded_search(f, a, b, fa, fb, xtol, seed):
@@ -657,9 +705,9 @@ def _seeded_search(f, a, b, fa, fb, xtol, seed):
     a zero at seed is the root.  seed is None when there is none."""
     if seed is not None and mpf_lt(a, seed) and mpf_lt(seed, b):
         fs = f(seed)
-        if not fs[1]:
+        if not fs[0]:
             return seed
-        if mpf_sign(fs) == mpf_sign(fa):
+        if (fs[0] < 0) == (fa[0] < 0):
             a, fa = seed, fs
         else:
             b, fb = seed, fs
@@ -679,29 +727,31 @@ def _locate_extrema(problem, coeffs, ref, extremum_bits, seeds):
     before's root of that gap (seeds is None on the first step), and
     segment i's extremum search at the old reference point y_i, which the
     segment holds (see the module docstring).  Everything between the mpf
-    reference in and the mpf extrema out runs on raw tuples.
+    reference in and the mpf extrema out runs on raw tuples and ints at
+    _deviation's scale 2^-W.
     """
     prec, rnd = mp.prec, round_nearest
+    wbits = prec + _KERNEL_GUARD_BITS
     interval = problem.interval_mp()
     _, _, residual, slope = _deviation(
         problem,
-        _fixed_point_clenshaw(coeffs, interval),
-        _fixed_point_clenshaw(chebyshev_derivative(coeffs, interval), interval),
+        _fixed_point_clenshaw(coeffs, interval, wbits),
+        _fixed_point_clenshaw(chebyshev_derivative(coeffs, interval), interval, wbits),
     )
     ref = [y._mpf_ for y in ref]
     r_ref = [residual(y) for y in ref]
     roots = []
     for i in range(len(ref) - 1):
-        if r_ref[i] == fzero:
+        if not r_ref[i][0]:
             roots.append(ref[i])
             continue
-        if mpf_sign(r_ref[i]) == mpf_sign(r_ref[i + 1]):
+        if r_ref[i][0] * r_ref[i + 1][0] > 0:
             # Levelling degenerated; let the caller diagnose it.
             raise NonConvergenceError(
                 "residual does not alternate on the reference",
                 diagnostics={
                     "reference": [mp.make_mpf(y) for y in ref],
-                    "values": [mp.make_mpf(v) for v in r_ref],
+                    "values": [_to_mpf(v, wbits) for v, _ in r_ref],
                 },
             )
         roots.append(_seeded_search(
@@ -716,20 +766,20 @@ def _locate_extrema(problem, coeffs, ref, extremum_bits, seeds):
     values = []
     for i in range(len(bounds) - 1):
         a, b = bounds[i], bounds[i + 1]
-        if mpf_sign(slopes[i]) * mpf_sign(slopes[i + 1]) < 0:
+        if slopes[i][0] * slopes[i + 1][0] < 0:
             x = _seeded_search(
                 slope, a, b, slopes[i], slopes[i + 1],
                 mpf_shift(mpf_sub(b, a, prec, rnd), -extremum_bits),
                 ref[i],
             )
-            v = residual(x)
+            v = residual(x)[0]
         else:
-            x, v = a, residual(a)
-            v_b = residual(b)
-            if mpf_gt(mpf_abs(v_b), mpf_abs(v)):
+            x, v = a, residual(a)[0]
+            v_b = residual(b)[0]
+            if abs(v_b) > abs(v):
                 x, v = b, v_b
         points.append(mp.make_mpf(x))
-        values.append(mp.make_mpf(v))
+        values.append(_to_mpf(v, wbits))
     return points, values, roots
 
 

@@ -13,12 +13,17 @@ from mpmath.libmp import (
     from_rational,
     fzero,
     mpf_abs,
+    mpf_add,
+    mpf_div,
     mpf_le,
+    mpf_mul,
+    mpf_neg,
     mpf_pow,
     mpf_shift,
     mpf_sign,
     mpf_sub,
     round_nearest,
+    to_fixed,
 )
 
 from bernlab import conformal, remez
@@ -214,10 +219,11 @@ def test_slope_matches_numerical_derivative(kind, params, m, frozen, cfg256, fro
         dcoeffs = chebyshev_derivative(sol.coeffs, sol.interval)
         for j in range(20):
             y = lo + (hi - lo) * (j + mp.mpf("0.5")) / 20
-            poly = clenshaw(sol.coeffs, sol.interval, y)._mpf_
-            dpoly = clenshaw(dcoeffs, sol.interval, y)._mpf_
+            wbits = mp.prec + remez._KERNEL_GUARD_BITS
+            poly = to_fixed(clenshaw(sol.coeffs, sol.interval, y)._mpf_, wbits)
+            dpoly = to_fixed(clenshaw(dcoeffs, sol.interval, y)._mpf_, wbits)
             slope = remez._deviation(problem, lambda _: poly, lambda _: dpoly)[3]
-            got = mp.make_mpf(slope(y._mpf_))
+            got = mp.make_mpf(from_man_exp(*slope(y._mpf_)))
             with mp.workprec(2 * cfg256.mantissa_bits):
                 want = mp.diff(lambda u: reduced_deviation(sol, problem, u), y)
             assert abs(got - want) <= mp.mpf("1e-60") * abs(want)
@@ -402,15 +408,19 @@ def test_chebyshev_derivative_series(coeffs, lo, width, u, cfg128):
 )
 def test_fixed_point_clenshaw_matches_clenshaw(coeffs, scale, bits, lo, width, u):
     # Degrees 0-60 and coefficients of size 2^-200 to 2^200; u outside [0, 1]
-    # puts y off the interval, where |T_n(t)| grows to rho^n.
+    # puts y off the interval, where |T_n(t)| grows to rho^n.  The ints come
+    # out at 2^-(4 bits + 2000), finer than the kernel's own scale for any
+    # coefficients drawn here, so the shift onto it drops no bit.
+    out = 4 * bits + 2000
     with mp.workprec(bits):
         interval = (mp.mpf(lo), mp.mpf(lo) + mp.mpf(width))
         cs = [mp.ldexp(mp.mpf(c), scale) for c in coeffs]
         y = interval[0] + mp.mpf(width) * mp.mpf(u)
-        evaluate = remez._fixed_point_clenshaw(cs, interval)
-        got = mp.make_mpf(evaluate(y._mpf_))
-        assert mp.make_mpf(evaluate(y._mpf_)) == got
-        assert mp.make_mpf(remez._fixed_point_clenshaw(cs, interval)(y._mpf_)) == got
+        evaluate = remez._fixed_point_clenshaw(cs, interval, out)
+        value = evaluate(y._mpf_)
+        assert evaluate(y._mpf_) == value
+        assert remez._fixed_point_clenshaw(cs, interval, out)(y._mpf_) == value
+        got = mp.make_mpf(from_man_exp(value, -out))
         with mp.workprec(2 * bits + 64):
             want = clenshaw(cs, interval, y)
             t = abs(2 * y - (interval[0] + interval[1])) / mp.mpf(width)
@@ -437,13 +447,15 @@ def _raw_y(mantissa, exponent):
 def test_quarter_powers_are_within_an_ulp(numerator, mantissa, exponent, prec):
     # y^(n/4) on integer square roots against mpf_pow 64 bits finer; y
     # carries up to 1100 bits, more than the root's width at the low precisions.
+    # The int is read at the scale that gives the power prec + 64 bits, or
+    # more where that scale would be coarser than 1.
     y = _raw_y(mantissa, exponent)
     e = from_rational(numerator, 4, 10)
-    got = remez._power_of(e, prec)(y)
     want = mpf_pow(y, e, prec + 64, round_nearest)
-    assert got[3] <= prec
+    wbits = max(prec + 64 - (want[2] + want[3]), 0)
+    got = from_man_exp(remez._power_of(e, prec, wbits)(y), -wbits)
     error = mpf_abs(mpf_sub(got, want))
-    assert mpf_le(error, mpf_shift(fone, got[2] + got[3] - prec))
+    assert mpf_le(error, mpf_shift(fone, want[2] + want[3] - prec))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -451,20 +463,138 @@ def test_quarter_powers_are_within_an_ulp(numerator, mantissa, exponent, prec):
 def test_other_powers_are_mpf_pow(exponent_text, mantissa, exponent, prec):
     y = _raw_y(mantissa, exponent)
     e = mp.mpf(exponent_text)._mpf_
-    assert remez._power_of(e, prec)(y) == mpf_pow(y, e, prec, round_nearest)
+    wbits = prec + remez._KERNEL_GUARD_BITS
+    assert remez._power_of(e, prec, wbits)(y) == to_fixed(mpf_pow(y, e, prec, round_nearest), wbits)
 
 
 @pytest.mark.parametrize("e", [from_rational(n, 4, 10) for n in range(-12, 13) if n]
                          + [mp.mpf(t)._mpf_ for t in ("0.65", "-1.3", "5.55")])
 def test_power_at_zero(e):
-    # 0 for a positive exponent, +inf for a negative one; mpf_pow gives the
-    # same where it returns, and divides by zero for -1/2 and negative integers.
-    got = remez._power_of(e, 256)(fzero)
-    assert got == (finf if mpf_sign(e) < 0 else fzero)
-    try:
-        assert got == mpf_pow(fzero, e, 256, round_nearest)
-    except ZeroDivisionError:
-        assert mpf_sign(e) < 0
+    # 0 for a positive exponent, +inf for a negative one, which the ints
+    # stand for by _infinity and the mpf face gives as +inf; mpf_pow gives
+    # the same where it returns, and divides by zero for -1/2 and negative
+    # integers.
+    negative = mpf_sign(e) < 0
+    assert remez._power_of(e, 256, 296)(fzero) == (remez._infinity(296) if negative else 0)
+    problem = MinimaxProblem(kind=ProblemKind.POWER, p=mp.make_mpf(mpf_shift(e, 1)), a=0, m=1)
+    with mp.workprec(256):
+        got = problem.target(0)
+        assert got == (mp.inf if negative else 0)
+        try:
+            assert got._mpf_ == mpf_pow(fzero, e, 256, round_nearest)
+        except ZeroDivisionError:
+            assert negative
+
+
+def _mpf_deviation(problem, poly, dpoly):
+    """The exchange's residual and slope on raw mpf tuples, each operation
+    rounded at mp.prec, as the exchange computed them before its int
+    evaluators, with mpf_pow for every power (0 or +inf at y = 0).  poly and
+    dpoly map y to raw P(y) and P'(y)."""
+    prec, rnd = mp.prec, round_nearest
+
+    def power_of(e):
+        def power(y):
+            if y == fzero:
+                return finf if mpf_sign(e) < 0 else fzero
+            return mpf_pow(y, e, prec, rnd)
+
+        return power
+
+    if problem.kind is ProblemKind.SGN_LAURENT:
+        weight_exp = from_man_exp(1 - 2 * problem.k, -1)
+        weight = power_of(weight_exp)
+
+        def residual(y):
+            return mpf_sub(fone, mpf_mul(weight(y), poly(y), prec, rnd), prec, rnd)
+
+        def slope(y):
+            inner = mpf_add(mpf_div(mpf_mul(weight_exp, poly(y)), y, prec, rnd), dpoly(y), prec, rnd)
+            return mpf_neg(mpf_mul(weight(y), inner, prec, rnd))
+
+        return residual, slope
+
+    if problem.kind is ProblemKind.POWER:
+        exponent, shift = mpf_shift(mp.mpf(problem.p)._mpf_, -1), fzero
+    else:
+        exponent, shift = mpf_neg(mp.mpf(problem.s)._mpf_), mp.mpf(problem.b)._mpf_
+    target = power_of(exponent)
+    fall = power_of(mpf_sub(exponent, fone, prec, rnd))
+
+    def residual(y):
+        return mpf_sub(target(mpf_add(shift, y, prec, rnd)), poly(y), prec, rnd)
+
+    def slope(y):
+        return mpf_sub(mpf_mul(exponent, fall(mpf_add(shift, y, prec, rnd)), prec, rnd), dpoly(y), prec, rnd)
+
+    return residual, slope
+
+
+def _largest_terms(problem, y, poly, dpoly):
+    """The largest term of the residual and of the slope at y, in mpf."""
+    if problem.kind is ProblemKind.SGN_LAURENT:
+        rise = problem.k - mp.mpf(1) / 2
+        w = y ** -rise
+        return max(1, abs(w * poly)), abs(w) * max(abs(rise * poly / y), abs(dpoly))
+    if problem.kind is ProblemKind.POWER:
+        e, base = mp.mpf(problem.p) / 2, y
+    else:
+        e, base = -mp.mpf(problem.s), mp.mpf(problem.b) + y
+    return max(abs(base**e), abs(poly)), max(abs(e * base ** (e - 1)), abs(dpoly))
+
+
+_DEVIATION_FAMILIES = (
+    [("power", {"p": p, "a": a}) for p in ("1.5", "1.3", "20.5") for a in ("0.5", "0")]
+    + [("power", {"p": "-3", "a": "0.5"})]
+    + [("sgn_laurent", {"k": k, "a": "0.5"}) for k in (1, 10)]
+    + [("akhiezer", {"s": s, "b": b}) for s in ("1", "1.5") for b in ("2", "1.01")]
+)
+
+
+@pytest.mark.parametrize("bits", [96, 288, 1056])
+@pytest.mark.parametrize("m", [1, 8, 40])
+@pytest.mark.parametrize("kind, params", _DEVIATION_FAMILIES)
+def test_integer_deviation_matches_mpf_deviation(kind, params, m, bits):
+    # The int residual and slope against the mpf formulas they replaced, fed
+    # the same P and P' (those of a levelling on Chebyshev points), at both
+    # ends of the interval, y = 0 among them at a = 0, and 7 points inside.
+    # They agree within 4 units of 2^-bits times the family's scale, the
+    # largest finite term of the formula over these points; where mpf gives
+    # +-inf (the slope at y = 0 for 0 < p < 2), the int has its sign and at
+    # least _infinity/2.  The builders would reject p = 20.5 at m < 11 and
+    # a = 0; the formulas do not care.
+    problem = MinimaxProblem(kind=ProblemKind(kind), m=m, **params)
+    wbits = bits + remez._KERNEL_GUARD_BITS
+    with mp.workprec(bits):
+        lo, hi = interval = problem.interval_mp()
+        n = problem.degree
+        ref = [(lo + hi) / 2 - (hi - lo) / 2 * mp.cospi(mp.mpf(i) / (n + 1)) for i in range(n + 2)]
+        coeffs, _, _ = remez._solve_levelling(problem, ref)
+        poly = remez._fixed_point_clenshaw(coeffs, interval, wbits)
+        dpoly = remez._fixed_point_clenshaw(chebyshev_derivative(coeffs, interval), interval, wbits)
+        _, _, residual, slope = remez._deviation(problem, poly, dpoly)
+        oracle = _mpf_deviation(
+            problem, lambda y: from_man_exp(poly(y), -wbits), lambda y: from_man_exp(dpoly(y), -wbits)
+        )
+        inside = [(lo + hi) / 2 - (hi - lo) / 2 * mp.cospi((j + mp.mpf(1) / 2) / 7) for j in range(7)]
+        pairs, terms = ([], []), ([], [])
+        for y in [lo, hi] + inside:
+            p_y, dp_y = (mp.make_mpf(from_man_exp(v(y._mpf_), -wbits)) for v in (poly, dpoly))
+            for i, (int_face, mpf_face, term) in enumerate(
+                zip((residual, slope), oracle, _largest_terms(problem, y, p_y, dp_y))
+            ):
+                value, exp = int_face(y._mpf_)
+                assert exp == -wbits
+                want = mp.make_mpf(mpf_face(y._mpf_))
+                if mp.isinf(want):
+                    assert (value > 0) == (want > 0)
+                    assert abs(value) >= remez._infinity(wbits) // 2
+                    continue
+                pairs[i].append((mp.make_mpf(from_man_exp(value, exp)), want))
+                terms[i].append(term)
+        for found, term in zip(pairs, terms):
+            scale = max(t for t in term if mp.isfinite(t))
+            assert max(abs(got - want) for got, want in found) <= 4 * mp.ldexp(scale, -bits)
 
 
 # Increasing functions with h(0) = 0, so h(s (y - r)) has its one root at r
@@ -530,12 +660,13 @@ def test_search_loop_runs_no_mpf_arithmetic(monkeypatch):
         root = mp.mpf("0.3")
 
         def f(y):
-            return mp.atan(3 * (mp.make_mpf(y) - root))._mpf_
+            return remez._signed(mp.atan(3 * (mp.make_mpf(y) - root))._mpf_)
 
         lo, hi = mp.mpf(-1), mp.mpf(2)
         f_lo, f_hi = f(lo._mpf_), f(hi._mpf_)
         for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_div"):
-            monkeypatch.setattr(remez, name, forbidden)
+            # raising=False: remez need not import all four.
+            monkeypatch.setattr(remez, name, forbidden, raising=False)
         got = mp.make_mpf(remez._bracket_search(f, lo._mpf_, hi._mpf_, f_lo, f_hi, mp.zero._mpf_))
         assert abs(got - root) <= mp.ldexp(root, 2 - mp.prec)
 

@@ -248,7 +248,8 @@ def _cmd_verify_curve(ns: argparse.Namespace, cfg: PrecisionConfig):
     header = ["y", "u", "v", "winding", "residual"]
     payload["_csv"] = (header, [[row[k] for k in header] for row in payload["trace"]])
     if ns.sign_t:
-        ts = [tok.strip() for tok in ns.sign_t.split(",")]
+        # P goes to monomials once, for every t.
+        count = curveverify._sign_pattern_counter(sol, problem, cfg)
         payload["sign_pattern"] = [
             {
                 "t": rep.t,
@@ -258,7 +259,7 @@ def _cmd_verify_curve(ns: argparse.Namespace, cfg: PrecisionConfig):
                 "last_sign": rep.last_sign,
                 "passed": rep.passed,
             }
-            for rep in curveverify.sign_pattern_check(sol, problem, ts, cfg)
+            for rep in (count(tok.strip()) for tok in ns.sign_t.split(","))
         ]
     return payload, 0
 

@@ -259,18 +259,22 @@ def _monomial_coefficients(coeffs, interval):
 def sign_pattern_check(
     sol: MinimaxSolution,
     problem: MinimaxProblem,
-    ts,
+    t,
     cfg: PrecisionConfig = DEFAULT_CONFIG,
-) -> list:
-    """Count coefficient sign changes of P(x) - x^p - tE by exponent order,
-    one SignPatternReport per t in ts.
+) -> SignPatternReport:
+    """Count coefficient sign changes of P(x) - x^p - tE by exponent order.
 
     In the reduced variable y = x^2 the sequence interleaves the monomial
     coefficients of Q(y) with a -1 at exponent p/2 and shifts the constant
     by -tE.  For |t| < 1 the count must be exactly m+1 with endpoint signs
-    (-1)^[p/2] and (-1)^([p/2]+m+1).  P goes to monomials once, for all t;
-    every t is checked to lie in (-1, 1) before that.
+    (-1)^[p/2] and (-1)^([p/2]+m+1).
     """
+    return _sign_pattern_counter(sol, problem, cfg)(t)
+
+
+def _sign_pattern_counter(sol, problem, cfg):
+    """sign_pattern_check's t -> SignPatternReport for one solution, with P
+    converted to monomials once, so that several t cost one conversion."""
     if problem.kind is not ProblemKind.POWER:
         raise InvalidProblemError("sign pattern applies to the power problem")
     m = problem.degree
@@ -280,22 +284,22 @@ def sign_pattern_check(
             "exponentially"
         )
     with cfg.workprec(extra=cfg.mantissa_bits):
-        ts = [mp.mpf(t) for t in ts]
-        if not all(abs(t) < 1 for t in ts):
-            raise InvalidProblemError("t must lie in (-1, 1)")
         half_p = mp.mpf(problem.p) / 2
         mono = _monomial_coefficients(sol.coeffs, sol.interval)
-        floor_half = int(mp.floor(half_p))
-        expected_first = 1 if floor_half % 2 == 0 else -1
-        expected_last = 1 if (floor_half + m + 1) % 2 == 0 else -1
-        reports = []
-        for t in ts:
-            shifted = [mono[0] - t * sol.error, *mono[1:]]
-            entries = [(mp.mpf(j), c) for j, c in enumerate(shifted)]
+    floor_half = int(mp.floor(half_p))
+    expected_first = 1 if floor_half % 2 == 0 else -1
+    expected_last = 1 if (floor_half + m + 1) % 2 == 0 else -1
+
+    def count(t):
+        with cfg.workprec(extra=cfg.mantissa_bits):
+            t = mp.mpf(t)
+            if not abs(t) < 1:
+                raise InvalidProblemError("t must lie in (-1, 1)")
+            entries = [(mp.mpf(j), c) for j, c in enumerate([mono[0] - t * sol.error, *mono[1:]])]
             entries.append((half_p, mp.mpf(-1)))
             entries.sort(key=lambda e: e[0])
             nz = [1 if v > 0 else -1 for _, v in entries if v != 0]
-            reports.append(SignPatternReport(
+            return SignPatternReport(
                 t=t,
                 sign_changes=sum(1 for x, y in zip(nz, nz[1:]) if x != y),
                 expected_changes=m + 1,
@@ -303,8 +307,9 @@ def sign_pattern_check(
                 last_sign=nz[-1] if nz else 0,
                 expected_first=expected_first,
                 expected_last=expected_last,
-            ))
-        return reports
+            )
+
+    return count
 
 
 def profile_convergence(

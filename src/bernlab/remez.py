@@ -51,33 +51,36 @@ about prec bits.  The one mpf operation per step rounds the new point to
 prec bits for f; the rounded point is read back onto the grid, so the
 bracket holds the point f saw.
 
-The exchange step's evaluations run on Python ints, at one scale 2^-W per
-step, W = working bits + _KERNEL_GUARD_BITS.  Each family's target, weight,
-residual and slope are written once, by _deviation, which converts the
-family's constants once per step: a raw mpf y goes in and an int scaled by
-2^W comes out, the residual and slope as the (signed int, -W) pairs the
-searches step on.  Nothing is rounded to an mpf per evaluation; only the
-located extrema's residuals become mpf, and MinimaxProblem.target and weight
-are mpf wrappers over the same ints.  The powers, y^(p/2) and its slope's
-y^(p/2 - 1), y^+-(k - 1/2) and (b + y)^-s and ^-(s+1), come from _power_of,
-also built once per step.  When 4 times the exponent is an integer, the
-power is one or two integer square roots of y's mantissa raised to that
-integer by binary powering on ints, and inverted by one integer division
-for a negative exponent; any other exponent keeps mpf_pow, which runs
-through mpf_log and mpf_exp at several times the cost, and reads its result
-onto the scale.  P and P' come from a fixed-point Clenshaw kernel rather
-than clenshaw, which stays for complex and off-interval points: once per
-step the coefficients become ints scaled by 2^F, F = W - mag(max|c|), and
-each evaluation runs the recurrence on ints and shifts its result onto the
-step's scale.
+The exchange step's evaluations run on Python ints, at one scale 2^-S per
+problem, S = W - log2 max|f| rounded up, W = working bits +
+_KERNEL_GUARD_BITS: block floating point with the target's largest size as
+the block's (1 for sgn, whose residual 1 - w P is of size 1), so the ints
+keep W bits of f whether it is of size 1 or 2^-95.  Each family's target,
+weight, residual and slope are written once, by _deviation, which converts
+the family's constants once per step: a raw mpf y goes in and an int
+scaled by 2^S comes out, the residual and slope as the (signed int, -S)
+pairs the searches step on.  Nothing is rounded to an mpf per evaluation;
+only the located extrema's residuals become mpf, and MinimaxProblem.target
+and weight are mpf wrappers over the same ints.  The powers, y^(p/2) and
+its slope's y^(p/2 - 1), y^+-(k - 1/2) and (b + y)^-s and ^-(s+1), come
+from _power_of, also built once per step.  When 4 times the exponent is an
+integer, the power is one or two integer square roots of y's mantissa
+raised to that integer by binary powering on ints, and inverted by one
+integer division for a negative exponent; any other exponent keeps
+mpf_pow, which runs through mpf_log and mpf_exp at several times the cost,
+and reads its result onto the scale.  P and P' come from a fixed-point
+Clenshaw kernel rather than clenshaw, which stays for complex and
+off-interval points: once per step the coefficients become ints scaled by
+2^F, F = W - mag(max|c|), each evaluation runs the recurrence on ints, and
+the formula that reads the value folds 2^F into its shift onto 2^-S.
 
 The error of an evaluation is that of mpf arithmetic at the working
-precision.  A power is good to a few units of 2^-(prec + 9) relative, P to
-n^2 units of 2^-F, and each product or shift that puts a term on the scale
-floors it, by one unit of 2^-W.  A residual or slope is therefore within a
-few units of 2^-prec times its largest term, which a scale 2^-W holds to
-the last bit for terms down to 2^-40: |f| for the power and Akhiezer
-families, 1 for sgn.
+precision, relative to max|f|.  A power is good to a few units of
+2^-(prec + 9) relative, P to n^2 units of 2^-F, and each product or shift
+that puts a term on the scale floors it, by one unit of 2^-S.  A residual
+or slope is therefore within a few units of 2^-prec times the family's
+scale, max|f| for the power and Akhiezer families and 1 for sgn; a term
+far below that scale, as f near y = 0 at a = 0, keeps fewer bits of its own.
 
 Levelling is barycentric and needs no linear solve.  The level h on a
 reference is a ratio of two divided differences; P is then known at the
@@ -131,10 +134,10 @@ from .precision import DEFAULT_CONFIG, GUARD_BITS, PrecisionConfig, check_gap, c
 # Exchange steps allowed per solve.
 _MAX_ITERATIONS = 60
 
-# Guard bits of the exchange's fixed-point scale 2^-W, W = prec + guard, on
-# which the Clenshaw kernel, the residual, the slope and the levelling run.
-# The kernel's values at the located extrema become E and the levelling
-# ratio, so its error, which grows
+# Guard bits of the exchange's fixed-point scales: W = prec + guard bits of
+# max|c| in the Clenshaw kernel's block, and of max|f| in the residual, the
+# slope and the levelling.  The kernel's values at the located extrema
+# become E and the levelling ratio, so its error, which grows
 # like n^2 ulps of max|c| through the recurrence (2^12 at degree 60), must sit
 # below the rounding of the residual there; 40 bits leave room far beyond
 # the degrees solved today.  The searches stop on a bracket width, not on
@@ -196,10 +199,12 @@ class MinimaxProblem:
         return a * a, mp.mpf(1)
 
     def target(self, y):
-        return _mpf_value(_deviation(self)[0], y)
+        scale, target, _, _, _ = _deviation(self)
+        return _mpf_value(target, scale, y)
 
     def weight(self, y):
-        return _mpf_value(_deviation(self)[1], y)
+        scale, _, weight, _, _ = _deviation(self)
+        return _mpf_value(weight, scale, y)
 
     def decay_bits(self) -> float:
         """Rough size of -log2(E), used for the precision budget check."""
@@ -267,32 +272,31 @@ def build_problem(kind, params: dict, m: int) -> MinimaxProblem:
     return build_akhiezer_problem(params["s"], params["b"], m)
 
 
-def _infinity(wbits):
-    """+inf among ints scaled by 2^wbits: 2^wbits in value, which outweighs
+def _infinity(scale):
+    """+inf among ints scaled by 2^scale: 2^scale in value, which outweighs
     the P' term it meets in a slope at y = 0, so that slope takes the sign
     +inf gives it."""
-    return 1 << 2 * wbits
+    return 1 << 2 * scale
 
 
-def _to_mpf(value, wbits):
-    """An int scaled by 2^wbits, rounded to an mpf at mp.prec."""
-    return mp.make_mpf(from_man_exp(value, -wbits, mp.prec, round_nearest))
+def _to_mpf(value, scale):
+    """An int scaled by 2^scale, rounded to an mpf at mp.prec."""
+    return mp.make_mpf(from_man_exp(value, -scale, mp.prec, round_nearest))
 
 
-def _mpf_value(evaluate, y):
-    """evaluate, _deviation's target or weight, at the number y as an mpf;
-    _infinity at y = 0 is +inf."""
-    wbits = mp.prec + _KERNEL_GUARD_BITS
+def _mpf_value(evaluate, scale, y):
+    """evaluate, _deviation's target or weight on its scale, at the number y
+    as an mpf; _infinity at y = 0 is +inf."""
     y = mp.mpf(y)
     value = evaluate(y._mpf_)
-    if not y and value == _infinity(wbits):
+    if not y and value == _infinity(scale):
         return mp.inf
-    return _to_mpf(value, wbits)
+    return _to_mpf(value, scale)
 
 
-def _power_of(exponent, prec, wbits):
-    """y -> y^exponent for a raw mpf y >= 0, as an int scaled by 2^wbits,
-    to a few units of 2^-(prec + _POWER_GUARD_BITS) relative.
+def _power_of(exponent, scale):
+    """y -> y^exponent for a raw mpf y >= 0, as an int scaled by 2^scale,
+    to a few units of 2^-(mp.prec + _POWER_GUARD_BITS) relative.
 
     When 4*exponent is an integer n/2^r with r = 0, 1 or 2, the mantissa of
     y, shifted to about 2^r w bits, w = prec + guard + the bits of n, and an
@@ -300,14 +304,15 @@ def _power_of(exponent, prec, wbits):
     powering raises the root to |n| on ints cut to w bits after each
     product, and for n < 0 one integer division inverts the power.  Every
     other exponent takes mpf_pow, which runs through mpf_log and mpf_exp,
-    rounded at prec and read onto the scale.  y = 0 gives 0 for a positive
-    exponent and _infinity(wbits), +inf, for a negative one.
+    rounded at mp.prec and read onto the scale.  y = 0 gives 0 for a
+    positive exponent and _infinity(scale), +inf, for a negative one.
     """
+    prec = mp.prec
     sign, man, exp, _ = exponent
-    at_zero = _infinity(wbits) if sign else 0
+    at_zero = _infinity(scale) if sign else 0
     if not man or exp < -2:
         def general(y):
-            return to_fixed(mpf_pow(y, exponent, prec, round_nearest), wbits) if y[1] else at_zero
+            return to_fixed(mpf_pow(y, exponent, prec, round_nearest), scale) if y[1] else at_zero
 
         return general
     roots = max(-exp, 0)
@@ -326,8 +331,8 @@ def _power_of(exponent, prec, wbits):
             root = math.isqrt(root)
         value, value_exp = (root, root_exp) if n == 1 else _raise(root, root_exp, n, bits)
         if sign:
-            return _shift(1, wbits - value_exp) // value
-        return _shift(value, value_exp + wbits)
+            return _shift(1, scale - value_exp) // value
+        return _shift(value, value_exp + scale)
 
     return power
 
@@ -351,44 +356,63 @@ def _cut(man, exp, bits):
     return (man >> extra, exp + extra) if extra > 0 else (man, exp)
 
 
-def _deviation(problem, poly=None, dpoly=None):
-    """The family's formulas at a raw mpf y, as ints scaled by 2^W with
-    W = mp.prec + _KERNEL_GUARD_BITS: (target, weight, residual, slope),
-    each a function of y, with residual(y) = w(y) (f(y) - P(y)) and
-    slope(y) its derivative in y.  residual and slope return (int, -W)
-    pairs, the values _bracket_search steps on.
+def _deviation(problem, coeffs=None):
+    """The family's formulas at a raw mpf y, on Python ints at one scale
+    2^-S: (S, target, weight, residual, slope), each but S a function of y,
+    with residual(y) = w(y) (f(y) - P(y)) and slope(y) its derivative in y.
+    target and weight return ints scaled by 2^S, residual and slope
+    (int, -S) pairs, the values _bracket_search steps on.
 
-    poly and dpoly map y to P(y) and P'(y), ints on the same scale; residual
-    reads P, slope reads P' and, for the sgn family only, P.  The family's
-    constants are converted here, once.
+    S is W = mp.prec + _KERNEL_GUARD_BITS less log2 max|f| over the
+    interval, rounded up, and at least 0, so the ints keep W bits of the
+    largest f whatever its size; for sgn, whose residual 1 - w P is of
+    size 1, S = W.  P and P'
+    come from the Chebyshev coefficients coeffs, when given, through
+    _fixed_point_clenshaw on their own block scales, which each formula
+    folds into its shift onto 2^-S.  The family's constants are converted
+    here, once.
     """
     prec = mp.prec
-    wbits = prec + _KERNEL_GUARD_BITS
-    one = 1 << wbits
+    scale = prec + _KERNEL_GUARD_BITS
+    interval = problem.interval_mp()
+    if coeffs is not None:
+        poly, p_bits = _fixed_point_clenshaw(coeffs, interval)
+        dpoly, dp_bits = _fixed_point_clenshaw(chebyshev_derivative(coeffs, interval), interval)
     if problem.kind is ProblemKind.SGN_LAURENT:
+        one = 1 << scale
         rise = 2 * problem.k - 1
-        target = _power_of(from_man_exp(rise, -1), prec, wbits)  # y^(k - 1/2)
-        weight = _power_of(from_man_exp(-rise, -1), prec, wbits)
+        target = _power_of(from_man_exp(rise, -1), scale)  # y^(k - 1/2)
+        weight = _power_of(from_man_exp(-rise, -1), scale)
 
         def residual(y):
             # weight * target is 1.
-            return one - ((weight(y) * poly(y)) >> wbits), -wbits
+            return one - ((weight(y) * poly(y)) >> p_bits), -scale
 
         def slope(y):
-            # Only the weight's slope, -(k - 1/2) w(y)/y, meets P; y = man 2^exp.
+            # Only the weight's slope, -(k - 1/2) w(y)/y, meets P; y = man 2^exp,
+            # and inner is on P''s scale.
             _, man, exp, _ = y
-            inner = dpoly(y) - _shift(rise * poly(y), -exp - 1) // man
-            return -((weight(y) * inner) >> wbits), -wbits
+            inner = dpoly(y) - _shift(rise * poly(y), dp_bits - p_bits - exp - 1) // man
+            return -((weight(y) * inner) >> dp_bits), -scale
 
-        return target, weight, residual, slope
+        return scale, target, weight, residual, slope
 
     # f(y) = (shift + y)^exponent: y^(p/2) for POWER, (b + y)^(-s) for AKHIEZER.
     if problem.kind is ProblemKind.POWER:
         exponent, shift = mpf_shift(mp.mpf(problem.p)._mpf_, -1), None
+        bases = interval
     else:
         exponent, shift = mpf_neg(mp.mpf(problem.s)._mpf_), mp.mpf(problem.b)._mpf_
-    target = _power_of(exponent, prec, wbits)
-    fall = _power_of(mpf_sub(exponent, fone, prec, round_nearest), prec, wbits)
+        bases = [mp.mpf(problem.b) + y for y in interval]
+    # f is monotone, so max|f| is at an end, where log2 f = e log2(man 2^exp);
+    # a zero base (y = 0 at a = 0) gives f = 0 or +inf and sets no scale.
+    # S stays >= 0, so that the unit weight 2^S is an int.
+    e = float(mp.make_mpf(exponent))
+    top = max(e * (math.log2(x[1]) + x[2]) for x in (b._mpf_ for b in bases) if x[1])
+    scale = max(scale - math.ceil(top), 0)
+    one = 1 << scale
+    target = _power_of(exponent, scale)
+    fall = _power_of(mpf_sub(exponent, fone, prec, round_nearest), scale)
     e_man, e_exp = _signed(exponent)
     if shift is not None:
         # Built here, so the unshifted powers run without a wrapper.
@@ -401,12 +425,12 @@ def _deviation(problem, poly=None, dpoly=None):
         return one
 
     def residual(y):
-        return target(y) - poly(y), -wbits
+        return target(y) - _shift(poly(y), scale - p_bits), -scale
 
     def slope(y):
-        return _shift(e_man * fall(y), e_exp) - dpoly(y), -wbits
+        return _shift(e_man * fall(y), e_exp) - _shift(dpoly(y), scale - dp_bits), -scale
 
-    return target, weight, residual, slope
+    return scale, target, weight, residual, slope
 
 
 @dataclass(frozen=True)
@@ -439,15 +463,16 @@ def clenshaw(coeffs, interval, y):
     return t * b1 - b2 + coeffs[0]
 
 
-def _fixed_point_clenshaw(coeffs, interval, scale):
+def _fixed_point_clenshaw(coeffs, interval):
     """Evaluator of y -> clenshaw(coeffs, interval, y) for mpf coefficients
-    and a real raw mpf y, as an int scaled by 2^scale.
+    and a real raw mpf y, on ints: (evaluate, F), with evaluate(y) the value
+    as an int scaled by 2^F.
 
     Block floating point: the coefficients become Python ints scaled by 2^F,
     F = W - mag(max|c|) with W = mp.prec + _KERNEL_GUARD_BITS, so the
     absolute error is that of the mpf recurrence for coefficients of any
-    size; t is an int scaled by 2^W.  Each call maps the raw y to t once,
-    runs the recurrence on ints and shifts the result from 2^F to 2^scale.
+    size; t is an int scaled by 2^W.  Each call maps the raw y to t once and
+    runs the recurrence on ints.
     """
     lo, hi = interval
     wbits = mp.prec + _KERNEL_GUARD_BITS
@@ -455,7 +480,6 @@ def _fixed_point_clenshaw(coeffs, interval, scale):
     fbits = wbits - (mp.mag(top) if top else 0)
     fixed = [to_fixed(c._mpf_, fbits) for c in coeffs]
     head, tail = fixed[0], fixed[:0:-1]
-    up = scale - fbits
     # t = alpha*y + beta maps the interval onto [-1, 1]; alpha and beta are
     # rounded at W bits, as alpha*y and beta may nearly cancel.
     with mp.workprec(wbits):
@@ -470,10 +494,9 @@ def _fixed_point_clenshaw(coeffs, interval, scale):
         for c in tail:
             # (2t b1) >> W, as t b1 >> (W - 1).
             b1, b2 = ((t * b1) >> wbits_1) - b2 + c, b1
-        value = ((t * b1) >> wbits) - b2 + head
-        return value << up if up >= 0 else value >> -up
+        return ((t * b1) >> wbits) - b2 + head
 
-    return evaluate
+    return evaluate, fbits
 
 
 def chebyshev_derivative(coeffs, interval):
@@ -636,14 +659,14 @@ def _solve_levelling(problem, ref):
     reference points but one interior one, and a DCT-I turns them into
     coefficients.  O(n^2) throughout, in block floating point on ints at
     W = mp.prec + _KERNEL_GUARD_BITS bits (see the module docstring), f and
-    1/w on _deviation's scale 2^-W; only h, the coefficients and max|f| are
+    1/w on _deviation's scale 2^-S; only h, the coefficients and max|f| are
     rounded, at mp.prec.
     """
     prec, rnd = mp.prec, round_nearest
     wbits = prec + _KERNEL_GUARD_BITS
     n = problem.degree
     lo, hi = (x._mpf_ for x in problem.interval_mp())
-    target, weight, _, _ = _deviation(problem)
+    scale, target, weight, _, _ = _deviation(problem)
     ref = [y._mpf_ for y in ref]
     # t at W bits, exactly -1 and 1 at the interval's ends.
     mid, span = mpf_add(lo, hi), mpf_sub(hi, lo)
@@ -664,9 +687,9 @@ def _solve_levelling(problem, ref):
         lam.append(((1 << 2 * wbits) // man, -exp - 2 * wbits))
     top = max(m.bit_length() + e for m, e in lam)
     lam = [_shift(m, e - top + wbits) for m, e in lam]
-    # f and the signed 1/w, as ints scaled by 2^W.
+    # f and the signed 1/w, as ints scaled by 2^S.
     f = [target(y) for y in ref]
-    sigma_w = [(-1) ** i * ((1 << 2 * wbits) // weight(y)) for i, y in enumerate(ref)]
+    sigma_w = [(-1) ** i * ((1 << 2 * scale) // weight(y)) for i, y in enumerate(ref)]
     # h = num/den, kept as H 2^-shift with H about W bits long.
     num = sum(li * fi for li, fi in zip(lam, f))
     den = sum(li * si for li, si in zip(lam, sigma_w))
@@ -693,10 +716,10 @@ def _solve_levelling(problem, ref):
     coeffs = []
     for j in range(n + 1):
         dot = sum(s * table[j * k % (2 * n)] for k, s in enumerate(doubled))
-        coeffs.append(mpf_div(from_man_exp(dot, -2 * wbits), n_raw, prec, rnd))
+        coeffs.append(mpf_div(from_man_exp(dot, -scale - wbits), n_raw, prec, rnd))
     coeffs[0] = mpf_shift(coeffs[0], -1)
     coeffs[n] = mpf_shift(coeffs[n], -1)
-    return [mp.make_mpf(c) for c in coeffs], mp.make_mpf(h), _to_mpf(max(abs(v) for v in f), wbits)
+    return [mp.make_mpf(c) for c in coeffs], mp.make_mpf(h), _to_mpf(max(abs(v) for v in f), scale)
 
 
 def _seeded_search(f, a, b, fa, fb, xtol, seed):
@@ -728,16 +751,11 @@ def _locate_extrema(problem, coeffs, ref, extremum_bits, seeds):
     segment i's extremum search at the old reference point y_i, which the
     segment holds (see the module docstring).  Everything between the mpf
     reference in and the mpf extrema out runs on raw tuples and ints at
-    _deviation's scale 2^-W.
+    _deviation's scale 2^-S.
     """
     prec, rnd = mp.prec, round_nearest
-    wbits = prec + _KERNEL_GUARD_BITS
     interval = problem.interval_mp()
-    _, _, residual, slope = _deviation(
-        problem,
-        _fixed_point_clenshaw(coeffs, interval, wbits),
-        _fixed_point_clenshaw(chebyshev_derivative(coeffs, interval), interval, wbits),
-    )
+    scale, _, _, residual, slope = _deviation(problem, coeffs)
     ref = [y._mpf_ for y in ref]
     r_ref = [residual(y) for y in ref]
     roots = []
@@ -751,7 +769,7 @@ def _locate_extrema(problem, coeffs, ref, extremum_bits, seeds):
                 "residual does not alternate on the reference",
                 diagnostics={
                     "reference": [mp.make_mpf(y) for y in ref],
-                    "values": [_to_mpf(v, wbits) for v, _ in r_ref],
+                    "values": [_to_mpf(v, scale) for v, _ in r_ref],
                 },
             )
         roots.append(_seeded_search(
@@ -779,7 +797,7 @@ def _locate_extrema(problem, coeffs, ref, extremum_bits, seeds):
             if abs(v_b) > abs(v):
                 x, v = b, v_b
         points.append(mp.make_mpf(x))
-        values.append(_to_mpf(v, wbits))
+        values.append(_to_mpf(v, scale))
     return points, values, roots
 
 

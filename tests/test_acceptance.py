@@ -390,7 +390,8 @@ def test_criterion_11_coefficient_sign_pattern(cfg192):
         sol = solve(problem, cfg192)
         with cfg192.workprec():
             ts = [mp.mpf(2 * j - 10) / 12 for j in range(11)]
-            for report in sign_pattern_check(sol, problem, ts, cfg192):
+            for t in ts:
+                report = sign_pattern_check(sol, problem, t, cfg192)
                 all_ok = all_ok and report.passed and report.sign_changes == m + 1
                 checked += 1
     _record(

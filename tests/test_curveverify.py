@@ -257,10 +257,8 @@ def test_sign_pattern_counts(cfg256):
         for m in (3, 5):
             problem = build_power_problem("1.5", "0.5", m)
             sol = solve(problem, cfg256)
-            ts = [mp.mpf(j) / 6 - mp.mpf("0.833333") for j in range(11)]
-            reports = sign_pattern_check(sol, problem, ts, cfg256)
-            assert [report.t for report in reports] == ts
-            for report in reports:
+            for t in [mp.mpf(j) / 6 - mp.mpf("0.833333") for j in range(11)]:
+                report = sign_pattern_check(sol, problem, t, cfg256)
                 assert report.sign_changes == m + 1
                 assert report.passed
 
@@ -270,12 +268,10 @@ def test_sign_pattern_at_extreme_t(cfg256):
         problem = build_power_problem("1.5", "0.5", 3)
         sol = solve(problem, cfg256)
         edge = 1 - mp.mpf("1e-6")
-        assert all(report.passed for report in sign_pattern_check(sol, problem, [edge, -edge], cfg256))
+        assert sign_pattern_check(sol, problem, edge, cfg256).passed
+        assert sign_pattern_check(sol, problem, -edge, cfg256).passed
         with pytest.raises(InvalidProblemError):
-            sign_pattern_check(sol, problem, [1], cfg256)
-        # A bad t anywhere in the list is rejected.
-        with pytest.raises(InvalidProblemError):
-            sign_pattern_check(sol, problem, [0, 1], cfg256)
+            sign_pattern_check(sol, problem, 1, cfg256)
 
 
 def test_sign_pattern_degree_cap(cfg256):
@@ -283,7 +279,7 @@ def test_sign_pattern_degree_cap(cfg256):
     with cfg256.workprec():
         sol = solve(problem, cfg256)
         with pytest.raises(PrecisionBudgetError):
-            sign_pattern_check(sol, problem, [0], cfg256)
+            sign_pattern_check(sol, problem, 0, cfg256)
 
 
 def test_sign_pattern_needs_power_family(cfg256):
@@ -291,7 +287,7 @@ def test_sign_pattern_needs_power_family(cfg256):
     with cfg256.workprec():
         sol = solve(problem, cfg256)
         with pytest.raises(InvalidProblemError):
-            sign_pattern_check(sol, problem, [0], cfg256)
+            sign_pattern_check(sol, problem, 0, cfg256)
         with pytest.raises(InvalidProblemError):
             reconstruct_phase(sol, problem, [mp.mpf("0.1")], cfg256)
 

@@ -216,13 +216,9 @@ def test_slope_matches_numerical_derivative(kind, params, m, frozen, cfg256, fro
     problem, sol = frozen_solution(kind, params, m)
     with cfg256.workprec():
         lo, hi = sol.interval
-        dcoeffs = chebyshev_derivative(sol.coeffs, sol.interval)
+        slope = remez._deviation(problem, sol.coeffs)[4]
         for j in range(20):
             y = lo + (hi - lo) * (j + mp.mpf("0.5")) / 20
-            wbits = mp.prec + remez._KERNEL_GUARD_BITS
-            poly = to_fixed(clenshaw(sol.coeffs, sol.interval, y)._mpf_, wbits)
-            dpoly = to_fixed(clenshaw(dcoeffs, sol.interval, y)._mpf_, wbits)
-            slope = remez._deviation(problem, lambda _: poly, lambda _: dpoly)[3]
             got = mp.make_mpf(from_man_exp(*slope(y._mpf_)))
             with mp.workprec(2 * cfg256.mantissa_bits):
                 want = mp.diff(lambda u: reduced_deviation(sol, problem, u), y)
@@ -408,19 +404,17 @@ def test_chebyshev_derivative_series(coeffs, lo, width, u, cfg128):
 )
 def test_fixed_point_clenshaw_matches_clenshaw(coeffs, scale, bits, lo, width, u):
     # Degrees 0-60 and coefficients of size 2^-200 to 2^200; u outside [0, 1]
-    # puts y off the interval, where |T_n(t)| grows to rho^n.  The ints come
-    # out at 2^-(4 bits + 2000), finer than the kernel's own scale for any
-    # coefficients drawn here, so the shift onto it drops no bit.
-    out = 4 * bits + 2000
+    # puts y off the interval, where |T_n(t)| grows to rho^n.  The int is
+    # read on the kernel's own scale, as the exchange reads it.
     with mp.workprec(bits):
         interval = (mp.mpf(lo), mp.mpf(lo) + mp.mpf(width))
         cs = [mp.ldexp(mp.mpf(c), scale) for c in coeffs]
         y = interval[0] + mp.mpf(width) * mp.mpf(u)
-        evaluate = remez._fixed_point_clenshaw(cs, interval, out)
+        evaluate, fbits = remez._fixed_point_clenshaw(cs, interval)
         value = evaluate(y._mpf_)
         assert evaluate(y._mpf_) == value
-        assert remez._fixed_point_clenshaw(cs, interval, out)(y._mpf_) == value
-        got = mp.make_mpf(from_man_exp(value, -out))
+        assert remez._fixed_point_clenshaw(cs, interval)[0](y._mpf_) == value
+        got = mp.make_mpf(from_man_exp(value, -fbits))
         with mp.workprec(2 * bits + 64):
             want = clenshaw(cs, interval, y)
             t = abs(2 * y - (interval[0] + interval[1])) / mp.mpf(width)
@@ -452,8 +446,9 @@ def test_quarter_powers_are_within_an_ulp(numerator, mantissa, exponent, prec):
     y = _raw_y(mantissa, exponent)
     e = from_rational(numerator, 4, 10)
     want = mpf_pow(y, e, prec + 64, round_nearest)
-    wbits = max(prec + 64 - (want[2] + want[3]), 0)
-    got = from_man_exp(remez._power_of(e, prec, wbits)(y), -wbits)
+    scale = max(prec + 64 - (want[2] + want[3]), 0)
+    with mp.workprec(prec):
+        got = from_man_exp(remez._power_of(e, scale)(y), -scale)
     error = mpf_abs(mpf_sub(got, want))
     assert mpf_le(error, mpf_shift(fone, want[2] + want[3] - prec))
 
@@ -463,8 +458,9 @@ def test_quarter_powers_are_within_an_ulp(numerator, mantissa, exponent, prec):
 def test_other_powers_are_mpf_pow(exponent_text, mantissa, exponent, prec):
     y = _raw_y(mantissa, exponent)
     e = mp.mpf(exponent_text)._mpf_
-    wbits = prec + remez._KERNEL_GUARD_BITS
-    assert remez._power_of(e, prec, wbits)(y) == to_fixed(mpf_pow(y, e, prec, round_nearest), wbits)
+    scale = prec + remez._KERNEL_GUARD_BITS
+    with mp.workprec(prec):
+        assert remez._power_of(e, scale)(y) == to_fixed(mpf_pow(y, e, prec, round_nearest), scale)
 
 
 @pytest.mark.parametrize("e", [from_rational(n, 4, 10) for n in range(-12, 13) if n]
@@ -475,9 +471,9 @@ def test_power_at_zero(e):
     # the same where it returns, and divides by zero for -1/2 and negative
     # integers.
     negative = mpf_sign(e) < 0
-    assert remez._power_of(e, 256, 296)(fzero) == (remez._infinity(296) if negative else 0)
     problem = MinimaxProblem(kind=ProblemKind.POWER, p=mp.make_mpf(mpf_shift(e, 1)), a=0, m=1)
     with mp.workprec(256):
+        assert remez._power_of(e, 296)(fzero) == (remez._infinity(296) if negative else 0)
         got = problem.target(0)
         assert got == (mp.inf if negative else 0)
         try:
@@ -548,6 +544,8 @@ _DEVIATION_FAMILIES = (
     + [("power", {"p": "-3", "a": "0.5"})]
     + [("sgn_laurent", {"k": k, "a": "0.5"}) for k in (1, 10)]
     + [("akhiezer", {"s": s, "b": b}) for s in ("1", "1.5") for b in ("2", "1.01")]
+    # f at most 9^-30, about 2^-95: far below the 2^-40 of the guard bits.
+    + [("akhiezer", {"s": "30", "b": "10"})]
 )
 
 
@@ -564,31 +562,34 @@ def test_integer_deviation_matches_mpf_deviation(kind, params, m, bits):
     # least _infinity/2.  The builders would reject p = 20.5 at m < 11 and
     # a = 0; the formulas do not care.
     problem = MinimaxProblem(kind=ProblemKind(kind), m=m, **params)
-    wbits = bits + remez._KERNEL_GUARD_BITS
     with mp.workprec(bits):
         lo, hi = interval = problem.interval_mp()
         n = problem.degree
         ref = [(lo + hi) / 2 - (hi - lo) / 2 * mp.cospi(mp.mpf(i) / (n + 1)) for i in range(n + 2)]
         coeffs, _, _ = remez._solve_levelling(problem, ref)
-        poly = remez._fixed_point_clenshaw(coeffs, interval, wbits)
-        dpoly = remez._fixed_point_clenshaw(chebyshev_derivative(coeffs, interval), interval, wbits)
-        _, _, residual, slope = remez._deviation(problem, poly, dpoly)
-        oracle = _mpf_deviation(
-            problem, lambda y: from_man_exp(poly(y), -wbits), lambda y: from_man_exp(dpoly(y), -wbits)
+        scale, _, _, residual, slope = remez._deviation(problem, coeffs)
+        # The oracle gets the P and P' the int formulas read, exactly.
+        poly, dpoly = (
+            (lambda y, k=kernel: from_man_exp(k[0](y), -k[1]))
+            for kernel in (
+                remez._fixed_point_clenshaw(coeffs, interval),
+                remez._fixed_point_clenshaw(chebyshev_derivative(coeffs, interval), interval),
+            )
         )
+        oracle = _mpf_deviation(problem, poly, dpoly)
         inside = [(lo + hi) / 2 - (hi - lo) / 2 * mp.cospi((j + mp.mpf(1) / 2) / 7) for j in range(7)]
         pairs, terms = ([], []), ([], [])
         for y in [lo, hi] + inside:
-            p_y, dp_y = (mp.make_mpf(from_man_exp(v(y._mpf_), -wbits)) for v in (poly, dpoly))
+            p_y, dp_y = (mp.make_mpf(v(y._mpf_)) for v in (poly, dpoly))
             for i, (int_face, mpf_face, term) in enumerate(
                 zip((residual, slope), oracle, _largest_terms(problem, y, p_y, dp_y))
             ):
                 value, exp = int_face(y._mpf_)
-                assert exp == -wbits
+                assert exp == -scale
                 want = mp.make_mpf(mpf_face(y._mpf_))
                 if mp.isinf(want):
                     assert (value > 0) == (want > 0)
-                    assert abs(value) >= remez._infinity(wbits) // 2
+                    assert abs(value) >= remez._infinity(scale) // 2
                     continue
                 pairs[i].append((mp.make_mpf(from_man_exp(value, exp)), want))
                 terms[i].append(term)
@@ -743,6 +744,23 @@ def test_power_problem_at_zero_gap_solves(p, before, cfg256):
         assert all(s * t < 0 for s, t in zip(sol.signs, sol.signs[1:]))
         assert sol.levelling_ratio >= 1 - mp.mpf(10) ** (-(cfg256.decimal_digits / 4))
         assert abs(sol.error - mp.mpf(before)) <= mp.mpf("1e-24") * sol.error
+
+
+@pytest.mark.parametrize("s, b, degree", [("30", "10", 8), ("30", "10", 12), ("100", "1.0001", 8)])
+def test_target_far_from_one_keeps_its_digits_at_the_bit_budget(s, b, degree):
+    # (10 + y)^-30 is at most 9^-30, about 2^-95, and E about 2^-110, far
+    # below 1; (1.0001 + y)^-100 reaches 2^1329, more than the working bits.
+    # At the fewest bits the precision budget accepts, E, the largest
+    # residual the exchange found at the alternation, must agree with the
+    # residual there recomputed in mpf at four times the bits, to the
+    # working bits less 16.  Ints on a scale fixed at 2^-(prec + 40) kept
+    # about 48 bits of the first E.
+    problem = build_akhiezer_problem(s, b, degree)
+    bits = max(math.ceil(problem.decay_bits() + 48), 64)
+    sol = solve(problem, PrecisionConfig(mantissa_bits=bits))
+    with mp.workprec(4 * bits):
+        largest = max(abs(reduced_deviation(sol, problem, y)) for y in sol.alternation)
+        assert abs(largest / sol.error - 1) <= mp.ldexp(1, 16 - bits)
 
 
 def _record_searches(monkeypatch, name):

@@ -8,8 +8,8 @@ and then SOLVES times timed, and reports the median of those; the two
 checkouts take turns going first.  One timed solve per interpreter is too
 noisy for the 0.01-0.1 s cases: a single round could point the wrong way.
 Prints per checkout the median over runs with its quartiles, the ratio of
-the medians and in how many runs the second checkout was faster.  The cases are ROADMAP's Remez baseline rows, an absxp
-solve at 1024 bits, one whose exponents take mpf_pow (p = 1.3), two with
+the medians and in how many runs the second checkout was faster.  The
+cases are ROADMAP's Remez baseline rows, an absxp solve at 1024 bits, one whose exponents take mpf_pow (p = 1.3), two with
 large exponents: y^(41/4) (p = 20.5) and y^-(19/2) (k = 10), and the three
 m = 8 solves of perfbench's minimax workload.
 """

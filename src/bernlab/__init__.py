@@ -47,8 +47,8 @@ _EXPORTS = {
     "asymptotics": """akhiezer_b_from_a akhiezer_convert compare monotone_tail
         predict_akhiezer_error predict_power_error predict_slit_height
         slit_height_from_error""",
-    "curveverify": """PhaseTrace SignPatternReport curve_residuals profile_convergence
-        reconstruct_phase sign_pattern_check""",
+    "curveverify": """PhaseTrace curve_residuals profile_convergence reconstruct_phase
+        sign_pattern_check""",
     "conjecture": "ConjectureState phase_residual solve_phase_equation",
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}

@@ -71,10 +71,6 @@ def _render(obj, cfg: PrecisionConfig):
     return repr(float(obj))
 
 
-def _cell(value, cfg: PrecisionConfig) -> str:
-    return str(_render(value, cfg))
-
-
 def _inputs_echo(ns: argparse.Namespace) -> dict:
     skip = {"handler", "output", "format"}
     return {
@@ -91,24 +87,24 @@ def _resolve_output(path: str | None) -> str | None:
     return path
 
 
-def _emit(ns: argparse.Namespace, cfg: PrecisionConfig, payload: dict) -> None:
+def _emit(ns: argparse.Namespace, cfg: PrecisionConfig, results: dict, table: tuple) -> None:
+    """Write the report: the results as JSON, or the table's rows as CSV,
+    one cell per column key, empty where a row lacks the key."""
     if ns.format == "json":
         doc = {
             "schema": SCHEMA,
             "command": ns.command,
             "inputs": _inputs_echo(ns),
-            "results": _render(
-                {k: v for k, v in payload.items() if k != "_csv"}, cfg
-            ),
+            "results": _render(results, cfg),
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        header, rows = payload.get("_csv", (["value"], []))
+        columns, rows = table
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(v, cfg) for v in row])
+            writer.writerow([_render(row.get(key, ""), cfg) for key in columns])
         text = buf.getvalue()
     path = _resolve_output(ns.output)
     if path is None:
@@ -181,7 +177,10 @@ def _lin_spaced(lo, hi, count: int, cfg: PrecisionConfig):
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (payload, exit_code)
+# command handlers; each returns (results, table, exit_code).  results is
+# the JSON report's results object; table is (columns, rows) for CSV, rows
+# being dicts read by column key: the row dicts the results already hold,
+# or the results themselves for a one-row report.
 
 
 def _cmd_solve(ns: argparse.Namespace, cfg: PrecisionConfig):
@@ -189,7 +188,7 @@ def _cmd_solve(ns: argparse.Namespace, cfg: PrecisionConfig):
         raise InvalidProblemError("solve needs --m (polynomial degree)")
     problem = remez.build_problem(*_family_parameters(ns, cfg), ns.m)
     sol = remez.solve(problem, cfg)
-    payload = {
+    results = {
         "family": ns.family,
         "degree": sol.degree(),
         "error_E": sol.error,
@@ -201,11 +200,10 @@ def _cmd_solve(ns: argparse.Namespace, cfg: PrecisionConfig):
         "coefficients": list(sol.coeffs),
     }
     rows = [
-        [i, point, sign, sol.error]
+        {"index": i, "point": point, "sign": sign, "error_E": sol.error}
         for i, (point, sign) in enumerate(zip(sol.alternation, sol.signs))
     ]
-    payload["_csv"] = (["index", "point", "sign", "error_E"], rows)
-    return payload, 0
+    return results, (["index", "point", "sign", "error_E"], rows), 0
 
 
 def _cmd_sweep(ns: argparse.Namespace, cfg: PrecisionConfig):
@@ -214,16 +212,14 @@ def _cmd_sweep(ns: argparse.Namespace, cfg: PrecisionConfig):
     degrees = _parse_degrees(ns.m)
     kind, params = _family_parameters(ns, cfg)
     rows = asymptotics.compare(kind, params, degrees, cfg, jobs=ns.jobs)
-    payload = {
+    results = {
         "family": ns.family,
         "parameters": params,
         "rows": rows,
-        "final_ratio": rows[-1]["ratio"],
         "monotone_tail": asymptotics.monotone_tail([row["ratio"] for row in rows]),
     }
-    header = ["m", "E", "predicted", "ratio"] if ns.predict else ["m", "E"]
-    payload["_csv"] = (header, [[row[k] for k in header] for row in rows])
-    return payload, 0
+    columns = ["m", "E", "predicted", "ratio"] if ns.predict else ["m", "E"]
+    return results, (columns, rows), 0
 
 
 def _cmd_verify_curve(ns: argparse.Namespace, cfg: PrecisionConfig):
@@ -234,34 +230,21 @@ def _cmd_verify_curve(ns: argparse.Namespace, cfg: PrecisionConfig):
     residuals = curveverify.curve_residuals(trace, sol.error, problem.p, cfg)
     with cfg.workprec():
         max_res = max(abs(r) for r in residuals)
-    payload = {
+    rows = [
+        {"y": y, "u": u, "v": v, "winding": w, "residual": _residual_str(r)}
+        for y, u, v, w, r in zip(trace.y_grid, trace.u, trace.v, trace.branch_windings, residuals)
+    ]
+    results = {
         "family": "absxp",
         "error_E": sol.error,
         "max_relative_residual": _residual_str(max_res),
-        "trace": [
-            {"y": y, "u": u, "v": v, "winding": w, "residual": _residual_str(r)}
-            for y, u, v, w, r in zip(
-                trace.y_grid, trace.u, trace.v, trace.branch_windings, residuals
-            )
-        ],
+        "trace": rows,
     }
-    header = ["y", "u", "v", "winding", "residual"]
-    payload["_csv"] = (header, [[row[k] for k in header] for row in payload["trace"]])
     if ns.sign_t:
         # P goes to monomials once, for every t.
         count = curveverify._sign_pattern_counter(sol, problem, cfg)
-        payload["sign_pattern"] = [
-            {
-                "t": rep.t,
-                "sign_changes": rep.sign_changes,
-                "expected_changes": rep.expected_changes,
-                "first_sign": rep.first_sign,
-                "last_sign": rep.last_sign,
-                "passed": rep.passed,
-            }
-            for rep in (count(tok.strip()) for tok in ns.sign_t.split(","))
-        ]
-    return payload, 0
+        results["sign_pattern"] = [count(tok.strip()) for tok in ns.sign_t.split(",")]
+    return results, (["y", "u", "v", "winding", "residual"], rows), 0
 
 
 def _cmd_profiles(ns: argparse.Namespace, cfg: PrecisionConfig):
@@ -271,15 +254,13 @@ def _cmd_profiles(ns: argparse.Namespace, cfg: PrecisionConfig):
     degrees = _parse_degrees(ns.m)
     lams = _lin_spaced(ns.lambda_min, ns.lambda_max, ns.lambda_count, cfg)
     rows = curveverify.profile_convergence(kind, params, degrees, lams, cfg)
-    payload = {"family": ns.family, "parameters": params, "rows": rows}
-    header = ["m", "sup_distance", "lambda_at_sup"]
-    payload["_csv"] = (header, [[row[k] for k in header] for row in rows])
-    return payload, 0
+    results = {"family": ns.family, "parameters": params, "rows": rows}
+    return results, (["m", "sup_distance", "lambda_at_sup"], rows), 0
 
 
 def _boundary_residuals(ns: argparse.Namespace, cfg: PrecisionConfig):
-    """Residuals of the map's boundary values on a log-spaced grid, as rows
-    (xi, residual, pv_residual).
+    """Residuals of the map's boundary values on a log-spaced grid, as
+    tuples (xi, residual, pv_residual).
 
     C is the quadrature Cauchy transform of the map's density tau on the
     upper edge of the cut.  Its imaginary part must reproduce tau, so the
@@ -314,18 +295,21 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
     needs = {"offsets": "k", "zero": "k", "constants": "p"}.get(ns.task)
     if needs and getattr(ns, needs) is None:
         raise InvalidProblemError(f"task {ns.task} needs --{needs}")
-    payload: dict = {"task": ns.task}
     if ns.task == "boundary":
-        rows = _boundary_residuals(ns, cfg)
-        with cfg.workprec():
-            payload["max_residual"] = _residual_str(max(abs(r) for _, r, _ in rows))
-            payload["max_pv_residual"] = _residual_str(max(abs(r) for _, _, r in rows))
-        rows = [(xi, _residual_str(r), _residual_str(pv)) for xi, r, pv in rows]
-        payload["rows"] = [
-            {"xi": xi, "residual": r, "pv_residual": pv} for xi, r, pv in rows
+        residuals = _boundary_residuals(ns, cfg)
+        rows = [
+            {"xi": xi, "residual": _residual_str(r), "pv_residual": _residual_str(pv)}
+            for xi, r, pv in residuals
         ]
-        payload["_csv"] = (["xi", "residual", "pv_residual"], [list(row) for row in rows])
-    elif ns.task == "offsets":
+        with cfg.workprec():
+            results = {
+                "task": ns.task,
+                "max_residual": _residual_str(max(abs(r) for _, r, _ in residuals)),
+                "max_pv_residual": _residual_str(max(abs(pv) for _, _, pv in residuals)),
+                "rows": rows,
+            }
+        return results, (["xi", "residual", "pv_residual"], rows), 0
+    if ns.task == "offsets":
         closed = conformal.far_offset_closed(ns.k, cfg)
         far = conformal.far_offset_far_field(ns.k, cfg)
         integral = conformal.far_offset_integral(ns.k, cfg)
@@ -333,22 +317,14 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
             spread = _residual_str(
                 max(abs(closed - far), abs(closed - integral), abs(far - integral))
             )
-        payload.update(
-            {
-                "closed_form": closed,
-                "far_field": far,
-                "integral": integral,
-                "max_pairwise": spread,
-            }
-        )
-        payload["_csv"] = (
-            ["closed_form", "far_field", "integral", "max_pairwise"],
-            [[closed, far, integral, spread]],
-        )
+        row = {
+            "closed_form": closed,
+            "far_field": far,
+            "integral": integral,
+            "max_pairwise": spread,
+        }
     elif ns.task == "zero":
-        location = conformal.slit_map_zero(ns.k, cfg)
-        payload["zero_location"] = location
-        payload["_csv"] = (["zero_location"], [[location]])
+        row = {"zero_location": conformal.slit_map_zero(ns.k, cfg)}
     else:  # constants
         consts = conformal.limit_constants(ns.p, cfg)
         with cfg.workprec():
@@ -358,18 +334,13 @@ def _cmd_conformal(ns: argparse.Namespace, cfg: PrecisionConfig):
                 mp.exp(consts.expansion_constant) * consts.boundary_scale * gamma_neg
                 - 1
             )
-        payload.update(
-            {
-                "boundary_scale": consts.boundary_scale,
-                "expansion_constant": consts.expansion_constant,
-                "product_identity_residual": identity,
-            }
-        )
-        payload["_csv"] = (
-            ["boundary_scale", "expansion_constant", "product_identity_residual"],
-            [[consts.boundary_scale, consts.expansion_constant, identity]],
-        )
-    return payload, 0
+        row = {
+            "boundary_scale": consts.boundary_scale,
+            "expansion_constant": consts.expansion_constant,
+            "product_identity_residual": identity,
+        }
+    # One row, under the task: its keys are the CSV columns.
+    return {"task": ns.task, **row}, (list(row), [row]), 0
 
 
 def _cmd_conjecture(ns: argparse.Namespace, cfg: PrecisionConfig):
@@ -377,22 +348,19 @@ def _cmd_conjecture(ns: argparse.Namespace, cfg: PrecisionConfig):
     from . import conjecture
 
     state = conjecture.solve_phase_equation(ns.p, ns.x_max, ns.nodes, tol=ns.tol)
-    payload = {
+    results = {
         "p": state.p,
         "L": state.L,
         "residual_norm": state.residual_norm,
         "residual_height_form": conjecture.phase_residual(state),
         "iterations": state.iterations,
         "converged": state.converged,
-        "failed": not state.converged,
         "nodes": int(state.grid.size),
         "x_max": float(state.grid[-1]),
     }
-    payload["_csv"] = (
-        ["iteration", "nodes", "residual", "L"],
-        [[i, *row] for i, row in enumerate(state.history)],
-    )
-    return payload, 0 if state.converged else 2
+    columns = ["iteration", "nodes", "residual", "L"]
+    rows = [dict(zip(columns, (i, *step))) for i, step in enumerate(state.history)]
+    return results, (columns, rows), 0 if state.converged else 2
 
 
 def _cmd_convert(ns: argparse.Namespace, cfg: PrecisionConfig):
@@ -402,16 +370,14 @@ def _cmd_convert(ns: argparse.Namespace, cfg: PrecisionConfig):
         # The builder owns the rules on s and l; without --l degree 1 stands in.
         remez.build_akhiezer_problem(ns.s, b, 1 if ns.l is None else ns.l)
         endpoint_ratio = (1 - a) / (1 + a)
-        payload = {"s": ns.s, "a": ns.a, "b": b, "endpoint_ratio": endpoint_ratio}
+        results = {"s": ns.s, "a": ns.a, "b": b, "endpoint_ratio": endpoint_ratio}
         if ns.error is not None:
             if ns.l is None:
                 raise InvalidProblemError("converting an error needs --l (degree)")
-            payload["shifted_error"] = ns.error
-            payload["symmetric_error"] = asymptotics.akhiezer_convert(ns.s, ns.a, ns.error)
-            payload["symmetric_degree"] = 2 * ns.l
-    row = [payload.get(k, "") for k in ("b", "endpoint_ratio", "symmetric_error")]
-    payload["_csv"] = (["b", "endpoint_ratio", "symmetric_error"], [row])
-    return payload, 0
+            results["shifted_error"] = ns.error
+            results["symmetric_error"] = asymptotics.akhiezer_convert(ns.s, ns.a, ns.error)
+            results["symmetric_degree"] = 2 * ns.l
+    return results, (["b", "endpoint_ratio", "symmetric_error"], [results]), 0
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +490,24 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         cfg = PrecisionConfig(mantissa_bits=ns.bits)
-        payload, code = ns.handler(ns, cfg)
+        results, table, code = ns.handler(ns, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:
-        diagnostics = getattr(exc, "diagnostics", None)
-        payload = {
-            "error": {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "diagnostics": diagnostics,
-            },
-            "_csv": (["error_type", "message"], [[type(exc).__name__, str(exc)]]),
+        error = {
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "diagnostics": getattr(exc, "diagnostics", None),
         }
-        _emit(ns, cfg, payload)
-        return 2
-    _emit(ns, cfg, payload)
+        results, code = {"error": error}, 2
+        row = {"error_type": error["type"], "message": error["message"]}
+        table = (["error_type", "message"], [row])
+    try:
+        _emit(ns, cfg, results, table)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -15,6 +15,9 @@ its conformal-map structure:
 * the coefficient sequence of P(x) - x^p - tE, ordered by exponent, shows
   exactly m+1 sign changes (a total-positivity fact), with prescribed
   endpoint signs (numpy's cheb2poly on mpf objects gives P's monomials);
+  sign_pattern_check returns the row that `bernlab verify-curve --sign-t`
+  prints for each t, a dict keyed t, sign_changes, expected_changes,
+  first_sign, last_sign and passed;
 * rescaled extremal functions approach the explicit limit profiles as the
   degree grows; profile_convergence returns the rows that `bernlab
   profiles` prints, one dict per degree keyed m, sup_distance and
@@ -214,27 +217,6 @@ def curve_residuals(trace: PhaseTrace, error, p, cfg: PrecisionConfig = DEFAULT_
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SignPatternReport:
-    """Outcome of the coefficient sign-change count for P(x) - x^p - tE."""
-
-    t: object
-    sign_changes: int
-    expected_changes: int
-    first_sign: int
-    last_sign: int
-    expected_first: int
-    expected_last: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.sign_changes == self.expected_changes
-            and self.first_sign == self.expected_first
-            and self.last_sign == self.expected_last
-        )
-
-
 def _monomial_coefficients(coeffs, interval):
     """Monomial coefficients in y of a Chebyshev-basis polynomial on interval.
 
@@ -261,20 +243,23 @@ def sign_pattern_check(
     problem: MinimaxProblem,
     t,
     cfg: PrecisionConfig = DEFAULT_CONFIG,
-) -> SignPatternReport:
+) -> dict:
     """Count coefficient sign changes of P(x) - x^p - tE by exponent order.
 
     In the reduced variable y = x^2 the sequence interleaves the monomial
     coefficients of Q(y) with a -1 at exponent p/2 and shifts the constant
     by -tE.  For |t| < 1 the count must be exactly m+1 with endpoint signs
-    (-1)^[p/2] and (-1)^([p/2]+m+1).
+    (-1)^[p/2] and (-1)^([p/2]+m+1).  The row, as verify-curve prints it:
+    t; sign_changes; expected_changes, m+1; first_sign and last_sign, the
+    first and last nonzero signs (0 if there are none); and passed, whether
+    the count and both endpoint signs are as predicted.
     """
     return _sign_pattern_counter(sol, problem, cfg)(t)
 
 
 def _sign_pattern_counter(sol, problem, cfg):
-    """sign_pattern_check's t -> SignPatternReport for one solution, with P
-    converted to monomials once, so that several t cost one conversion."""
+    """sign_pattern_check's t -> row for one solution, with P converted to
+    monomials once, so that several t cost one conversion."""
     if problem.kind is not ProblemKind.POWER:
         raise InvalidProblemError("sign pattern applies to the power problem")
     m = problem.degree
@@ -299,15 +284,16 @@ def _sign_pattern_counter(sol, problem, cfg):
             entries.append((half_p, mp.mpf(-1)))
             entries.sort(key=lambda e: e[0])
             nz = [1 if v > 0 else -1 for _, v in entries if v != 0]
-            return SignPatternReport(
-                t=t,
-                sign_changes=sum(1 for x, y in zip(nz, nz[1:]) if x != y),
-                expected_changes=m + 1,
-                first_sign=nz[0] if nz else 0,
-                last_sign=nz[-1] if nz else 0,
-                expected_first=expected_first,
-                expected_last=expected_last,
-            )
+            changes = sum(1 for x, y in zip(nz, nz[1:]) if x != y)
+            first, last = (nz[0], nz[-1]) if nz else (0, 0)
+            return {
+                "t": t,
+                "sign_changes": changes,
+                "expected_changes": m + 1,
+                "first_sign": first,
+                "last_sign": last,
+                "passed": (changes, first, last) == (m + 1, expected_first, expected_last),
+            }
 
     return count
 

@@ -1,7 +1,7 @@
 """Cauchy transforms off and on the positive half-line."""
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -189,12 +189,51 @@ def test_tiny_alpha_series_matches_incomplete_gamma():
         assert abs(series - direct) <= mp.mpf(2) ** (mp.mag(direct) - 2 * bits - 100 + 5)
 
 
-# The seed is the one derandomize drew from this test's body before the
-# tiny-alpha series route, so the examples are drawn as before.  Hypothesis
-# also draws on the literal constants of the loaded local modules, so a few
-# examples still move when those change.
-@seed(0x2ED56E09917C8C40A9EF671CB0265003301C721690AF9A74953109B5E3D8E0010E766ACB34D0BBCD56CCF4ECBACBC2D4)
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# The 60 examples the seeded, derandomized draw below ran in a full Tier-1
+# run before they were fixed here, as (2 alpha, log10_xi, bits); alpha =
+# 5e-324 / 2 is the smallest double halved.  Hypothesis 6.155 mixes the
+# literal constants of every loaded local module into its draws, so a
+# drawn set moved with each edit anywhere in src/ or tests/.  Only these
+# explicit examples run; the strategies show the ranges they came from.
+_KUMMER_EXAMPLES = [
+    (-1.0, 0.0, 64), (5e-324, 0.0, 64), (4.464097068754896, 3.9999999999999996, 256),
+    (4.033841544228073, 0.0, 64), (4.033841544228073, 0.3, 64), (3.0, 0.0, 64),
+    (3.0, -1.6688461902278282, 64), (2.2186829887622603, -4.317133172885975, 256),
+    (2.245513246132612, -1.6020917350474173, 256), (5.363944748063541, 3.57071483239098, 64),
+    (4.7977156053522805, 0.015533354507937247, 256), (4.7977156053522805, 0.0, 256),
+    (5e-324, 0.0, 256), (5e-324, 5e-324, 256), (-1.0, -3.7442662601761154, 1024),
+    (1.0, -3.220404779047772e-116, 256), (3.0, 3.9260206383532417, 64), (1.0, 1.5, 64),
+    (5.0, -2.5859391342672375, 256), (5.282108883070619, -3.2637490411325607, 1024),
+    (5e-324, -3.2637490411325607, 1024), (5e-324, 5e-324, 1024), (3.324608894704637, 1e-06, 64),
+    (3.324608894704637, 3.324608894704637, 64), (4.246381927874355, 0.3, 1024),
+    (4.246381927874355, 0.0, 1024), (5e-324, 0.0, 1024), (5.0, 0.5, 64),
+    (2.5185794166039566, -1.333313030613124, 1024), (2.5185794166039566, 2.5185794166039566, 1024),
+    (3.1784972122838457, -2.797017935249054, 256), (3.1784972122838457, 3.1784972122838457, 256),
+    (7.0, 1e-08, 64), (0.0404776786506913, -5.187870271027978, 64),
+    (5e-324, -5.187870271027978, 64), (5e-324, 5e-324, 64), (3.0, 2.576493218932594, 256),
+    (5.729141969307713, -5.907093937613493, 64), (5.729141969307713, 0.0, 64),
+    (4.433543117032894, 2.43229845551547, 1024), (2.43229845551547, 2.43229845551547, 1024),
+    (5.5637147079474065, 2.8971061074031876, 256), (2.8971061074031876, 2.8971061074031876, 256),
+    (1.0, -1.192092896e-07, 1024), (7.0, 0.8002839790592304, 256),
+    (3.0377573267870063e-89, -5.0, 64), (5e-324, -5.0, 64), (0.4, -1.9491120482898054, 256),
+    (0.4, 0.4, 256), (3.5892893989973547, -1.175494351e-38, 1024),
+    (3.5892893989973547, 3.5892893989973547, 1024), (5.0, -3.9787660767436814, 256),
+    (2.7983670960550553, -5.831918653852287, 64), (5e-324, -5.831918653852287, 64),
+    (2.454265847171797, 2.6512269430847795, 64), (2.454265847171797, 2.454265847171797, 64),
+    (3.4242106330240905, 0.3333333333333333, 1024), (0.3333333333333333, 0.3333333333333333, 1024),
+    (3.569657827367297, 2.056874132692088e-62, 1024),
+    (2.056874132692088e-62, 2.056874132692088e-62, 1024),
+]
+
+
+def _with_kummer_examples(test):
+    for two_alpha, log10_xi, bits in _KUMMER_EXAMPLES:
+        test = example(alpha=mp.mpf(two_alpha) / 2, log10_xi=log10_xi, bits=bits)(test)
+    return test
+
+
+@settings(phases=[Phase.explicit], deadline=None, database=None)
+@_with_kummer_examples
 @given(
     alpha=st.one_of(
         st.sampled_from([mp.mpf(2 * k - 1) / 2 for k in range(5)]),

@@ -390,6 +390,87 @@ def test_exhausted_iteration_budget_writes_error_report(tmp_path, monkeypatch):
     assert error["diagnostics"]["bits"] < 256
 
 
+def _raised_levelling(levelling):
+    # P far above the target: the residual has one sign on the reference.
+    def patched(problem, ref):
+        coeffs, h, scale = levelling(problem, ref)
+        return [coeffs[0] + 10 * scale, *coeffs[1:]], h, scale
+
+    return patched
+
+
+def _flipped_extremum(locate):
+    # The second extremum takes the first one's sign.
+    def patched(*args):
+        points, values, roots = locate(*args)
+        return points, [values[0], -values[1], *values[2:]], roots
+
+    return patched
+
+
+def _halved_extremum(locate):
+    # The first extremum at half its height: the ratio stays near 1/2.
+    def patched(*args):
+        points, values, roots = locate(*args)
+        return points, [values[0] / 2, *values[1:]], roots
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "name, patch, message, keys",
+    [
+        (
+            "_solve_levelling", _raised_levelling,
+            "residual does not alternate on the reference", {"reference", "values"},
+        ),
+        (
+            "_locate_extrema", _flipped_extremum,
+            "exchange produced non-alternating extrema", {"points", "values"},
+        ),
+        (
+            "_locate_extrema", _halved_extremum,
+            "levelling ratio stagnated", {"ratio", "bits", "iteration"},
+        ),
+    ],
+    ids=["reference", "extrema", "stagnation"],
+)
+def test_exchange_failures_write_diagnostic_reports(
+    tmp_path, monkeypatch, name, patch, message, keys
+):
+    monkeypatch.setattr(bernlab.remez, name, patch(getattr(bernlab.remez, name)))
+    args = ["solve", "--family", "absxp", "--p", "1.5", "--a", "0.5", "--m", "4", "--bits", "128"]
+    code, doc = _run_json(tmp_path, "fail.json", args)
+    assert code == 2
+    error = doc["results"]["error"]
+    assert (error["type"], error["message"]) == ("NonConvergenceError", message)
+    assert set(error["diagnostics"]) == keys
+    for value in error["diagnostics"].values():
+        for item in value if isinstance(value, list) else [value]:
+            float(item)  # a number; an mpf renders as a decimal string
+    out = tmp_path / "fail.csv"
+    assert main(args + ["--format", "csv", "--output", str(out)]) == 2
+    assert out.read_text() == f"error_type,message\nNonConvergenceError,{message}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["convert", "--s", "1.5", "--a", "0.5"],
+        # An exit-2 error report that cannot be written exits 1 as well.
+        ["solve", "--family", "absxp", "--p", "1.5", "--a", "0.5", "--m", "200", "--bits", "64"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_output_exits_one(tmp_path, capsys, args, fmt):
+    path = tmp_path / "missing" / "report"
+    assert main(args + ["--format", fmt, "--output", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_flag_exits_one():
     assert main(["solve", "--no-such-flag"]) == 1
 

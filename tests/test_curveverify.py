@@ -259,8 +259,8 @@ def test_sign_pattern_counts(cfg256):
             sol = solve(problem, cfg256)
             for t in [mp.mpf(j) / 6 - mp.mpf("0.833333") for j in range(11)]:
                 report = sign_pattern_check(sol, problem, t, cfg256)
-                assert report.sign_changes == m + 1
-                assert report.passed
+                assert report["sign_changes"] == m + 1
+                assert report["passed"]
 
 
 def test_sign_pattern_at_extreme_t(cfg256):
@@ -268,8 +268,8 @@ def test_sign_pattern_at_extreme_t(cfg256):
         problem = build_power_problem("1.5", "0.5", 3)
         sol = solve(problem, cfg256)
         edge = 1 - mp.mpf("1e-6")
-        assert sign_pattern_check(sol, problem, edge, cfg256).passed
-        assert sign_pattern_check(sol, problem, -edge, cfg256).passed
+        assert sign_pattern_check(sol, problem, edge, cfg256)["passed"]
+        assert sign_pattern_check(sol, problem, -edge, cfg256)["passed"]
         with pytest.raises(InvalidProblemError):
             sign_pattern_check(sol, problem, 1, cfg256)
 

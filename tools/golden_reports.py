@@ -44,6 +44,7 @@ COMMANDS = {
     ],
     # A precision budget that cannot be met: exit 2 with an error report.
     "solve_absxp_m200_bits64": ["solve", *_POWER, "--m", "200", "--bits", "64"],
+    "solve_absxp_m200_bits64_csv": ["solve", *_POWER, "--m", "200", "--bits", "64", *_CSV],
     "sweep_absxp": ["sweep", *_POWER, "--m", "5..15..5", "--predict", "--jobs", "2"],
     # The benchmark's sweep (perfbench minimax, op4_s).
     "sweep_absxp_bench": ["sweep", *_POWER, "--m", "2..6..2", "--predict", "--jobs", "2"],
@@ -57,8 +58,11 @@ COMMANDS = {
     "verify_curve": ["verify-curve", *_SIGN_T],
     "verify_curve_csv": ["verify-curve", *_SIGN_T, *_CSV],
     "profiles_absxp": ["profiles", *_POWER, "--m", "4..12..4"],
+    "profiles_absxp_csv": ["profiles", *_POWER, "--m", "4..12..4", *_CSV],
     "profiles_sgn": ["profiles", *_SGN, "--m", "4..12..4"],
+    "profiles_sgn_csv": ["profiles", *_SGN, "--m", "4..12..4", *_CSV],
     "conformal_boundary_k1": ["conformal", "--k", "1", "--task", "boundary"],
+    "conformal_boundary_k1_csv": ["conformal", "--k", "1", "--task", "boundary", *_CSV],
     "conformal_boundary_p15": ["conformal", "--p", "1.5", "--task", "boundary"],
     # alpha = -1/2, where Gamma(alpha) < 0, and odd p, where the cot term is 0.
     "conformal_boundary_k0": ["conformal", "--k", "0", "--task", "boundary"],
@@ -69,15 +73,24 @@ COMMANDS = {
         "conformal", "--p", "11.1", "--task", "boundary", "--xi-count", "3",
     ],
     "conformal_offsets_k1": ["conformal", "--k", "1", "--task", "offsets", "--bits", "192"],
+    "conformal_offsets_k1_csv": [
+        "conformal", "--k", "1", "--task", "offsets", "--bits", "192", *_CSV,
+    ],
     "conformal_offsets_k2": ["conformal", "--k", "2", "--task", "offsets", "--bits", "192"],
     "conformal_constants_p15": ["conformal", "--p", "1.5", "--task", "constants"],
+    "conformal_constants_p15_csv": ["conformal", "--p", "1.5", "--task", "constants", *_CSV],
     "conformal_constants_p3": ["conformal", "--p", "3", "--task", "constants"],
     # p/2 = 0.65 has no small substitution order.
     "conformal_constants_p13": ["conformal", "--p", "1.3", "--task", "constants"],
     "conformal_zero_k1": ["conformal", "--k", "1", "--task", "zero"],
+    "conformal_zero_k1_csv": ["conformal", "--k", "1", "--task", "zero", *_CSV],
     "conformal_zero_k2": ["conformal", "--k", "2", "--task", "zero"],
     "convert": ["convert", "--s", "1.5", "--a", "0.5"],
+    "convert_csv": ["convert", "--s", "1.5", "--a", "0.5", *_CSV],
     "convert_error": ["convert", "--s", "1.5", "--a", "0.5", "--l", "8", "--error", "1e-5"],
+    "convert_error_csv": [
+        "convert", "--s", "1.5", "--a", "0.5", "--l", "8", "--error", "1e-5", *_CSV,
+    ],
     "conjecture_512": ["conjecture", "--nodes", "512"],
     "conjecture_512_csv": ["conjecture", "--nodes", "512", *_CSV],
     # The benchmark's solve (perfbench verify, op4_s) and the default grid.
